@@ -27,8 +27,8 @@ pub fn search(ctx: &Context) -> String {
     let space = DesignSpace::exploration();
     let mut rows = Vec::new();
     // Exhaustive (strided in quick mode) reference: one unconstrained
-    // optimum query answers all nine benchmarks from a single fused,
-    // chunk-parallel walk (each entry's score is that benchmark's maximal
+    // optimum query answers all nine benchmarks from one scan of the
+    // memoized sweep (each entry's score is that benchmark's maximal
     // predicted bips^3/w over the strided space).
     let stride = ctx.config().eval_stride;
     let exhaustive_evals = strided_count(&space, stride);

@@ -1,6 +1,6 @@
 //! Determinism of the unified query engine: answers must be
-//! bitwise-identical across worker counts (the fused scans fan out in
-//! worker-count-dependent chunks), across cold and warm LRU states, and
+//! bitwise-identical across worker counts (the memoized sweep fans out
+//! in worker-count-dependent chunks), across cold and warm calls, and
 //! against a sequential single-threaded reference computed without the
 //! engine. The canonical-bytes form is what `repro query` prints and
 //! what the CI smoke diff compares, so every equality here is on the
@@ -81,8 +81,8 @@ fn query_answers_are_identical_across_worker_counts() {
     udse_obs::pool::set_max_workers(1);
     let suite = trained_suite(&config);
 
-    // Fresh engines per worker count so every memoized sweep and every
-    // fused scan actually runs under that count.
+    // Fresh engines per worker count so every memoized sweep actually
+    // runs under that count.
     let engine_seq = Engine::new(suite.clone(), &config);
     let answers_seq: Vec<String> = query_menu(config.eval_stride)
         .iter()
@@ -111,6 +111,8 @@ fn warm_cache_replays_the_cold_answer_bitwise() {
     let misses = udse_obs::metrics::counter("query.cache.misses");
 
     for q in query_menu(config.eval_stride) {
+        let point_shaped =
+            matches!(q, Query::Point { .. } | Query::WhatIf { .. } | Query::AxisSweep { .. });
         let m0 = misses.get();
         // A cold run misses at least once (per-benchmark optima delegate
         // to the all-benchmark query, which is its own cache entry).
@@ -118,17 +120,44 @@ fn warm_cache_replays_the_cold_answer_bitwise() {
         assert!(misses.get() > m0, "cold run of {q:?} must miss");
         let (h1, m1) = (hits.get(), misses.get());
         let warm = engine.execute(&q).expect("warm run");
-        assert_eq!(hits.get(), h1 + 1, "warm run of {q:?} must hit exactly once");
-        assert_eq!(misses.get(), m1, "warm run of {q:?} must not miss");
-        // The cache returns the very same materialized result, so the
-        // canonical bytes are trivially identical — assert both layers.
-        assert!(std::sync::Arc::ptr_eq(&cold, &warm), "warm {q:?} rebuilt instead of reusing");
+        if point_shaped {
+            // Point-shaped answers bypass the cache: every call is
+            // computed afresh and counted as exactly one miss.
+            assert_eq!(hits.get(), h1, "point-shaped {q:?} must never hit");
+            assert_eq!(misses.get(), m1 + 1, "point-shaped {q:?} must miss on every call");
+        } else {
+            assert_eq!(hits.get(), h1 + 1, "warm run of {q:?} must hit exactly once");
+            assert_eq!(misses.get(), m1, "warm run of {q:?} must not miss");
+            // The cache returns the very same materialized result.
+            assert!(std::sync::Arc::ptr_eq(&cold, &warm), "warm {q:?} rebuilt instead of reusing");
+        }
         assert_eq!(
             cold.to_json().to_string_pretty(),
             warm.to_json().to_string_pretty(),
             "warm bytes diverge for {q:?}"
         );
     }
+}
+
+#[test]
+fn every_execution_is_a_hit_or_a_miss() {
+    let _guard = serialized();
+    let config = test_config();
+    udse_obs::pool::set_max_workers(1);
+    let engine = Engine::new(trained_suite(&config), &config);
+    let counter = |name| udse_obs::metrics::counter(name).get();
+    let totals =
+        || (counter("query.executed"), counter("query.cache.hits") + counter("query.cache.misses"));
+    let (executed0, answered0) = totals();
+    // Cold and warm passes, so the menu both misses and hits.
+    for _ in 0..2 {
+        for q in query_menu(config.eval_stride) {
+            engine.execute(&q).expect("query runs");
+        }
+    }
+    let (executed, answered) = totals();
+    assert!(executed > executed0);
+    assert_eq!(executed - executed0, answered - answered0, "query.executed != hits + misses");
 }
 
 #[test]

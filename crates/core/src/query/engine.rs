@@ -1,6 +1,6 @@
 //! The query engine: one owner for the compiled suite, the memoized
-//! full-space characterization, the constraint-pushdown grid walks, and
-//! a byte-budgeted LRU of materialized results.
+//! full-space characterization, the constrained scans sliced from it,
+//! and a byte-budgeted LRU of materialized results.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -10,12 +10,11 @@ use std::time::Instant;
 use udse_trace::Benchmark;
 
 use crate::model::SuiteLanes;
-use crate::oracle::Metrics;
 use crate::pareto::ParetoFrontier;
 use crate::space::{DesignPoint, DesignSpace};
 use crate::studies::pareto::{sweep_designs, PredictedDesign};
 use crate::studies::{
-    record_sweep, strided_count, sweep_allocs_snapshot, CompiledSuite, StudyConfig, TrainedSuite,
+    record_sweep, sweep_allocs_snapshot, CompiledSuite, StudyConfig, TrainedSuite,
 };
 
 use super::{Axis, Constraint, Objective, OptimumEntry, PredictedPoint, Query, QueryResult};
@@ -28,7 +27,7 @@ const DEFAULT_RESULT_BUDGET: usize = 64 * 1024 * 1024;
 /// Per-axis inclusive level bounds — the pushed-down form of a
 /// constraint list. Every axis's physical values increase strictly with
 /// the level index, so a value interval maps to one level interval and
-/// the walk filter is seven `u8` range checks per visited point.
+/// the admitted designs form a box of grid levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Mask {
     lo: [u8; 7],
@@ -149,23 +148,23 @@ impl ResultCache {
 /// Executes [`Query`] values against one trained suite.
 ///
 /// The engine owns the suite compiled onto the exploration grid, the
-/// stacked [`SuiteLanes`] the fused walks run on, the memoized
-/// full-space characterization every Pareto/ranking query slices, and a
-/// byte-budgeted LRU of materialized results keyed by the query's
+/// stacked [`SuiteLanes`] the fused walk runs on, the memoized
+/// full-space characterization every scanning query slices, and a
+/// byte-budgeted LRU of materialized scan results keyed by the query's
 /// canonical serialization. Execution records `query.executed`,
 /// `query.cache.{hits,misses}`, and `query.designs_per_sec` into the
-/// ambient metrics registry, alongside the same `sweep.*` metrics the
-/// pre-engine study sweeps recorded.
+/// ambient metrics registry; materializing the characterization records
+/// the `sweep.*` metrics.
 ///
-/// Scanning queries (constrained optimum, Pareto slice, top-K) evaluate
-/// the *compiled* models over chunk-parallel grid walks with the
-/// last-maximal-element-wins tie-break applied inside chunks and across
-/// the in-order fold, so answers are bitwise-identical to sequential
-/// scans and independent of worker count. Point-shaped queries (point,
-/// what-if, axis sweep) evaluate the *uncompiled* spline models — the
-/// flavor the validation studies always used (compiled and uncompiled
-/// predictions agree only to ~1e-12, so the distinction is load-bearing
-/// for bitwise reproducibility).
+/// Scanning queries (constrained optimum, Pareto slice, top-K) read the
+/// *compiled* models' predictions from the characterization, visiting
+/// only the designs their constraints admit, sequentially in walk order
+/// with the last-maximal-element-wins tie-break, so answers are
+/// independent of worker count. Point-shaped queries (point, what-if,
+/// axis sweep) evaluate the *uncompiled* spline models — the flavor the
+/// validation studies always used (compiled and uncompiled predictions
+/// agree only to ~1e-12, so the distinction is load-bearing for bitwise
+/// reproducibility) — and bypass the result cache.
 pub struct Engine {
     suite: TrainedSuite,
     compiled: CompiledSuite,
@@ -269,10 +268,12 @@ impl Engine {
         }
     }
 
-    /// Executes a query, serving repeats from the result LRU. The cache
-    /// key is the query's canonical serialization, so structurally equal
-    /// queries always share an entry; cached results come back as the
-    /// same `Arc`, bitwise-equal by construction.
+    /// Executes a query, serving repeated scans from the result LRU. The
+    /// cache key is the query's canonical serialization, so structurally
+    /// equal queries always share an entry; cached results come back as
+    /// the same `Arc`, bitwise-equal by construction. Point-shaped
+    /// queries are computed on every call and counted as misses, so
+    /// `query.executed == query.cache.hits + query.cache.misses` holds.
     ///
     /// # Errors
     ///
@@ -283,6 +284,12 @@ impl Engine {
     pub fn execute(&self, query: &Query) -> Result<Arc<QueryResult>, String> {
         let _span = udse_obs::span::enter("query");
         udse_obs::metrics::counter("query.executed").add(1);
+        if matches!(query, Query::Point { .. } | Query::WhatIf { .. } | Query::AxisSweep { .. }) {
+            // A few model evaluations cost about what the cache key does,
+            // and a stream of distinct points would only fill the LRU.
+            udse_obs::metrics::counter("query.cache.misses").add(1);
+            return self.compute(query).map(Arc::new);
+        }
         let key = query.to_json().to_string_compact();
         if let Some(hit) = self.cache.lock().expect("result cache lock").get(&key) {
             udse_obs::metrics::counter("query.cache.hits").add(1);
@@ -358,9 +365,9 @@ impl Engine {
     ) -> Result<QueryResult, String> {
         match (benchmark, objective) {
             (Some(b), Objective::Efficiency) => {
-                // Project the fused all-benchmarks walk, so nine
+                // Project the all-benchmarks optimum, so nine
                 // per-benchmark requests under the same constraints cost
-                // one walk plus eight cache hits.
+                // one scan plus eight cache hits.
                 let all = self.execute(&Query::ConstrainedOptimum {
                     benchmark: None,
                     objective: Objective::Efficiency,
@@ -391,61 +398,86 @@ impl Engine {
         }
     }
 
-    /// The fused per-benchmark argmax walk (formerly
-    /// `studies::predicted_efficiency_optima`), with the constraint mask
-    /// gating candidate updates. Ties break toward the point visited
-    /// *last* in the sequential walk — the element `Iterator::max_by`
-    /// would return — enforced inside each chunk and across the in-order
-    /// chunk fold, so winners are independent of chunk boundaries.
-    fn efficiency_optima(&self, mask: &Mask, stride: usize) -> Result<QueryResult, String> {
-        let space = &self.space;
-        let lanes = &self.lanes;
-        let total = strided_count(space, stride);
-        let pairs = lanes.pairs();
-        let allocs0 = sweep_allocs_snapshot();
-        let started = Instant::now();
-        let chunk_bests = udse_obs::pool::map_chunks(total, |range| {
-            let _chunk = udse_obs::span::enter("chunk");
-            let mut best: Vec<Option<(DesignPoint, Metrics, f64)>> = vec![None; pairs];
-            let mut walker = lanes.walker(space, stride);
-            walker.walk(range, |p, metrics| {
-                if !mask.allows(&p) {
-                    return;
-                }
-                for (b, m) in best.iter_mut().zip(metrics) {
-                    let eff = m.bips_cubed_per_watt();
-                    // `>=` replaces: the last maximal element wins, as in
-                    // a sequential `max_by` over the same walk.
-                    if b.as_ref().is_none_or(|cur| eff.total_cmp(&cur.2) != Ordering::Less) {
-                        *b = Some((p, *m, eff));
-                    }
-                }
-            });
-            best
-        });
-        let rate = record_sweep(total * pairs as u64, started.elapsed().as_secs_f64(), allocs0);
-        if rate > 0.0 {
-            udse_obs::metrics::gauge("query.designs_per_sec").set(rate);
-        }
-        let mut best: Vec<Option<(DesignPoint, Metrics, f64)>> = vec![None; pairs];
-        for chunk in chunk_bests {
-            for (cur, next) in best.iter_mut().zip(chunk) {
-                let Some(next) = next else { continue };
-                // Chunks arrive in range order; `>=` keeps the later
-                // chunk on ties.
-                if cur.as_ref().is_none_or(|c| next.2.total_cmp(&c.2) != Ordering::Less) {
-                    *cur = Some(next);
+    /// Visits, in walk order, the sweep position of every design `mask`
+    /// admits in the characterization at `stride`, handing `visit` the
+    /// per-benchmark rows with each position, and returns those rows.
+    ///
+    /// At stride 1 the sweep is the whole grid in [`DesignSpace::decode`]
+    /// order: a row's position is the mixed-radix value of its level
+    /// indices. The mask's level box is then enumerated directly as
+    /// contiguous runs along the innermost axis, touching only admitted
+    /// rows. Other strides scatter the grid, so their rows are filtered
+    /// with [`Mask::allows`].
+    fn admitted(
+        &self,
+        mask: &Mask,
+        stride: usize,
+        mut visit: impl FnMut(&[Vec<PredictedDesign>], usize),
+    ) -> Arc<Vec<Vec<PredictedDesign>>> {
+        let sweep = self.designs_at(stride);
+        if stride.max(1) != 1 {
+            for (i, d) in sweep[0].iter().enumerate() {
+                if mask.allows(&d.point) {
+                    visit(&sweep, i);
                 }
             }
+            return sweep;
         }
+        let dims = self.space.dimensions();
+        let mut weight = [1usize; 7];
+        for a in (0..6).rev() {
+            weight[a] = weight[a + 1] * dims[a + 1] as usize;
+        }
+        let run = (mask.hi[6] - mask.lo[6]) as usize + 1;
+        let mut idx = mask.lo;
+        loop {
+            let start: usize = idx.iter().zip(&weight).map(|(&i, &w)| i as usize * w).sum();
+            for i in start..start + run {
+                visit(&sweep, i);
+            }
+            // Odometer step over the six outer axes, last axis fastest.
+            let mut a = 6;
+            loop {
+                if a == 0 {
+                    return sweep;
+                }
+                a -= 1;
+                if idx[a] < mask.hi[a] {
+                    idx[a] += 1;
+                    break;
+                }
+                idx[a] = mask.lo[a];
+            }
+        }
+    }
+
+    /// The per-benchmark argmax over the admitted designs. Ties break
+    /// toward the design visited *last* in walk order — the element
+    /// `Iterator::max_by` would return.
+    fn efficiency_optima(&self, mask: &Mask, stride: usize) -> Result<QueryResult, String> {
+        let started = Instant::now();
+        let mut best: Vec<Option<(usize, f64)>> = vec![None; self.lanes.pairs()];
+        let mut admitted = 0;
+        let sweep = self.admitted(mask, stride, |rows, i| {
+            admitted += rows.len();
+            for (b, row) in best.iter_mut().zip(rows) {
+                let eff = row[i].predicted.bips_cubed_per_watt();
+                // `>=` replaces: the last maximal element wins.
+                if b.is_none_or(|(_, cur)| eff.total_cmp(&cur) != Ordering::Less) {
+                    *b = Some((i, eff));
+                }
+            }
+        });
+        record_scan(admitted, started);
         let entries = Benchmark::ALL
             .iter()
+            .zip(&sweep[..])
             .zip(best)
-            .map(|(&b, win)| {
-                win.map(|(point, m, eff)| OptimumEntry {
+            .map(|((&b, row), win)| {
+                win.map(|(i, eff)| OptimumEntry {
                     benchmark: Some(b),
-                    point,
-                    predicted: Some(m),
+                    point: row[i].point,
+                    predicted: Some(row[i].predicted),
                     score: eff,
                 })
                 .ok_or("constraints exclude every design in the strided walk".to_string())
@@ -454,54 +486,40 @@ impl Engine {
         Ok(QueryResult::Optima { entries })
     }
 
-    /// The suite-aggregate argmax walk: one winner maximizing the mean
-    /// over benchmarks of `bips^3/w / reference` — the depth study's
-    /// bound objective, arithmetic-for-arithmetic.
+    /// The suite-aggregate argmax: one winner maximizing the mean over
+    /// benchmarks of `bips^3/w / reference` — the depth study's bound
+    /// objective, arithmetic-for-arithmetic.
     fn suite_relative_optimum(
         &self,
         mask: &Mask,
         refs: &[f64],
         stride: usize,
     ) -> Result<QueryResult, String> {
-        let space = &self.space;
-        let lanes = &self.lanes;
-        let total = strided_count(space, stride);
         let n = refs.len() as f64;
-        let allocs0 = sweep_allocs_snapshot();
         let started = Instant::now();
-        let chunk_bests = udse_obs::pool::map_chunks(total, |range| {
-            let _chunk = udse_obs::span::enter("chunk");
-            let mut best: Option<(DesignPoint, f64)> = None;
-            let mut walker = lanes.walker(space, stride);
-            walker.walk(range, |p, metrics| {
-                if !mask.allows(&p) {
-                    return;
-                }
-                let score = metrics
-                    .iter()
-                    .zip(refs)
-                    .map(|(m, &r)| m.bips_cubed_per_watt() / r)
-                    .sum::<f64>()
-                    / n;
-                if best.as_ref().is_none_or(|cur| score.total_cmp(&cur.1) != Ordering::Less) {
-                    best = Some((p, score));
-                }
-            });
-            best
-        });
-        let rate = record_sweep(total, started.elapsed().as_secs_f64(), allocs0);
-        if rate > 0.0 {
-            udse_obs::metrics::gauge("query.designs_per_sec").set(rate);
-        }
-        let mut best: Option<(DesignPoint, f64)> = None;
-        for next in chunk_bests.into_iter().flatten() {
-            if best.as_ref().is_none_or(|cur| next.1.total_cmp(&cur.1) != Ordering::Less) {
-                best = Some(next);
+        let mut best: Option<(usize, f64)> = None;
+        let mut admitted = 0;
+        let sweep = self.admitted(mask, stride, |rows, i| {
+            admitted += rows.len();
+            let score = rows
+                .iter()
+                .zip(refs)
+                .map(|(row, &r)| row[i].predicted.bips_cubed_per_watt() / r)
+                .sum::<f64>()
+                / n;
+            if best.is_none_or(|(_, cur)| score.total_cmp(&cur) != Ordering::Less) {
+                best = Some((i, score));
             }
-        }
-        let (point, score) = best.ok_or("constraints exclude every design in the strided walk")?;
+        });
+        record_scan(admitted, started);
+        let (i, score) = best.ok_or("constraints exclude every design in the strided walk")?;
         Ok(QueryResult::Optima {
-            entries: vec![OptimumEntry { benchmark: None, point, predicted: None, score }],
+            entries: vec![OptimumEntry {
+                benchmark: None,
+                point: sweep[0][i].point,
+                predicted: None,
+                score,
+            }],
         })
     }
 
@@ -516,20 +534,27 @@ impl Engine {
             return Err("pareto_slice needs at least one delay bin".to_string());
         }
         let mask = Mask::pushdown(&self.space, constraints)?;
-        let sweep = self.designs_at(stride);
-        let designs = &sweep[benchmark.id() as usize];
-        let admitted: Vec<&PredictedDesign> =
-            designs.iter().filter(|d| mask.allows(&d.point)).collect();
+        let b = benchmark.id() as usize;
+        let started = Instant::now();
+        let mut admitted = Vec::new();
+        let mut pts = Vec::new();
+        let sweep = self.admitted(&mask, stride, |rows, i| {
+            let d = &rows[b][i];
+            admitted.push(i);
+            pts.push((d.predicted.delay_seconds(), d.predicted.watts));
+        });
         if admitted.is_empty() {
             return Err("constraints exclude every design in the strided walk".to_string());
         }
-        let pts: Vec<(f64, f64)> =
-            admitted.iter().map(|d| (d.predicted.delay_seconds(), d.predicted.watts)).collect();
+        record_scan(admitted.len(), started);
         let frontier = ParetoFrontier::from_points(&pts, bins);
         let rows = frontier
             .indices()
             .iter()
-            .map(|&i| PredictedPoint { point: admitted[i].point, predicted: admitted[i].predicted })
+            .map(|&j| {
+                let d = &sweep[b][admitted[j]];
+                PredictedPoint { point: d.point, predicted: d.predicted }
+            })
             .collect();
         Ok(QueryResult::Frontier { benchmark, designs: rows })
     }
@@ -545,27 +570,41 @@ impl Engine {
             return Err("top_k needs k >= 1".to_string());
         }
         let mask = Mask::pushdown(&self.space, constraints)?;
-        let sweep = self.designs_at(stride);
-        let designs = &sweep[benchmark.id() as usize];
-        let admitted: Vec<&PredictedDesign> =
-            designs.iter().filter(|d| mask.allows(&d.point)).collect();
-        if admitted.is_empty() {
+        let b = benchmark.id() as usize;
+        let started = Instant::now();
+        let mut ranked: Vec<(f64, usize)> = Vec::new();
+        let sweep = self.admitted(&mask, stride, |rows, i| {
+            ranked.push((rows[b][i].predicted.bips_cubed_per_watt(), i));
+        });
+        if ranked.is_empty() {
             return Err("constraints exclude every design in the strided walk".to_string());
         }
-        let mut order: Vec<usize> = (0..admitted.len()).collect();
-        // Stable sort: equal efficiencies keep walk order.
-        order.sort_by(|&a, &b| {
-            admitted[b]
-                .predicted
-                .bips_cubed_per_watt()
-                .total_cmp(&admitted[a].predicted.bips_cubed_per_watt())
-        });
-        let entries = order
+        record_scan(ranked.len(), started);
+        // Efficiency descending, then walk position ascending: the order
+        // a stable descending sort leaves, as a total order.
+        let order = |x: &(f64, usize), y: &(f64, usize)| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1));
+        if k < ranked.len() {
+            ranked.select_nth_unstable_by(k - 1, order);
+            ranked.truncate(k);
+        }
+        ranked.sort_unstable_by(order);
+        let entries = ranked
             .into_iter()
-            .take(k)
-            .map(|i| PredictedPoint { point: admitted[i].point, predicted: admitted[i].predicted })
+            .map(|(_, i)| PredictedPoint {
+                point: sweep[b][i].point,
+                predicted: sweep[b][i].predicted,
+            })
             .collect();
         Ok(QueryResult::Ranking { benchmark, entries })
+    }
+}
+
+/// Sets the `query.designs_per_sec` gauge: admitted designs times
+/// benchmarks scanned, per second since `started`.
+fn record_scan(designs: usize, started: Instant) {
+    let seconds = started.elapsed().as_secs_f64();
+    if designs > 0 && seconds > 0.0 {
+        udse_obs::metrics::gauge("query.designs_per_sec").set(designs as f64 / seconds);
     }
 }
 
@@ -752,6 +791,24 @@ mod tests {
         // Per-benchmark projections of the same walk hit the fused entry.
         let one = e.execute(&Query::optimum(Some(Benchmark::Twolf), vec![], e.stride())).unwrap();
         assert_eq!(one.optima().unwrap()[0].point, first.optima().unwrap()[8].point);
+    }
+
+    #[test]
+    fn point_queries_leave_the_result_cache_untouched() {
+        let e = engine();
+        e.execute(&Query::optimum(None, vec![], e.stride())).unwrap();
+        let held = |e: &Engine| {
+            let cache = e.cache.lock().unwrap();
+            (cache.entries.len(), cache.used)
+        };
+        let before = held(&e);
+        assert_eq!(before.0, 1, "the scan is cached");
+        let space = DesignSpace::exploration();
+        for i in 0..10_000u64 {
+            let p = space.decode(i * 26 % space.len()).unwrap();
+            e.execute(&Query::point(Benchmark::ALL[(i % 9) as usize], p)).unwrap();
+        }
+        assert_eq!(held(&e), before, "10,000 point queries stored nothing");
     }
 
     #[test]

@@ -10,15 +10,15 @@
 //!   serialization (see [`json`]) that doubles as the wire format for
 //!   the planned `udse-serve` daemon.
 //! - [`Engine`] — owns the [`crate::studies::CompiledSuite`], the
-//!   memoized full-space characterization, a predicate-pushdown
-//!   constraint evaluator over the fused grid walker, and a
-//!   byte-budgeted LRU of materialized [`QueryResult`]s.
+//!   memoized full-space characterization, constrained scans that visit
+//!   only the designs a query's constraints admit, and a byte-budgeted
+//!   LRU of materialized scan results.
 //!
 //! The engine's answers are bitwise-identical to the per-study sweeps it
-//! replaced: scanning queries run the exact same chunk-parallel
-//! [`udse_obs::pool::map_chunks`] walk with the same
-//! last-maximal-element-wins tie-break, and point queries evaluate the
-//! exact (uncompiled) spline models the validation studies always used.
+//! replaced: scanning queries read the same predictions the fused grid
+//! walk produced, in walk order, with the same last-maximal-element-wins
+//! tie-break, and point queries evaluate the exact (uncompiled) spline
+//! models the validation studies always used.
 //!
 //! # Examples
 //!
@@ -202,11 +202,11 @@ pub enum Query {
     ConstrainedOptimum {
         /// `Some(b)`: that benchmark's optimum. `None` with
         /// [`Objective::Efficiency`]: all nine per-benchmark optima from
-        /// one fused walk. [`Objective::SuiteRelative`] requires `None`.
+        /// one scan. [`Objective::SuiteRelative`] requires `None`.
         benchmark: Option<Benchmark>,
         /// The maximized objective.
         objective: Objective,
-        /// Axis constraints, pushed down to index bounds before the walk.
+        /// Axis constraints, pushed down to index bounds before the scan.
         constraints: Vec<Constraint>,
         /// Evaluation stride (1 = exhaustive; see
         /// [`crate::studies::strided_points`]).
@@ -263,7 +263,7 @@ impl Query {
     }
 
     /// Constrained `bips^3/w` optimum (`benchmark = None` answers all
-    /// nine from one fused walk).
+    /// nine from one scan).
     pub fn optimum(
         benchmark: Option<Benchmark>,
         constraints: Vec<Constraint>,

@@ -76,6 +76,11 @@ pub fn characterize_all(engine: &Engine) -> Vec<Characterization> {
     Benchmark::ALL.iter().map(|&b| characterize(engine, b)).collect()
 }
 
+/// Grid points below which a sweep walks on the calling thread: spawning
+/// the pool's workers costs more than the walk they would share (a
+/// 525-point quick-mode sweep spent over half its wall in the spawn).
+const MIN_PARALLEL_POINTS: u64 = 2048;
+
 /// The shared fused-sweep inner loop: walks the strided space once and
 /// materializes every visited point's predicted metrics for every stacked
 /// pair, chunk-parallel through [`udse_obs::pool::map_chunks`]. Chunk
@@ -88,7 +93,7 @@ pub(crate) fn sweep_designs(
 ) -> Vec<Vec<PredictedDesign>> {
     let total = strided_count(space, stride);
     let pairs = lanes.pairs();
-    let chunks = udse_obs::pool::map_chunks(total, |range| {
+    let walk_chunk = |range: std::ops::Range<u64>| {
         let _chunk = udse_obs::span::enter("chunk");
         let chunk_len = (range.end - range.start) as usize;
         let mut per_pair: Vec<Vec<PredictedDesign>> =
@@ -100,7 +105,12 @@ pub(crate) fn sweep_designs(
             }
         });
         per_pair
-    });
+    };
+    let chunks = if total < MIN_PARALLEL_POINTS {
+        vec![walk_chunk(0..total)]
+    } else {
+        udse_obs::pool::map_chunks(total, walk_chunk)
+    };
     // Concatenate each pair's chunk slices in range order.
     let mut designs: Vec<Vec<PredictedDesign>> =
         (0..pairs).map(|_| Vec::with_capacity(total as usize)).collect();

@@ -110,7 +110,7 @@ fi
 # format has no timestamps or machine-dependent fields). The manifest
 # written alongside must carry the engine's counters, and
 # `udse-inspect report` must render them as the query-engine section.
-echo "==> query smoke: repro query (constrained optimum + what-if delta)"
+echo "==> query smoke: repro query (constrained optimum, stride-1 box scans, what-if delta)"
 rm -rf target/query-smoke
 mkdir -p target/query-smoke
 opt_query='{"query_version":1,"type":"constrained_optimum","bench":null,"objective":"efficiency","constraints":[{"axis":"dl1_kb","min":null,"max":64.0},{"axis":"depth_fo4","min":18.0,"max":18.0}],"stride":500}'
@@ -118,6 +118,18 @@ opt_query='{"query_version":1,"type":"constrained_optimum","bench":null,"objecti
     "${opt_query}" > target/query-smoke/opt1.json
 ./target/release/repro query --quick "${opt_query}" > target/query-smoke/opt2.json
 diff target/query-smoke/opt1.json target/query-smoke/opt2.json
+# Stride-1 scans take the engine's box path: admitted level boxes are
+# read straight out of the stride-1 sweep as runs along the innermost
+# axis. An `exactly` bound on l2_kb (the innermost axis) makes every run
+# one design long.
+box_opt_query='{"query_version":1,"type":"constrained_optimum","bench":null,"objective":"efficiency","constraints":[{"axis":"l2_kb","min":1024.0,"max":1024.0},{"axis":"width","min":4.0,"max":null}],"stride":1}'
+topk_query='{"query_version":1,"type":"top_k","bench":"gcc","constraints":[{"axis":"dl1_kb","min":null,"max":64.0}],"stride":1,"k":15}'
+for name in box_opt topk; do
+    if [ "${name}" = topk ]; then query="${topk_query}"; else query="${box_opt_query}"; fi
+    ./target/release/repro query --quick "${query}" > "target/query-smoke/${name}1.json"
+    ./target/release/repro query --quick "${query}" > "target/query-smoke/${name}2.json"
+    diff "target/query-smoke/${name}1.json" "target/query-smoke/${name}2.json"
+done
 whatif_query='{"query_version":1,"type":"what_if","bench":"mcf","base":{"idx":[2,1,1,0,4,3,0],"fo4":18},"alternative":{"idx":[2,2,1,1,0,1,0],"fo4":18}}'
 ./target/release/repro query --quick "${whatif_query}" > target/query-smoke/whatif.json
 grep -qF '"type": "delta"' target/query-smoke/whatif.json
@@ -181,7 +193,8 @@ if [ -n "${baseline}" ]; then
     # now run on: query.cache.hits is a deterministic counter (table2's
     # nine per-benchmark optima share one materialized all-benchmark
     # scan, so a hit-count drop means the memoized-delegation path broke)
-    # and query.designs_per_sec is the engine's fused-scan throughput —
+    # and query.designs_per_sec is the engine's scan throughput (admitted
+    # designs x benchmarks scanned per second) —
     # both warn on a >50% fall and on going missing entirely.
     echo "==> udse-inspect diff ${baseline} target/bench-current.json --warn-wall --tol-gauge sweep.designs_per_sec:50 --tol-gauge query.designs_per_sec:50 --tol-gauge query.cache.hits:50 --min-gauge sweep.designs_per_sec:5000000 --min-gauge sim.instructions_per_sec:15000000 --tol-resource alloc.bytes:100 --tol-resource sweep.allocs_per_design:100:0.05"
     ./target/release/udse-inspect diff "${baseline}" target/bench-current.json --warn-wall \

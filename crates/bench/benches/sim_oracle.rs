@@ -1,6 +1,7 @@
-//! Criterion benches for the decomposed cycle oracle: cold (direct
-//! simulation, no memo), stream resolution (the once-per-sub-config
-//! cost), and warm (streamed engine against memoized streams) —
+//! Criterion benches for the decomposed cycle oracle: cold (a one-shot
+//! `run_with_warmup`: preflight, resolve and run, no memo), stream
+//! resolution (the once-per-sub-config cost), and warm (the cycle engine
+//! against memoized streams) —
 //! instructions/sec tracked the same way the predictor's designs/sec
 //! is, so regressions in either half of the decomposition show up
 //! independently.
@@ -22,9 +23,8 @@ fn bench_sim_oracle(c: &mut Criterion) {
     let sim = Simulator::new(cfg);
     let pre = TracePreflight::of(&trace);
 
-    // Cold: what every simulation cost before the decomposition (and
-    // what a memo miss still pays via resolve + streamed run).
-    group.bench_with_input(BenchmarkId::from_parameter("cold_direct"), &trace, |bch, t| {
+    // Cold: what a simulation outside the memoizing oracle pays.
+    group.bench_with_input(BenchmarkId::from_parameter("cold_oneshot"), &trace, |bch, t| {
         bch.iter(|| sim.run_with_warmup(t, BENCH_TRACE_LEN / 4))
     });
 

@@ -701,15 +701,15 @@ mod tests {
     }
 
     #[test]
-    fn streamed_oracle_matches_direct_simulation() {
+    fn memoized_oracle_matches_one_shot_simulation() {
         let oracle = SimOracle::with_trace_len(2_000);
         let space = DesignSpace::paper();
         for idx in [0u64, 42, 9_999, 123_456] {
             let p = space.decode(idx).unwrap();
             let m = oracle.evaluate(Benchmark::Twolf, &p);
-            let direct = Simulator::new(p.to_machine_config())
+            let one_shot = Simulator::new(p.to_machine_config())
                 .run_with_warmup(&oracle.trace(Benchmark::Twolf), oracle.warmup_insts());
-            assert_eq!(m, Metrics { bips: direct.bips, watts: direct.watts }, "index {idx}");
+            assert_eq!(m, Metrics { bips: one_shot.bips, watts: one_shot.watts }, "index {idx}");
         }
     }
 

@@ -1,15 +1,16 @@
-//! Exhaustive bitwise equivalence of the decomposed oracle on the fig1
+//! Exhaustive bitwise equivalence of the memoizing oracle on the fig1
 //! quick workload.
 //!
-//! The cycle-oracle decomposition (trace preflight + memoized outcome
-//! streams + streamed engine) promises that every `SimResult` is
-//! bitwise-identical to the direct `run_with_warmup` path. This test
-//! proves it exhaustively over exactly the job population the quick
-//! fig1 run simulates: the 200-sample training plan crossed with all
-//! nine benchmarks plus the 25-sample validation set — every design the
-//! study touches, evaluated through the memoizing `SimOracle` batch
-//! path and re-simulated directly, bit for bit. (Trace length is
-//! shortened from the study's 200k so the direct re-simulation stays
+//! The oracle shares one trace preflight per benchmark and one set of
+//! resolved outcome streams per sub-config across every design it
+//! simulates, and promises that every result is bitwise-identical to a
+//! one-shot `run_with_warmup`, which resolves streams for that design
+//! alone. This test proves it exhaustively over exactly the job
+//! population the quick fig1 run simulates: the 200-sample training plan
+//! crossed with all nine benchmarks plus the 25-sample validation set —
+//! every design the study touches, evaluated through the memoizing
+//! `SimOracle` batch path and re-simulated one-shot, bit for bit. (Trace
+//! length is shortened from the study's 200k so the re-simulation stays
 //! fast in debug builds; the full-scale identity is held by the BENCH
 //! quality baseline, which is bit-exact against the pre-decomposition
 //! seed.)
@@ -21,7 +22,7 @@ use udse_sim::Simulator;
 use udse_trace::Benchmark;
 
 #[test]
-fn fig1_quick_jobs_are_bitwise_identical_to_direct_simulation() {
+fn fig1_quick_jobs_are_bitwise_identical_to_one_shot_simulation() {
     let config = StudyConfig::quick();
     let oracle = SimOracle::with_trace_len(2_000);
 
@@ -60,11 +61,11 @@ fn fig1_quick_jobs_are_bitwise_identical_to_direct_simulation() {
     );
 
     for ((b, p), got) in jobs.iter().zip(&streamed) {
-        let direct = Simulator::new(p.to_machine_config())
+        let one_shot = Simulator::new(p.to_machine_config())
             .run_with_warmup(&oracle.trace(*b), oracle.warmup_insts());
         assert_eq!(
             *got,
-            Metrics { bips: direct.bips, watts: direct.watts },
+            Metrics { bips: one_shot.bips, watts: one_shot.watts },
             "divergence for {b:?} at {p:?}"
         );
     }

@@ -262,10 +262,6 @@ impl CacheHierarchy {
 /// Reference-prediction stride prefetcher: when two consecutive
 /// demand-block deltas agree, pull the next block on the stride into the
 /// hierarchy ahead of the demand access.
-///
-/// The direct engine and the stream resolver both drive the data cache
-/// through this one implementation, so a resolved stream replays exactly
-/// the prefetch decisions the direct path would make.
 #[derive(Debug, Clone)]
 pub(crate) struct StridePrefetcher {
     last_block: i64,
@@ -279,7 +275,7 @@ impl StridePrefetcher {
 
     /// Observes one demand access to `block`, issuing a prefetch into
     /// `caches` when the stride is confirmed. Call before the demand
-    /// access itself, matching the engine's ordering.
+    /// access itself.
     pub(crate) fn observe(&mut self, caches: &mut CacheHierarchy, block: i64) {
         if self.last_block >= 0 {
             let delta = block - self.last_block;

@@ -176,7 +176,10 @@ impl MachineConfig {
         )?;
         check(self.lsq_entries >= 1, "lsq_entries", "must be positive")?;
         check(self.store_queue_entries >= 1, "store_queue_entries", "must be positive")?;
-        check(self.units_per_class >= 1, "units_per_class", "must be positive")?;
+        // Reservation stations and functional units are slot-scanned
+        // pools that pack the slot index into 8 bits.
+        let slots = 1..=256;
+        check(slots.contains(&self.units_per_class), "units_per_class", "must be in 1..=256")?;
         check(
             self.gpr >= 34,
             "gpr",
@@ -188,9 +191,9 @@ impl MachineConfig {
             "must cover the 32 architected registers plus renaming slack",
         )?;
         check(self.spr >= 10, "spr", "must cover the architected special registers")?;
-        check(self.resv_br >= 1, "resv_br", "must be positive")?;
-        check(self.resv_fx >= 1, "resv_fx", "must be positive")?;
-        check(self.resv_fp >= 1, "resv_fp", "must be positive")?;
+        check(slots.contains(&self.resv_br), "resv_br", "must be in 1..=256")?;
+        check(slots.contains(&self.resv_fx), "resv_fx", "must be in 1..=256")?;
+        check(slots.contains(&self.resv_fp), "resv_fp", "must be in 1..=256")?;
         for (kb, field) in [(self.il1_kb, "il1_kb"), (self.dl1_kb, "dl1_kb"), (self.l2_kb, "l2_kb")]
         {
             check(kb >= 1, field, "must be positive")?;
@@ -397,6 +400,24 @@ mod tests {
         let mut cfg = MachineConfig::power4_baseline();
         cfg.fo4_per_stage = 2;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn slot_scanned_pools_are_capped_at_256() {
+        type Setter = fn(&mut MachineConfig, u32);
+        let setters: [(&str, Setter); 4] = [
+            ("resv_br", |c, n| c.resv_br = n),
+            ("resv_fx", |c, n| c.resv_fx = n),
+            ("resv_fp", |c, n| c.resv_fp = n),
+            ("units_per_class", |c, n| c.units_per_class = n),
+        ];
+        for (field, set) in setters {
+            let mut cfg = MachineConfig::power4_baseline();
+            set(&mut cfg, 256);
+            assert_eq!(cfg.validate(), Ok(()), "{field} = 256");
+            set(&mut cfg, 300);
+            assert_eq!(cfg.validate().unwrap_err().field(), field, "{field} = 300");
+        }
     }
 
     #[test]

@@ -1,15 +1,8 @@
-use udse_trace::{OpClass, Trace};
+use udse_trace::Trace;
 
-use crate::cache::{AccessOutcome, CacheHierarchy, StridePrefetcher};
 use crate::config::MachineConfig;
-use crate::power::PowerModel;
-use crate::predictor::BhtPredictor;
-use crate::resources::ResourcePool;
-use crate::result::{ActivityCounts, SimResult, StallBreakdown};
-
-/// Dependency window: matches the trace generator's maximum dependency
-/// distance.
-pub(crate) const DEP_WINDOW: usize = 1024;
+use crate::preflight::{BhtSubConfig, BranchStream, CacheStreams, CacheSubConfig, TracePreflight};
+use crate::result::SimResult;
 
 /// Trace-driven, dependence-scheduling simulator of the configured
 /// machine.
@@ -29,6 +22,14 @@ pub(crate) const DEP_WINDOW: usize = 1024;
 /// - D-cache/L2/memory latencies, with overlapping misses modeling
 ///   memory-level parallelism (serialized only by true dependences, e.g.
 ///   pointer chasing).
+///
+/// There is one cycle engine, [`Simulator::run_streamed`]. Cache and
+/// branch-predictor behaviour never depends on timing, so a run
+/// preflights the trace, resolves its cache and branch outcomes for this
+/// machine's caches and predictor, then schedules the pipeline against
+/// them. [`Simulator::run`] does all three steps per call; callers
+/// simulating many designs on one trace share the preflight and outcome
+/// streams instead (as the simulation oracle does).
 ///
 /// # Examples
 ///
@@ -74,317 +75,18 @@ impl Simulator {
     /// for removing cold-start bias when a short trace stands in for a
     /// long program (cf. SMARTS-style sampling, which the paper cites).
     ///
+    /// A one-shot run: preflights the trace and resolves its outcome
+    /// streams for this configuration alone, then runs
+    /// [`Simulator::run_streamed`]. Nothing is memoized.
+    ///
     /// # Panics
     ///
     /// Panics if `warmup_insts >= trace.len()`.
     pub fn run_with_warmup(&self, trace: &Trace, warmup_insts: usize) -> SimResult {
-        assert!(warmup_insts < trace.len(), "warmup must leave at least one measured instruction");
-        let cfg = &self.config;
-        let t = cfg.timing();
-
-        let mut caches = CacheHierarchy::new(cfg);
-        let mut bht = BhtPredictor::with_counter_bits(cfg.bht_entries, cfg.bht_counter_bits);
-
-        // Occupancy pools. Physical registers available for renaming are
-        // the pool beyond the architected state.
-        let mut rob = ResourcePool::new(cfg.rob_entries as usize);
-        let mut gpr = ResourcePool::new((cfg.gpr - 32) as usize);
-        let mut fpr = ResourcePool::new((cfg.fpr - 32) as usize);
-        let mut spr = ResourcePool::new((cfg.spr - 8) as usize);
-        let mut resv_fx = ResourcePool::new(cfg.resv_fx as usize);
-        let mut resv_fp = ResourcePool::new(cfg.resv_fp as usize);
-        let mut resv_br = ResourcePool::new(cfg.resv_br as usize);
-        let mut lsq = ResourcePool::new(cfg.lsq_entries as usize);
-        let mut sq = ResourcePool::new(cfg.store_queue_entries as usize);
-        // Per-class pipelined issue slots.
-        let units = cfg.units_per_class as usize;
-        let mut fu_fx = ResourcePool::new(units);
-        let mut fu_fp = ResourcePool::new(units);
-        let mut fu_ls = ResourcePool::new(units);
-        let mut fu_br = ResourcePool::new(units);
-
-        // Completion times of the last DEP_WINDOW instructions.
-        let mut complete_ring = [0u64; DEP_WINDOW];
-
-        // Fetch state.
-        let mut fetch_cycle: u64 = 0;
-        let mut fetched_this_cycle: u32 = 0;
-        let mut redirect_ready: u64 = 0;
-        let mut prev_code_block: Option<u32> = None;
-
-        // Dispatch / issue / commit in-order state.
-        let mut last_dispatch: u64 = 0;
-        let mut dispatched_this_cycle: u32 = 0;
-        let mut last_issue: u64 = 0;
-        let mut last_commit: u64 = 0;
-        let mut committed_this_cycle: u32 = 0;
-
-        let mut acts = ActivityCounts::default();
-        let mut stalls = StallBreakdown::default();
-        let mut final_commit: u64 = 0;
-        let mut prefetcher = StridePrefetcher::new();
-        // Counter snapshots at the warmup boundary; subtracted at the end.
-        let mut warmup_commit: u64 = 0;
-        let mut warmup_snapshot = WarmupSnapshot::default();
-
-        for (i, inst) in trace.instructions().iter().enumerate() {
-            if i == warmup_insts && i > 0 {
-                warmup_commit = last_commit;
-                warmup_snapshot = WarmupSnapshot::capture(&acts, &caches, &bht);
-            }
-            // ---------------- fetch ----------------
-            let mut fc = fetch_cycle.max(redirect_ready);
-            if fc > fetch_cycle {
-                stalls.redirect += fc - fetch_cycle;
-                fetched_this_cycle = 0;
-            }
-            if prev_code_block != Some(inst.code_block) {
-                let miss_penalty = match caches.access_code(inst.code_block as u64) {
-                    AccessOutcome::L1 => 0,
-                    AccessOutcome::L2 => t.l2_latency,
-                    AccessOutcome::Memory => t.l2_latency + t.memory_latency,
-                };
-                if cfg.il1_next_line_prefetch {
-                    caches.prefetch_code(inst.code_block as u64 + 1);
-                }
-                if miss_penalty > 0 {
-                    stalls.icache += miss_penalty;
-                    fc += miss_penalty;
-                    fetched_this_cycle = 0;
-                }
-                prev_code_block = Some(inst.code_block);
-            }
-            if fetched_this_cycle >= cfg.decode_width {
-                fc += 1;
-                fetched_this_cycle = 0;
-            }
-            fetched_this_cycle += 1;
-            fetch_cycle = fc;
-
-            // ---------------- dispatch ----------------
-            let mut d = (fc + t.front_stages).max(last_dispatch);
-            if d == last_dispatch && dispatched_this_cycle >= cfg.dispatch_width() {
-                d += 1;
-            }
-            let before_rob = d;
-            d = rob.acquire(d);
-            stalls.rob += d - before_rob;
-            let reg_pool: Option<&mut ResourcePool> = match inst.op {
-                OpClass::FixedPoint | OpClass::Load => Some(&mut gpr),
-                OpClass::FloatingPoint => Some(&mut fpr),
-                OpClass::Branch => Some(&mut spr),
-                OpClass::Store => None,
-            };
-            if let Some(pool) = reg_pool {
-                let before = d;
-                d = pool.acquire(d);
-                stalls.registers += d - before;
-            }
-            let (resv_pool, is_mem): (&mut ResourcePool, bool) = match inst.op {
-                OpClass::FixedPoint => (&mut resv_fx, false),
-                OpClass::FloatingPoint => (&mut resv_fp, false),
-                OpClass::Branch => (&mut resv_br, false),
-                OpClass::Load | OpClass::Store => (&mut lsq, true),
-            };
-            let before = d;
-            d = resv_pool.acquire(d);
-            if is_mem {
-                stalls.lsq += d - before;
-            } else {
-                stalls.reservations += d - before;
-            }
-            if inst.op == OpClass::Store {
-                let before = d;
-                d = sq.acquire(d);
-                stalls.store_queue += d - before;
-            }
-            if d > last_dispatch {
-                dispatched_this_cycle = 0;
-            }
-            dispatched_this_cycle += 1;
-            last_dispatch = d;
-
-            // ---------------- operand readiness ----------------
-            let mut ready = d + 1;
-            for dist in [inst.src1_dist, inst.src2_dist] {
-                if dist > 0 && (dist as usize) <= i.min(DEP_WINDOW) {
-                    let producer = complete_ring[(i - dist as usize) % DEP_WINDOW];
-                    ready = ready.max(producer);
-                }
-            }
-
-            // ---------------- issue ----------------
-            let fu: &mut ResourcePool = match inst.op {
-                OpClass::FixedPoint => &mut fu_fx,
-                OpClass::FloatingPoint => &mut fu_fp,
-                OpClass::Load | OpClass::Store => &mut fu_ls,
-                OpClass::Branch => &mut fu_br,
-            };
-            let mut iss = fu.acquire(ready);
-            if cfg.in_order {
-                iss = iss.max(last_issue);
-            }
-            fu.release_at(iss + 1);
-            last_issue = iss;
-
-            // ---------------- execute / complete ----------------
-            let complete = match inst.op {
-                OpClass::FixedPoint => iss + t.fx_latency,
-                OpClass::FloatingPoint => iss + t.fp_latency,
-                OpClass::Branch => iss + t.fx_latency,
-                OpClass::Load => {
-                    acts.loads += 1;
-                    if cfg.dl1_stride_prefetch {
-                        prefetcher.observe(&mut caches, inst.data_block as i64);
-                    }
-                    let lat = match caches.access_data(inst.data_block as u64) {
-                        AccessOutcome::L1 => t.dl1_latency,
-                        AccessOutcome::L2 => t.dl1_latency + t.l2_latency,
-                        AccessOutcome::Memory => t.dl1_latency + t.l2_latency + t.memory_latency,
-                    };
-                    iss + 1 + lat
-                }
-                OpClass::Store => {
-                    acts.stores += 1;
-                    if cfg.dl1_stride_prefetch {
-                        prefetcher.observe(&mut caches, inst.data_block as i64);
-                    }
-                    // Stores complete once the address is generated; the
-                    // data drains from the store queue after commit.
-                    caches.access_data(inst.data_block as u64);
-                    iss + 1
-                }
-            };
-
-            // ---------------- commit (in order) ----------------
-            let mut cm = (complete + 1).max(last_commit);
-            if cm == last_commit && committed_this_cycle >= cfg.commit_width() {
-                cm += 1;
-            }
-            if cm > last_commit {
-                committed_this_cycle = 0;
-            }
-            committed_this_cycle += 1;
-            last_commit = cm;
-            final_commit = cm;
-
-            // ---------------- releases ----------------
-            rob.release_at(cm);
-            match inst.op {
-                OpClass::FixedPoint | OpClass::Load => gpr.release_at(cm),
-                OpClass::FloatingPoint => fpr.release_at(cm),
-                OpClass::Branch => spr.release_at(cm),
-                OpClass::Store => {}
-            }
-            match inst.op {
-                OpClass::FixedPoint => resv_fx.release_at(iss + 1),
-                OpClass::FloatingPoint => resv_fp.release_at(iss + 1),
-                OpClass::Branch => resv_br.release_at(iss + 1),
-                OpClass::Load | OpClass::Store => lsq.release_at(cm),
-            }
-            if inst.op == OpClass::Store {
-                // Store data writes back shortly after commit.
-                sq.release_at(cm + 2);
-            }
-
-            // ---------------- control flow ----------------
-            if inst.op == OpClass::Branch {
-                acts.branches += 1;
-                let correct = bht.predict_and_update(inst.branch_site as u64, inst.taken);
-                if !correct {
-                    // Redirect: fetch resumes after the branch resolves.
-                    redirect_ready = redirect_ready.max(complete + 1);
-                } else if inst.taken {
-                    // Correctly predicted taken branch still ends the
-                    // fetch group (one-cycle fetch bubble).
-                    fetched_this_cycle = cfg.decode_width;
-                }
-            }
-
-            match inst.op {
-                OpClass::FixedPoint => acts.fx_ops += 1,
-                OpClass::FloatingPoint => acts.fp_ops += 1,
-                _ => {}
-            }
-
-            complete_ring[i % DEP_WINDOW] = complete;
-        }
-
-        acts.instructions = (trace.len() - warmup_insts) as u64;
-        // One registry update per run (never per instruction) keeps the
-        // accounting overhead invisible next to the simulation itself.
-        udse_obs::metrics::counter("sim.runs").inc();
-        udse_obs::metrics::counter("sim.instructions").add(trace.len() as u64);
-        acts.cycles = final_commit.saturating_sub(warmup_commit).max(1);
-        acts.il1_accesses = caches.il1().accesses();
-        acts.il1_misses = caches.il1().misses();
-        acts.dl1_accesses = caches.dl1().accesses();
-        acts.dl1_misses = caches.dl1().misses();
-        acts.l2_accesses = caches.l2().accesses();
-        acts.l2_misses = caches.l2().misses();
-        acts.bht_lookups = bht.lookups();
-        acts.mispredicts = bht.mispredicts();
-        warmup_snapshot.subtract_from(&mut acts);
-
-        let power = PowerModel::new(cfg).evaluate(&acts);
-        SimResult::new(cfg, &acts, power, stalls)
-    }
-}
-
-/// Counter values at the warmup boundary, subtracted from the final
-/// counts so results describe only the measured region. Shared with the
-/// streamed engine path (`stream.rs`), which captures the same fields
-/// from its own running counters at the same loop position.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct WarmupSnapshot {
-    pub(crate) fx_ops: u64,
-    pub(crate) fp_ops: u64,
-    pub(crate) loads: u64,
-    pub(crate) stores: u64,
-    pub(crate) branches: u64,
-    pub(crate) il1_accesses: u64,
-    pub(crate) il1_misses: u64,
-    pub(crate) dl1_accesses: u64,
-    pub(crate) dl1_misses: u64,
-    pub(crate) l2_accesses: u64,
-    pub(crate) l2_misses: u64,
-    pub(crate) bht_lookups: u64,
-    pub(crate) mispredicts: u64,
-}
-
-impl WarmupSnapshot {
-    fn capture(acts: &ActivityCounts, caches: &CacheHierarchy, bht: &BhtPredictor) -> Self {
-        WarmupSnapshot {
-            fx_ops: acts.fx_ops,
-            fp_ops: acts.fp_ops,
-            loads: acts.loads,
-            stores: acts.stores,
-            branches: acts.branches,
-            il1_accesses: caches.il1().accesses(),
-            il1_misses: caches.il1().misses(),
-            dl1_accesses: caches.dl1().accesses(),
-            dl1_misses: caches.dl1().misses(),
-            l2_accesses: caches.l2().accesses(),
-            l2_misses: caches.l2().misses(),
-            bht_lookups: bht.lookups(),
-            mispredicts: bht.mispredicts(),
-        }
-    }
-
-    pub(crate) fn subtract_from(&self, acts: &mut ActivityCounts) {
-        acts.fx_ops -= self.fx_ops;
-        acts.fp_ops -= self.fp_ops;
-        acts.loads -= self.loads;
-        acts.stores -= self.stores;
-        acts.branches -= self.branches;
-        acts.il1_accesses -= self.il1_accesses;
-        acts.il1_misses -= self.il1_misses;
-        acts.dl1_accesses -= self.dl1_accesses;
-        acts.dl1_misses -= self.dl1_misses;
-        acts.l2_accesses -= self.l2_accesses;
-        acts.l2_misses -= self.l2_misses;
-        acts.bht_lookups -= self.bht_lookups;
-        acts.mispredicts -= self.mispredicts;
+        let pre = TracePreflight::of(trace);
+        let cache = CacheStreams::resolve(&pre, &CacheSubConfig::of(&self.config));
+        let branches = BranchStream::resolve(&pre, &BhtSubConfig::of(&self.config));
+        self.run_streamed(&pre, &cache, &branches, warmup_insts)
     }
 }
 

@@ -47,7 +47,6 @@ mod engine;
 mod power;
 mod predictor;
 mod preflight;
-mod resources;
 mod result;
 mod stream;
 
@@ -61,6 +60,5 @@ pub use preflight::{
     BhtSubConfig, BranchStream, CacheStreams, CacheSubConfig, TracePreflight, OUTCOME_L1,
     OUTCOME_L2, OUTCOME_MEMORY,
 };
-pub use resources::ResourcePool;
 pub use result::{SimResult, StallBreakdown};
 pub use stream::StreamScratch;

@@ -15,16 +15,16 @@
 //! - branch predict-correct/mispredict outcomes depend only on the trace
 //!   order and the BHT geometry.
 //!
-//! This module decomposes the oracle accordingly: [`TracePreflight`]
-//! decodes a trace once into columnar SoA streams shared via `Arc`
-//! across every run of that trace, and [`CacheStreams`] /
-//! [`BranchStream`] resolve the per-instruction outcomes once per
-//! [`CacheSubConfig`] / [`BhtSubConfig`] by replaying the *same*
-//! `CacheHierarchy` / `BhtPredictor` implementations the direct engine
-//! uses. `Simulator::run_streamed` then consumes the resolved outcomes
-//! with table lookups instead of state-machine replays, producing a
-//! `SimResult` bitwise-identical to the direct path (see the
-//! equivalence suites in `tests/`).
+//! This module decomposes the simulator accordingly: [`TracePreflight`]
+//! decodes a trace once into the columns the engine and the resolvers
+//! read, shared via `Arc` across every run of that trace, and
+//! [`CacheStreams`] / [`BranchStream`] resolve the outcomes once per
+//! [`CacheSubConfig`] / [`BhtSubConfig`] by replaying the
+//! `CacheHierarchy` / `BhtPredictor` state machines.
+//! `Simulator::run_streamed` then consumes the resolved outcomes with
+//! table lookups instead of state-machine replays. A one-shot
+//! `Simulator::run` performs all three steps for a single design; the
+//! simulation oracle memoizes the first two across designs.
 //!
 //! Outcome streams are *event-indexed*, not instruction-indexed: one
 //! byte per code-block boundary, per memory op, per branch. The
@@ -56,13 +56,13 @@ fn encode(outcome: AccessOutcome) -> u8 {
     }
 }
 
-/// A trace decoded once into design-invariant columnar (SoA) streams.
+/// A trace decoded once into design-invariant columns.
 ///
 /// Built once per `(benchmark, trace)` and shared via [`Arc`] across
-/// every simulation and stream resolution of that trace. The hot-loop
-/// columns (`ops`, `src1`, `src2`, `new_code`, `taken`) are what
-/// `Simulator::run_streamed` walks; the block/site columns exist for the
-/// stream resolvers.
+/// every simulation and stream resolution of that trace. One packed word
+/// per instruction is what `Simulator::run_streamed` walks; the
+/// event-indexed cache and branch columns are what the stream resolvers
+/// replay. Nothing else of the trace is kept.
 ///
 /// # Examples
 ///
@@ -77,17 +77,16 @@ fn encode(outcome: AccessOutcome) -> u8 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TracePreflight {
-    ops: Vec<OpClass>,
-    src1: Vec<u16>,
-    src2: Vec<u16>,
-    /// True where the instruction begins a different code block than its
-    /// predecessor — exactly the instructions whose fetch touches the
-    /// I-cache (the engine's `prev_code_block` test, precomputed).
-    new_code: Vec<bool>,
-    taken: Vec<bool>,
-    data_block: Vec<u32>,
-    code_block: Vec<u32>,
-    branch_site: Vec<u32>,
+    /// Per-instruction hot-loop word: everything the engine reads per
+    /// instruction in one load — `op` (bits 0-2, the [`OpClass`]
+    /// discriminant), `new_code` (bit 3: the instruction begins a
+    /// different code block than its predecessor, so its fetch touches
+    /// the I-cache), `taken` (bit 4), `src1_dist` (bits 16-31),
+    /// `src2_dist` (bits 32-47).
+    packed: Vec<u64>,
+    /// `(branch_site, taken)` of every branch, in trace order: all the
+    /// branch predictor replay reads.
+    branches: Vec<(u32, bool)>,
     /// Interleaved cache access events in trace order, packed as
     /// `block << 1 | is_data`. Stream resolution replays the hierarchy
     /// over exactly these (the interleaving matters: the unified L2
@@ -101,50 +100,27 @@ pub struct TracePreflight {
     /// Per-event set-index hash of the unified-L2 key: for code events
     /// `mix(block | CODE_SPACE)`, for data events equal to the L1 hash.
     event_l2_hash: Vec<u64>,
-    /// Per-instruction hot-loop word: everything the streamed engine
-    /// reads per instruction in one load — `op` (bits 0-2, the
-    /// [`OpClass`] discriminant), `new_code` (bit 3), `taken` (bit 4),
-    /// `src1_dist` (bits 16-31), `src2_dist` (bits 32-47).
-    packed: Vec<u64>,
     code_events: usize,
     data_events: usize,
-    branch_events: usize,
 }
 
 impl TracePreflight {
-    /// Decodes `trace` into columnar streams.
+    /// Decodes `trace` into its columns.
     pub fn of(trace: &Trace) -> Self {
         let insts = trace.instructions();
-        let n = insts.len();
         let mut pre = TracePreflight {
-            ops: Vec::with_capacity(n),
-            src1: Vec::with_capacity(n),
-            src2: Vec::with_capacity(n),
-            new_code: Vec::with_capacity(n),
-            taken: Vec::with_capacity(n),
-            data_block: Vec::with_capacity(n),
-            code_block: Vec::with_capacity(n),
-            branch_site: Vec::with_capacity(n),
+            packed: Vec::with_capacity(insts.len()),
+            branches: Vec::new(),
             cache_events: Vec::new(),
             event_l1_hash: Vec::new(),
             event_l2_hash: Vec::new(),
-            packed: Vec::with_capacity(n),
             code_events: 0,
             data_events: 0,
-            branch_events: 0,
         };
         let mut prev_code_block: Option<u32> = None;
         for inst in insts {
             let new_code = prev_code_block != Some(inst.code_block);
             prev_code_block = Some(inst.code_block);
-            pre.ops.push(inst.op);
-            pre.src1.push(inst.src1_dist);
-            pre.src2.push(inst.src2_dist);
-            pre.new_code.push(new_code);
-            pre.taken.push(inst.taken);
-            pre.data_block.push(inst.data_block);
-            pre.code_block.push(inst.code_block);
-            pre.branch_site.push(inst.branch_site);
             pre.packed.push(
                 inst.op as u64
                     | (new_code as u64) << 3
@@ -168,7 +144,7 @@ impl TracePreflight {
                     pre.event_l1_hash.push(h);
                     pre.event_l2_hash.push(h);
                 }
-                OpClass::Branch => pre.branch_events += 1,
+                OpClass::Branch => pre.branches.push((inst.branch_site, inst.taken)),
                 _ => {}
             }
         }
@@ -182,12 +158,12 @@ impl TracePreflight {
 
     /// Instructions in the trace.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.packed.len()
     }
 
     /// True when the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.packed.is_empty()
     }
 
     /// Number of I-cache access events (code-block boundaries).
@@ -202,32 +178,7 @@ impl TracePreflight {
 
     /// Number of branch-predictor events (branch instructions).
     pub fn branch_events(&self) -> usize {
-        self.branch_events
-    }
-
-    /// Op-class column.
-    pub fn ops(&self) -> &[OpClass] {
-        &self.ops
-    }
-
-    /// First-source dependency distances (0 = none).
-    pub fn src1(&self) -> &[u16] {
-        &self.src1
-    }
-
-    /// Second-source dependency distances (0 = none).
-    pub fn src2(&self) -> &[u16] {
-        &self.src2
-    }
-
-    /// Code-block boundary column.
-    pub fn new_code(&self) -> &[bool] {
-        &self.new_code
-    }
-
-    /// Branch outcome column (meaningful at branch instructions).
-    pub fn taken(&self) -> &[bool] {
-        &self.taken
+        self.branches.len()
     }
 
     /// Packed hot-loop words (see the field docs for the layout).
@@ -311,10 +262,10 @@ pub struct CacheStreams {
 
 impl CacheStreams {
     /// Replays the cache hierarchy over the preflighted trace, recording
-    /// every demand outcome. The replay drives the exact
-    /// [`CacheHierarchy`] implementation (including prefetch ordering)
-    /// the direct engine uses, so outcomes — and therefore the final
-    /// `SimResult` — are bitwise-identical.
+    /// every demand outcome. Prefetches are issued in the order a fetch
+    /// and execute pipeline would issue them: the next-line prefetch
+    /// after its code fetch, the stride prefetch before its demand
+    /// access.
     pub fn resolve(pre: &TracePreflight, sub: &CacheSubConfig) -> Self {
         let mut caches = CacheHierarchy::with_geometry(
             (sub.il1_kb, sub.il1_assoc),
@@ -379,12 +330,11 @@ impl BranchStream {
     /// [`BhtPredictor::with_counter_bits`].
     pub fn resolve(pre: &TracePreflight, sub: &BhtSubConfig) -> Self {
         let mut bht = BhtPredictor::with_counter_bits(sub.entries, sub.counter_bits);
-        let mut correct = Vec::with_capacity(pre.branch_events());
-        for i in 0..pre.len() {
-            if pre.ops[i] == OpClass::Branch {
-                correct.push(bht.predict_and_update(pre.branch_site[i] as u64, pre.taken[i]));
-            }
-        }
+        let correct = pre
+            .branches
+            .iter()
+            .map(|&(site, taken)| bht.predict_and_update(site as u64, taken))
+            .collect();
         BranchStream { correct }
     }
 
@@ -408,20 +358,31 @@ mod tests {
         Trace::generate(Benchmark::Gcc, 5_000, 7)
     }
 
+    /// Decodes the code-block boundary bit of a packed word.
+    fn new_code(word: u64) -> bool {
+        word & 8 != 0
+    }
+
     #[test]
     fn preflight_columns_match_trace() {
         let t = trace();
         let pre = TracePreflight::of(&t);
         assert_eq!(pre.len(), t.len());
         let insts = t.instructions();
-        for (i, inst) in insts.iter().enumerate() {
-            assert_eq!(pre.ops()[i], inst.op);
-            assert_eq!(pre.src1()[i], inst.src1_dist);
-            assert_eq!(pre.src2()[i], inst.src2_dist);
-            assert_eq!(pre.taken()[i], inst.taken);
+        for (i, (inst, &word)) in insts.iter().zip(pre.packed()).enumerate() {
+            assert_eq!(word & 7, inst.op as u64, "op at {i}");
+            assert_eq!(word >> 16 & 0xFFFF, inst.src1_dist as u64, "src1 at {i}");
+            assert_eq!(word >> 32 & 0xFFFF, inst.src2_dist as u64, "src2 at {i}");
+            assert_eq!(word & 16 != 0, inst.taken, "taken at {i}");
             let expected_boundary = i == 0 || insts[i - 1].code_block != inst.code_block;
-            assert_eq!(pre.new_code()[i], expected_boundary, "boundary at {i}");
+            assert_eq!(new_code(word), expected_boundary, "boundary at {i}");
         }
+        let branches: Vec<(u32, bool)> = insts
+            .iter()
+            .filter(|i| i.op == OpClass::Branch)
+            .map(|i| (i.branch_site, i.taken))
+            .collect();
+        assert_eq!(pre.branches, branches);
     }
 
     #[test]
@@ -454,7 +415,7 @@ mod tests {
         let mut caches = CacheHierarchy::new(&cfg);
         let (mut cc, mut dc) = (0usize, 0usize);
         for (i, inst) in t.instructions().iter().enumerate() {
-            if pre.new_code()[i] {
+            if new_code(pre.packed()[i]) {
                 let out = encode(caches.access_code(inst.code_block as u64));
                 assert_eq!(streams.code()[cc], out, "code event {cc}");
                 cc += 1;

@@ -44,7 +44,8 @@ fn streamed_cycle_loop_is_allocation_free() {
     // A second design against the same scratch: prefetch flags flip the
     // resolved streams, not the engine's allocation profile. Resolve is
     // allowed to allocate (it happens once per sub-config); the cycle
-    // loop itself stays pinned.
+    // loop itself stays pinned, and its result must match a one-shot run
+    // with fresh streams and scratch.
     let mut other = MachineConfig::power4_baseline();
     other.il1_next_line_prefetch = true;
     other.dl1_stride_prefetch = true;
@@ -52,9 +53,9 @@ fn streamed_cycle_loop_is_allocation_free() {
     let cache_o = CacheStreams::resolve(&pre, &CacheSubConfig::of(&other));
     let bht_o = BranchStream::resolve(&pre, &BhtSubConfig::of(&other));
     let sim_o = Simulator::new(other);
-    let direct = sim_o.run_with_warmup(&trace, 5_000);
-    let streamed = udse_obs::alloc::assert_no_alloc("streamed loop, second design", || {
+    let one_shot = sim_o.run_with_warmup(&trace, 5_000);
+    let reused = udse_obs::alloc::assert_no_alloc("streamed loop, second design", || {
         sim_o.run_streamed_with(&pre, &cache_o, &bht_o, 5_000, &mut scratch)
     });
-    assert_eq!(streamed, direct);
+    assert_eq!(reused, one_shot);
 }

@@ -182,12 +182,13 @@ if [ -n "${baseline}" ]; then
     # losing the compiled fast path always does.
     #
     # sim.instructions_per_sec watches the decomposed cycle oracle the
-    # same way: the quick workload simulates ~34M insts/sec with trace
-    # preflight + memoized sub-config streams, while falling back to
-    # direct per-design simulation lands near 11.5M. The 15M floor
-    # clears the collapse rate by ~30% yet stays below even a heavily
-    # loaded healthy run, so it trips only when the decomposition is
-    # actually lost.
+    # same way: the quick workload simulates ~40-50M insts/sec with
+    # trace preflight + memoized sub-config streams on a 2-vCPU host,
+    # while one-shot per-design simulation (preflight + resolve + run
+    # for every design, no memo) lands near 30M there. The 15M floor
+    # sits below both, so it no longer catches the loss of memoization
+    # alone; it trips when the cycle engine itself collapses (the
+    # retired per-instruction replay loop ran at 14-18M on that host).
     #
     # The query-engine watches guard the unified query layer the studies
     # now run on: query.cache.hits is a deterministic counter (table2's

@@ -60,14 +60,12 @@ fn bench_predict(c: &mut Criterion) {
 
 /// The §3.6 claim at modern scale: sweeping the full 262,500-point
 /// exploration grid, naive per-row spline evaluation vs the compiled
-/// per-level lookup path vs the incremental structure-of-arrays grid
-/// walker. The acceptance bar is the walker ≥ 5x the pointwise compiled
-/// path (and orders of magnitude over naive).
+/// structure-of-arrays grid walker, which carries incremental per-prefix
+/// partial sums instead of decoding and evaluating every point.
 fn bench_compiled_sweep(c: &mut Criterion) {
     let models = trained_models();
     let space = DesignSpace::exploration();
-    let compiled = models.compile(&space);
-    let lanes = compiled.lanes();
+    let lanes = SuiteLanes::compile(std::slice::from_ref(&models), &space);
     let total = space.len();
     let mut group = c.benchmark_group("compiled_predict_sweep");
     group.throughput(Throughput::Elements(total));
@@ -80,50 +78,37 @@ fn bench_compiled_sweep(c: &mut Criterion) {
             acc
         })
     });
-    // The pre-SoA hot path: decode + quantize every point, then scattered
-    // per-variable partial-sum lookups (PR-4's ~11.5M designs/sec shape).
-    group.bench_function("compiled_pointwise_grid", |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for p in space.iter() {
-                acc += compiled.predict_efficiency(&p);
-            }
-            acc
-        })
-    });
-    // The SoA hot path the studies actually run: lexicographic walker with
-    // incremental per-prefix partial sums — no decode, no quantization.
     group.bench_function("compiled_full_grid", |b| {
         b.iter(|| {
             let mut acc = 0.0f64;
-            let mut walker = lanes.walker(&space, 1);
+            let mut walker = lanes.walker(1);
             walker.walk(0..total, |_, m| acc += m[0].bips_cubed_per_watt());
             acc
         })
     });
 
-    // The fused sweep behind `pareto::characterize_all`: per-benchmark
-    // walks decode every design point and quantize it once *per model*,
-    // while the stacked walk reads one incremental grid index per point
-    // and feeds all eighteen model lanes from it.
-    let suite: Vec<_> = (0..Benchmark::ALL.len())
+    // The fused sweep behind `pareto::characterize_all`: nine
+    // single-pair walks each re-derive every grid prefix, while the
+    // stacked walk advances one odometer and feeds all eighteen model
+    // lanes from each level-group read.
+    let suite: Vec<PaperModels> = (0..Benchmark::ALL.len())
         .map(|i| {
             let samples = DesignSpace::paper().sample_uar(1_000, 7 + i as u64);
             let obs: Vec<Metrics> = samples.iter().map(synth_metrics).collect();
             PaperModels::train_from_observations(Benchmark::ALL[i], &samples, &obs)
                 .expect("synthetic fit succeeds")
-                .compile(&space)
         })
         .collect();
-    let suite_lanes = SuiteLanes::stack(&suite);
+    let separate: Vec<SuiteLanes> =
+        suite.iter().map(|m| SuiteLanes::compile(std::slice::from_ref(m), &space)).collect();
+    let suite_lanes = SuiteLanes::compile(&suite, &space);
     group.throughput(Throughput::Elements(total * Benchmark::ALL.len() as u64));
     group.bench_function("nine_separate_grid_walks", |b| {
         b.iter(|| {
             let mut acc = 0.0f64;
-            for m in &suite {
-                for p in space.iter() {
-                    acc += m.predict_efficiency(&p);
-                }
+            for lanes in &separate {
+                let mut walker = lanes.walker(1);
+                walker.walk(0..total, |_, m| acc += m[0].bips_cubed_per_watt());
             }
             acc
         })
@@ -131,27 +116,13 @@ fn bench_compiled_sweep(c: &mut Criterion) {
     group.bench_function("fused_nine_benchmark_walk", |b| {
         b.iter(|| {
             let mut acc = 0.0f64;
-            let mut walker = suite_lanes.walker(&space, 1);
+            let mut walker = suite_lanes.walker(1);
             walker.walk(0..total, |_, ms| {
                 for m in ms {
                     acc += m.bips_cubed_per_watt();
                 }
             });
             acc
-        })
-    });
-
-    // The raw batch kernel with the walk factored out: grid-index rows are
-    // precomputed, so this is the pure predict-side throughput ceiling.
-    let rows = 32_768usize;
-    let idx_rows: Vec<usize> =
-        space.sample_uar(rows, 11).iter().flat_map(|p| suite[0].grid_indices(p)).collect();
-    let mut out = vec![Metrics { bips: 0.0, watts: 0.0 }; rows * Benchmark::ALL.len()];
-    group.throughput(Throughput::Elements((rows * Benchmark::ALL.len()) as u64));
-    group.bench_function("stacked_batch_kernel_32k_rows", |b| {
-        b.iter(|| {
-            suite_lanes.predict_metrics_batch(&idx_rows, &mut out);
-            out[0].bips
         })
     });
     group.finish();

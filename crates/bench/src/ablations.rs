@@ -93,8 +93,8 @@ fn variant_error(
     let perf = perf_spec.fit(&train_ds, &bips).expect("perf variant fits");
     let power = power_spec.fit(&train_ds, &watts).expect("power variant fits");
     let rows: Vec<Vec<f64>> = data.valid.iter().map(DesignPoint::predictors).collect();
-    let pred_b = perf.predict_rows(&rows).expect("valid rows");
-    let pred_w = power.predict_rows(&rows).expect("valid rows");
+    let pred_b: Vec<f64> = rows.iter().map(|r| perf.predict_row(r).expect("valid row")).collect();
+    let pred_w: Vec<f64> = rows.iter().map(|r| power.predict_row(r).expect("valid row")).collect();
     let obs_b: Vec<f64> = data.valid_metrics[bench_idx].iter().map(|m| m.bips).collect();
     let obs_w: Vec<f64> = data.valid_metrics[bench_idx].iter().map(|m| m.watts).collect();
     (median_abs_rel_error(&obs_b, &pred_b), median_abs_rel_error(&obs_w, &pred_w))

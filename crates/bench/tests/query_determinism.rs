@@ -10,6 +10,7 @@
 //! separately: `scripts/ci.sh` diffs a fresh bench manifest against
 //! `baselines/BENCH_*.json` with zero tolerance on the quality section.)
 
+use udse_core::model::SuiteLanes;
 use udse_core::oracle::{Metrics, Oracle};
 use udse_core::query::{Axis, Constraint, Engine, Query};
 use udse_core::space::{DesignPoint, DesignSpace};
@@ -163,8 +164,9 @@ fn every_execution_is_a_hit_or_a_miss() {
 #[test]
 fn engine_optimum_matches_a_sequential_no_engine_reference() {
     // The constrained-optimum path must reproduce what a plain
-    // sequential scan over the strided exploration space finds with the
-    // uncompiled models — same winner, same score bits.
+    // sequential scan over the strided exploration space finds with a
+    // fresh single-pair compile of each benchmark's models, point by
+    // point through the lane kernel — same winner, same score bits.
     let _guard = serialized();
     let config = test_config();
     udse_obs::pool::set_max_workers(1);
@@ -176,16 +178,19 @@ fn engine_optimum_matches_a_sequential_no_engine_reference() {
     let entries = result.optima().expect("optima entries");
     assert_eq!(entries.len(), 9);
     for (b, entry) in Benchmark::ALL.iter().zip(entries) {
-        let compiled = suite.models(*b).compile(&space);
+        let lanes = SuiteLanes::compile(std::slice::from_ref(suite.models(*b)), &space);
+        let efficiency = |p: &DesignPoint| {
+            let mut out = [Metrics { bips: 0.0, watts: 0.0 }];
+            lanes.predict_metrics_into(&space.indices(p).map(usize::from), &mut out);
+            out[0].bips_cubed_per_watt()
+        };
         let reference = strided_points(&space, config.eval_stride)
-            .max_by(|x, y| {
-                compiled.predict_efficiency(x).total_cmp(&compiled.predict_efficiency(y))
-            })
+            .max_by(|x, y| efficiency(x).total_cmp(&efficiency(y)))
             .expect("non-empty space");
         assert_eq!(entry.point, reference, "winner diverges for {}", b.name());
         assert_eq!(
             entry.score.to_bits(),
-            compiled.predict_efficiency(&reference).to_bits(),
+            efficiency(&reference).to_bits(),
             "score diverges for {}",
             b.name()
         );

@@ -18,12 +18,15 @@
 //! - [`model`] — the paper-standard performance and power regression
 //!   models (§3): `sqrt`/`log` response transforms, restricted cubic
 //!   splines with 4 knots on strong predictors and 3 on weak ones, and
-//!   the §3.2 interaction terms.
+//!   the §3.2 interaction terms. Two prediction paths:
+//!   [`model::PaperModels`] predicts any point from the spline models;
+//!   [`model::SuiteLanes`] compiles a suite onto one space's grid for
+//!   allocation-free grid walks.
 //! - [`pareto`] — pareto-frontier construction in the power-delay space.
 //! - [`query`] — the unified query layer: a serializable [`query::Query`]
 //!   vocabulary (point prediction, constrained optimum, Pareto slice,
 //!   top-K, what-if delta, axis sweep) executed by [`query::Engine`],
-//!   which owns the compiled suite, the memoized full-space
+//!   which owns the compiled suite lanes, the memoized full-space
 //!   characterization, constraint pushdown over the fused grid walk, and
 //!   a byte-budgeted LRU of materialized results.
 //! - [`studies`] — the three case studies (validation / pareto / pipeline
@@ -66,7 +69,7 @@ pub mod search;
 pub mod space;
 pub mod studies;
 
-pub use model::{CompiledPaperModels, PaperModels};
+pub use model::PaperModels;
 pub use oracle::{CachedOracle, Metrics, Oracle, SimOracle};
 pub use pareto::ParetoFrontier;
 pub use plan::{EvalPlan, SimSpec};

@@ -127,28 +127,18 @@ impl PaperModels {
         self.benchmark
     }
 
-    /// Predicted performance in bips.
-    pub fn predict_bips(&self, point: &DesignPoint) -> f64 {
-        self.performance
-            .predict_row(&point.predictors())
-            .expect("predictor vector matches training width")
-    }
-
-    /// Predicted power in watts.
-    pub fn predict_watts(&self, point: &DesignPoint) -> f64 {
-        self.power
-            .predict_row(&point.predictors())
-            .expect("predictor vector matches training width")
-    }
-
-    /// Predicted `(bips, watts)` pair.
+    /// Predicted `(bips, watts)` pair, evaluating both spline models at
+    /// the point's predictor row. Works for any point, on or off the
+    /// exploration grid.
     pub fn predict_metrics(&self, point: &DesignPoint) -> Metrics {
-        Metrics { bips: self.predict_bips(point), watts: self.predict_watts(point) }
-    }
-
-    /// Predicted delay in seconds per billion instructions.
-    pub fn predict_delay(&self, point: &DesignPoint) -> f64 {
-        self.predict_metrics(point).delay_seconds()
+        let row = point.predictors();
+        Metrics {
+            bips: self
+                .performance
+                .predict_row(&row)
+                .expect("predictor vector matches training width"),
+            watts: self.power.predict_row(&row).expect("predictor vector matches training width"),
+        }
     }
 
     /// Predicted `bips^3 / w` efficiency.
@@ -164,24 +154,6 @@ impl PaperModels {
     /// The underlying power model.
     pub fn power_model(&self) -> &FittedModel {
         &self.power
-    }
-
-    /// Lowers both models onto `space`'s discrete predictor grid for
-    /// allocation-free exhaustive sweeps (see [`CompiledPaperModels`]).
-    pub fn compile(&self, space: &DesignSpace) -> CompiledPaperModels {
-        let levels = space_levels(space);
-        CompiledPaperModels {
-            benchmark: self.benchmark,
-            performance: self
-                .performance
-                .compile(&levels)
-                .expect("paper model compiles on its own predictor grid"),
-            power: self
-                .power
-                .compile(&levels)
-                .expect("paper model compiles on its own predictor grid"),
-            depths: space.depths(),
-        }
     }
 }
 
@@ -201,145 +173,40 @@ fn space_levels(space: &DesignSpace) -> Vec<Vec<f64>> {
     ]
 }
 
-/// [`PaperModels`] lowered onto one design space's predictor grid
-/// ([`FittedModel::compile`]): per-level spline partial sums replace knot
-/// evaluation, so a prediction is seven table reads, six interaction
-/// products, and a back-transform — no allocation. Used by the study
-/// sweeps, which visit up to the full 262,500-point exploration space.
-///
-/// Predictions agree with the naive [`PaperModels`] path to ≤1e-12
-/// relative error (proven exhaustively in the equivalence tests); they
-/// are *not* guaranteed bitwise-equal, because the compiled form regroups
-/// the floating-point accumulation.
-#[derive(Debug, Clone)]
-pub struct CompiledPaperModels {
-    benchmark: Benchmark,
-    performance: CompiledModel,
-    power: CompiledModel,
-    depths: &'static [u32],
-}
-
-impl CompiledPaperModels {
-    /// The benchmark these models describe.
-    pub fn benchmark(&self) -> Benchmark {
-        self.benchmark
-    }
-
-    /// Grid indices for `point`, in predictor column order. The point
-    /// must come from the space this model was compiled for.
-    ///
-    /// Exposed so multi-model sweeps (all nine benchmarks over one grid
-    /// walk) can compute the indices once per point and reuse them via
-    /// [`CompiledPaperModels::predict_metrics_at`]; the same `idx` feeds
-    /// every model compiled on the same space, and the resulting
-    /// predictions are bitwise-identical to per-model
-    /// [`CompiledPaperModels::predict_metrics`] calls.
-    pub fn grid_indices(&self, point: &DesignPoint) -> [usize; 7] {
-        self.indices(point)
-    }
-
-    fn indices(&self, point: &DesignPoint) -> [usize; 7] {
-        debug_assert_eq!(
-            self.depths.get(point.depth_idx as usize),
-            Some(&point.fo4()),
-            "design point comes from a different depth list than the compiled grid"
-        );
-        [
-            point.depth_idx as usize,
-            point.width_idx as usize,
-            point.regs_idx as usize,
-            point.resv_idx as usize,
-            point.il1_idx as usize,
-            point.dl1_idx as usize,
-            point.l2_idx as usize,
-        ]
-    }
-
-    /// Predicted performance in bips.
-    pub fn predict_bips(&self, point: &DesignPoint) -> f64 {
-        self.performance.predict_indices(&self.indices(point))
-    }
-
-    /// Predicted power in watts.
-    pub fn predict_watts(&self, point: &DesignPoint) -> f64 {
-        self.power.predict_indices(&self.indices(point))
-    }
-
-    /// Predicted `(bips, watts)` pair.
-    pub fn predict_metrics(&self, point: &DesignPoint) -> Metrics {
-        let idx = self.indices(point);
-        Metrics {
-            bips: self.performance.predict_indices(&idx),
-            watts: self.power.predict_indices(&idx),
-        }
-    }
-
-    /// Predicted `(bips, watts)` at precomputed grid indices (see
-    /// [`CompiledPaperModels::grid_indices`]). Identical to
-    /// [`CompiledPaperModels::predict_metrics`] on the point the indices
-    /// came from.
-    pub fn predict_metrics_at(&self, idx: &[usize; 7]) -> Metrics {
-        Metrics {
-            bips: self.performance.predict_indices(idx),
-            watts: self.power.predict_indices(idx),
-        }
-    }
-
-    /// Predicted delay in seconds per billion instructions.
-    pub fn predict_delay(&self, point: &DesignPoint) -> f64 {
-        self.predict_metrics(point).delay_seconds()
-    }
-
-    /// Predicted `bips^3 / w` efficiency.
-    pub fn predict_efficiency(&self, point: &DesignPoint) -> f64 {
-        self.predict_metrics(point).bips_cubed_per_watt()
-    }
-
-    /// The compiled performance model.
-    pub fn performance_model(&self) -> &CompiledModel {
-        &self.performance
-    }
-
-    /// The compiled power model.
-    pub fn power_model(&self) -> &CompiledModel {
-        &self.power
-    }
-
-    /// Stacks this pair into a single-pair [`SuiteLanes`] — the sweep
-    /// kernel shape the study walks run on, here feeding two output
-    /// lanes (bips, watts) per grid read.
-    pub fn lanes(&self) -> SuiteLanes {
-        SuiteLanes::stack(std::slice::from_ref(self))
-    }
-}
-
 /// Accumulator capacity of the stacked kernels: room for the full
 /// nine-benchmark suite (18 lanes) with headroom, small enough that the
 /// per-point accumulators stay a couple of cache lines on the stack.
 const MAX_LANES: usize = 32;
 
-/// One or more [`CompiledPaperModels`] re-laid out *model-major*: for
+/// One or more [`PaperModels`] lowered onto one design space's predictor
+/// grid ([`FittedModel::compile`]) and re-laid out *model-major*: for
 /// every grid level there is one contiguous group of `2 × pairs` partial
 /// sums — performance lanes first, then power lanes — so a single grid
-/// index read feeds every stacked model at once. This is the
-/// structure-of-arrays engine behind the fused study sweeps: the fused
+/// index read feeds every stacked model at once. Per-level spline partial
+/// sums replace knot evaluation, so a prediction is seven lane-group
+/// reads, six interaction products, and a back-transform — no
+/// allocation. This is the one compiled prediction kernel: the fused
 /// nine-benchmark walk reads one level group per axis (18 adjacent
 /// `f64`s) instead of paging through nine separate model tables.
 ///
 /// Per lane, the accumulation order is identical to
 /// [`CompiledModel::predict_indices`] — intercept, per-axis partial sums
 /// in predictor order, interaction products in model order, response
-/// back-transform — so stacked predictions are *bitwise-identical* to
-/// per-model calls, which keeps fused sweeps interchangeable with
-/// separate ones and `--jobs`/`--shards` runs deterministic.
+/// back-transform — so stacked predictions are *bitwise-identical* to a
+/// single compiled model's, whatever else shares the stack; fused sweeps
+/// are interchangeable with separate ones and `--jobs`/`--shards` runs
+/// stay deterministic. Against the uncompiled [`PaperModels`] path they
+/// agree to ≤1e-12 relative error (proven exhaustively in the
+/// equivalence tests), not bitwise: the lowering regroups the
+/// floating-point accumulation.
 #[derive(Debug, Clone)]
 pub struct SuiteLanes {
     /// Stacked (performance, power) model pairs.
     pairs: usize,
     /// Output lanes: `2 * pairs`.
     lanes: usize,
-    /// Depth list of the compiled grid (for space validation).
-    depths: &'static [u32],
+    /// The space whose grid the lanes were compiled on.
+    space: DesignSpace,
     /// Per-axis level-group offsets into `levels` (and, scaled by
     /// `lanes`, into `partial`).
     offsets: [usize; 8],
@@ -359,52 +226,39 @@ pub struct SuiteLanes {
 }
 
 impl SuiteLanes {
-    /// Stacks compiled model pairs (1–9, e.g. a whole suite in
-    /// [`Benchmark::ALL`] order) into one model-major lane plan. All
-    /// pairs must be compiled on the same space.
+    /// Compiles model pairs (1–16, e.g. a whole suite in
+    /// [`Benchmark::ALL`] order) onto `space`'s predictor grid and stacks
+    /// them into one model-major lane plan. Every model lowers against
+    /// the same level lists, so the stacked lanes share one grid by
+    /// construction.
     ///
     /// # Panics
     ///
-    /// Panics when `models` is empty, exceeds the lane capacity, or the
-    /// models disagree on grid levels or interaction structure.
-    pub fn stack(models: &[CompiledPaperModels]) -> SuiteLanes {
+    /// Panics when `models` is empty or exceeds the lane capacity.
+    pub fn compile(models: &[PaperModels], space: &DesignSpace) -> SuiteLanes {
         assert!(!models.is_empty(), "stack at least one model pair");
         let pairs = models.len();
         let lanes = 2 * pairs;
         assert!(lanes <= MAX_LANES, "at most {} model pairs per stack", MAX_LANES / 2);
-        let first = models[0].performance_model();
-        assert_eq!(first.width(), 7, "paper models have seven predictors");
+        let grid = space_levels(space);
         let mut offsets = [0usize; 8];
         for v in 0..7 {
-            offsets[v + 1] = offsets[v] + first.levels(v).len();
+            offsets[v + 1] = offsets[v] + grid[v].len();
         }
-        let mut levels = Vec::with_capacity(offsets[7]);
-        for v in 0..7 {
-            levels.extend_from_slice(first.levels(v));
-        }
-        let inter_vars: Vec<(usize, usize)> =
-            first.interactions().map(|(a, b, _)| (a, b)).collect();
         // Lane order: performance models 0..pairs, then power models.
-        let columns: Vec<&CompiledModel> = models
+        let columns: Vec<CompiledModel> = models
             .iter()
-            .map(CompiledPaperModels::performance_model)
-            .chain(models.iter().map(CompiledPaperModels::power_model))
+            .map(PaperModels::performance_model)
+            .chain(models.iter().map(PaperModels::power_model))
+            .map(|m| m.compile(&grid).expect("paper model compiles on its own predictor grid"))
             .collect();
-        for cm in &columns {
-            assert_eq!(cm.width(), 7, "paper models have seven predictors");
-            for v in 0..7 {
-                assert_eq!(
-                    cm.levels(v),
-                    &levels[offsets[v]..offsets[v + 1]],
-                    "stacked models must share one compiled grid (axis {v})"
-                );
-            }
-            let ab: Vec<(usize, usize)> = cm.interactions().map(|(a, b, _)| (a, b)).collect();
-            assert_eq!(ab, inter_vars, "stacked models must share the interaction structure");
-        }
+        let inter_vars: Vec<(usize, usize)> =
+            columns[0].interactions().map(|(a, b, _)| (a, b)).collect();
         let mut partial = vec![0.0; offsets[7] * lanes];
         let mut inter_betas = vec![0.0; inter_vars.len() * lanes];
         for (lane, cm) in columns.iter().enumerate() {
+            let ab: Vec<(usize, usize)> = cm.interactions().map(|(a, b, _)| (a, b)).collect();
+            assert_eq!(ab, inter_vars, "stacked models must share the interaction structure");
             for v in 0..7 {
                 for (i, &p) in cm.partial_sums(v).iter().enumerate() {
                     partial[(offsets[v] + i) * lanes + lane] = p;
@@ -417,15 +271,20 @@ impl SuiteLanes {
         SuiteLanes {
             pairs,
             lanes,
-            depths: models[0].depths,
+            space: space.clone(),
             offsets,
-            levels,
-            intercepts: columns.iter().map(|cm| cm.intercept()).collect(),
+            levels: grid.concat(),
+            intercepts: columns.iter().map(CompiledModel::intercept).collect(),
             partial,
             inter_vars,
             inter_betas,
-            transforms: columns.iter().map(|cm| cm.transform()).collect(),
+            transforms: columns.iter().map(CompiledModel::transform).collect(),
         }
+    }
+
+    /// The space whose grid the lanes were compiled on.
+    pub(crate) fn space(&self) -> &DesignSpace {
+        &self.space
     }
 
     /// Number of stacked (performance, power) model pairs.
@@ -433,12 +292,21 @@ impl SuiteLanes {
         self.pairs
     }
 
-    /// Runs every lane up to the interaction terms: accumulators seed
-    /// with the intercepts, then each axis adds its contiguous level
-    /// group, then each interaction adds its coefficient-lane product.
-    #[inline]
-    fn accumulate(&self, idx: &[usize; 7], acc: &mut [f64; MAX_LANES]) {
+    /// Predicts every stacked pair at one set of grid level indices
+    /// ([`DesignSpace::indices`] order): `out[m]` receives pair `m`'s
+    /// metrics, bitwise-identical to [`CompiledModel::predict_indices`] on
+    /// that pair's compiled models. Accumulators seed with the
+    /// intercepts, each axis adds its contiguous level group, each
+    /// interaction adds its coefficient-lane product, and the lanes are
+    /// back-transformed. Allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len() != pairs` or an index is out of range.
+    pub fn predict_metrics_into(&self, idx: &[usize; 7], out: &mut [Metrics]) {
+        assert_eq!(out.len(), self.pairs, "one Metrics slot per stacked pair");
         let lanes = self.lanes;
+        let mut acc = [0.0f64; MAX_LANES];
         acc[..lanes].copy_from_slice(&self.intercepts);
         for (v, &i) in idx.iter().enumerate() {
             assert!(
@@ -457,81 +325,20 @@ impl SuiteLanes {
                 *a += b * xa * xb;
             }
         }
-    }
-
-    /// Back-transforms the accumulator lanes into per-pair [`Metrics`].
-    #[inline]
-    fn finish(&self, acc: &[f64; MAX_LANES], out: &mut [Metrics]) {
-        assert_eq!(out.len(), self.pairs, "one Metrics slot per stacked pair");
         for (m, o) in out.iter_mut().enumerate() {
             o.bips = self.transforms[m].invert(acc[m]);
             o.watts = self.transforms[self.pairs + m].invert(acc[self.pairs + m]);
         }
     }
 
-    /// Predicts every stacked pair at one set of grid indices (see
-    /// [`CompiledPaperModels::grid_indices`]): `out[m]` receives pair
-    /// `m`'s metrics, bitwise-identical to
-    /// [`CompiledPaperModels::predict_metrics_at`] on that pair.
-    /// Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() != pairs` or an index is out of range.
-    pub fn predict_metrics_into(&self, idx: &[usize; 7], out: &mut [Metrics]) {
-        let mut acc = [0.0f64; MAX_LANES];
-        self.accumulate(idx, &mut acc);
-        self.finish(&acc, out);
-    }
-
-    /// Batch kernel: predicts every stacked pair for each 7-index row of
-    /// `idx_rows` (row-major), writing point-major into `out`
-    /// (`out[r * pairs + m]` is row `r`, pair `m`). One grid-index read
-    /// feeds all `2 × pairs` output lanes. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the buffer lengths disagree
-    /// (`out.len() * 7 != idx_rows.len() * pairs`) or an index is out of
-    /// range.
-    pub fn predict_metrics_batch(&self, idx_rows: &[usize], out: &mut [Metrics]) {
-        assert_eq!(idx_rows.len() % 7, 0, "idx_rows must be 7-index rows");
-        assert_eq!(
-            out.len(),
-            (idx_rows.len() / 7) * self.pairs,
-            "out must hold {} Metrics per index row",
-            self.pairs
-        );
-        let mut acc = [0.0f64; MAX_LANES];
-        for (row, outs) in idx_rows.chunks_exact(7).zip(out.chunks_mut(self.pairs)) {
-            let idx: &[usize; 7] = row.try_into().expect("chunks_exact yields 7-index rows");
-            self.accumulate(idx, &mut acc);
-            self.finish(&acc, outs);
-        }
-    }
-
-    /// A reusable walker over `space` for these lanes: all scratch
+    /// A reusable walker over the compiled space at `stride`: all scratch
     /// buffers are allocated here, so [`GridWalker::walk`] itself is
     /// allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `space`'s grid does not match the compiled levels.
-    pub fn walker(&self, space: &DesignSpace, stride: usize) -> GridWalker<'_> {
-        assert_eq!(space.depths(), self.depths, "walker space must match the compiled grid");
-        let dims = space.dimensions();
-        for (v, &d) in dims.iter().enumerate() {
-            assert_eq!(
-                self.offsets[v + 1] - self.offsets[v],
-                d as usize,
-                "axis {v} level count differs from the compiled grid"
-            );
-        }
+    pub fn walker(&self, stride: usize) -> GridWalker<'_> {
         GridWalker {
             lanes: self,
-            space: space.clone(),
             stride: stride.max(1),
-            dims,
+            dims: self.space.dimensions(),
             prefix: vec![0.0; 7 * self.lanes],
             metrics: vec![Metrics { bips: 0.0, watts: 0.0 }; self.pairs],
         }
@@ -565,7 +372,6 @@ impl SuiteLanes {
 #[derive(Debug)]
 pub struct GridWalker<'a> {
     lanes: &'a SuiteLanes,
-    space: DesignSpace,
     stride: usize,
     dims: [u8; 7],
     /// `prefix[v * lanes..][..lanes]`: accumulators through axis `v`.
@@ -586,7 +392,7 @@ impl GridWalker<'_> {
     /// ([`crate::studies::strided_count`]).
     pub fn walk(&mut self, range: Range<u64>, mut visit: impl FnMut(DesignPoint, &[Metrics])) {
         assert!(
-            range.end <= crate::studies::strided_count(&self.space, self.stride),
+            range.end <= crate::studies::strided_count(&self.lanes.space, self.stride),
             "walk range exceeds the strided space"
         );
         if range.start >= range.end {
@@ -651,6 +457,7 @@ impl GridWalker<'_> {
                 o.watts = self.lanes.transforms[pairs + m].invert(acc[pairs + m]);
             }
             let point = self
+                .lanes
                 .space
                 .point([
                     idx[0] as u8,
@@ -680,17 +487,11 @@ impl GridWalker<'_> {
     fn walk_strided(&mut self, range: Range<u64>, visit: &mut impl FnMut(DesignPoint, &[Metrics])) {
         let lanes = self.lanes;
         for k in range {
-            let point = crate::studies::strided_point(&self.space, self.stride, k);
-            let idx = [
-                point.depth_idx as usize,
-                point.width_idx as usize,
-                point.regs_idx as usize,
-                point.resv_idx as usize,
-                point.il1_idx as usize,
-                point.dl1_idx as usize,
-                point.l2_idx as usize,
-            ];
-            lanes.predict_metrics_into(&idx, &mut self.metrics);
+            let point = crate::studies::strided_point(&lanes.space, self.stride, k);
+            lanes.predict_metrics_into(
+                &lanes.space.indices(&point).map(usize::from),
+                &mut self.metrics,
+            );
             visit(point, &self.metrics);
         }
     }
@@ -736,7 +537,7 @@ mod tests {
         let (mut obs_b, mut pred_b) = (Vec::new(), Vec::new());
         for p in &validation {
             obs_b.push(FakeOracle.evaluate(Benchmark::Gzip, p).bips);
-            pred_b.push(models.predict_bips(p));
+            pred_b.push(models.predict_metrics(p).bips);
         }
         let err = median_abs_rel_error(&obs_b, &pred_b);
         assert!(err < 0.05, "median error {err} too high for smooth surface");
@@ -751,73 +552,59 @@ mod tests {
         assert!(models.performance_model().r_squared() > 0.7);
         assert!(models.power_model().r_squared() > 0.8);
         let p = space.decode(1000).unwrap();
-        assert!(models.predict_bips(&p) > 0.0);
-        assert!(models.predict_watts(&p) > 0.0);
+        let m = models.predict_metrics(&p);
+        assert!(m.bips > 0.0);
+        assert!(m.watts > 0.0);
         assert_eq!(models.benchmark(), Benchmark::Gzip);
     }
 
+    /// Lane-kernel predictions for every stacked pair at one point.
+    fn lane_metrics(lanes: &SuiteLanes, p: &DesignPoint) -> Vec<Metrics> {
+        let mut out = vec![Metrics { bips: 0.0, watts: 0.0 }; lanes.pairs()];
+        lanes.predict_metrics_into(&lanes.space().indices(p).map(usize::from), &mut out);
+        out
+    }
+
     #[test]
-    fn compiled_models_match_naive_predictions() {
+    fn compiled_lanes_match_naive_predictions() {
         let space = DesignSpace::exploration();
         let samples = DesignSpace::paper().sample_uar(300, 7);
         let models = PaperModels::train(&FakeOracle, Benchmark::Gzip, &samples).unwrap();
-        let compiled = models.compile(&space);
-        assert_eq!(compiled.benchmark(), Benchmark::Gzip);
+        let lanes = SuiteLanes::compile(std::slice::from_ref(&models), &space);
+        assert_eq!(lanes.space(), &space);
         for k in [0u64, 1, 999, 123_456, 262_499] {
             let p = space.decode(k).unwrap();
             let naive = models.predict_metrics(&p);
-            let fast = compiled.predict_metrics(&p);
+            let fast = lane_metrics(&lanes, &p)[0];
             assert!((fast.bips - naive.bips).abs() <= 1e-12 * naive.bips.abs());
             assert!((fast.watts - naive.watts).abs() <= 1e-12 * naive.watts.abs());
-            // The compiled row path (exact-equality lookup) agrees too.
-            let row = p.predictors();
-            assert_eq!(compiled.performance_model().predict_row(&row).unwrap(), fast.bips);
         }
     }
 
-    /// Two distinct model pairs on the exploration grid.
-    fn two_compiled() -> (DesignSpace, Vec<CompiledPaperModels>) {
-        let space = DesignSpace::exploration();
-        let compiled: Vec<CompiledPaperModels> = [7u64, 21]
+    /// Two distinct model pairs on the exploration grid, stacked.
+    fn two_pairs() -> (Vec<PaperModels>, SuiteLanes) {
+        let models: Vec<PaperModels> = [7u64, 21]
             .iter()
             .map(|&seed| {
                 let samples = DesignSpace::paper().sample_uar(300, seed);
-                PaperModels::train(&FakeOracle, Benchmark::Gzip, &samples).unwrap().compile(&space)
+                PaperModels::train(&FakeOracle, Benchmark::Gzip, &samples).unwrap()
             })
             .collect();
-        (space, compiled)
+        let lanes = SuiteLanes::compile(&models, &DesignSpace::exploration());
+        (models, lanes)
     }
 
     #[test]
-    fn stacked_lanes_match_per_model_predictions_bitwise() {
-        let (space, compiled) = two_compiled();
-        let lanes = SuiteLanes::stack(&compiled);
+    fn stacked_lanes_match_single_pair_lanes_bitwise() {
+        let (models, lanes) = two_pairs();
         assert_eq!(lanes.pairs(), 2);
-        let mut out = vec![Metrics { bips: 0.0, watts: 0.0 }; 2];
+        let space = lanes.space().clone();
+        let singles: Vec<SuiteLanes> =
+            models.iter().map(|m| SuiteLanes::compile(std::slice::from_ref(m), &space)).collect();
         for k in [0u64, 1, 999, 123_456, 262_499] {
             let p = space.decode(k).unwrap();
-            let idx = compiled[0].grid_indices(&p);
-            lanes.predict_metrics_into(&idx, &mut out);
-            for (got, cm) in out.iter().zip(&compiled) {
-                let want = cm.predict_metrics_at(&idx);
-                assert_eq!(got.bips.to_bits(), want.bips.to_bits());
-                assert_eq!(got.watts.to_bits(), want.watts.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn stacked_batch_kernel_matches_scalar_path() {
-        let (space, compiled) = two_compiled();
-        let lanes = SuiteLanes::stack(&compiled);
-        let points: Vec<DesignPoint> = space.sample_uar(37, 3);
-        let idx_rows: Vec<usize> =
-            points.iter().flat_map(|p| compiled[0].grid_indices(p)).collect();
-        let mut out = vec![Metrics { bips: 0.0, watts: 0.0 }; points.len() * 2];
-        lanes.predict_metrics_batch(&idx_rows, &mut out);
-        for (p, outs) in points.iter().zip(out.chunks(2)) {
-            for (got, cm) in outs.iter().zip(&compiled) {
-                let want = cm.predict_metrics(p);
+            for (got, single) in lane_metrics(&lanes, &p).iter().zip(&singles) {
+                let want = lane_metrics(single, &p)[0];
                 assert_eq!(got.bips.to_bits(), want.bips.to_bits());
                 assert_eq!(got.watts.to_bits(), want.watts.to_bits());
             }
@@ -826,17 +613,16 @@ mod tests {
 
     #[test]
     fn grid_walker_matches_per_point_predictions_bitwise() {
-        let (space, compiled) = two_compiled();
-        let lanes = SuiteLanes::stack(&compiled);
-        let mut walker = lanes.walker(&space, 1);
+        let (_, lanes) = two_pairs();
+        let space = lanes.space().clone();
+        let mut walker = lanes.walker(1);
         // Ranges crossing several axis rollovers, including the very end
         // of the space (full odometer wrap).
         for range in [0u64..150, 12_340..12_640, 262_400..262_500] {
             let mut k = range.start;
             walker.walk(range.clone(), |point, metrics| {
                 assert_eq!(point, space.decode(k).unwrap(), "walk order must be natural order");
-                for (got, cm) in metrics.iter().zip(&compiled) {
-                    let want = cm.predict_metrics(&point);
+                for (got, want) in metrics.iter().zip(lane_metrics(&lanes, &point)) {
                     assert_eq!(got.bips.to_bits(), want.bips.to_bits());
                     assert_eq!(got.watts.to_bits(), want.watts.to_bits());
                 }
@@ -850,16 +636,15 @@ mod tests {
     fn grid_walker_ranges_partition() {
         // Chunked walks concatenate to the whole walk — the property the
         // pool-parallel sweeps rely on.
-        let (space, compiled) = two_compiled();
-        let lanes = SuiteLanes::stack(&compiled);
+        let (_, lanes) = two_pairs();
         let whole: Vec<(DesignPoint, f64)> = {
-            let mut walker = lanes.walker(&space, 1);
+            let mut walker = lanes.walker(1);
             let mut v = Vec::new();
             walker.walk(1000..1400, |p, m| v.push((p, m[1].bips)));
             v
         };
         let mut pieces = Vec::new();
-        let mut walker = lanes.walker(&space, 1);
+        let mut walker = lanes.walker(1);
         for r in [1000u64..1111, 1111..1112, 1112..1400] {
             walker.walk(r, |p, m| pieces.push((p, m[1].bips)));
         }
@@ -872,32 +657,23 @@ mod tests {
 
     #[test]
     fn strided_walker_matches_strided_points() {
-        let (space, compiled) = two_compiled();
-        let lanes = compiled[1].lanes();
+        let (models, _) = two_pairs();
+        let space = DesignSpace::exploration();
+        let lanes = SuiteLanes::compile(&models[1..], &space);
         assert_eq!(lanes.pairs(), 1);
         let stride = 500;
         let total = crate::studies::strided_count(&space, stride);
-        let mut walker = lanes.walker(&space, stride);
+        let mut walker = lanes.walker(stride);
         let mut k = 0u64;
         walker.walk(0..total, |point, metrics| {
             let want_p = crate::studies::strided_point(&space, stride, k);
             assert_eq!(point, want_p);
-            let want = compiled[1].predict_metrics(&point);
+            let want = lane_metrics(&lanes, &point)[0];
             assert_eq!(metrics[0].bips.to_bits(), want.bips.to_bits());
             assert_eq!(metrics[0].watts.to_bits(), want.watts.to_bits());
             k += 1;
         });
         assert_eq!(k, total);
-    }
-
-    #[test]
-    #[should_panic(expected = "share one compiled grid")]
-    fn stacking_rejects_mismatched_grids() {
-        let samples = DesignSpace::paper().sample_uar(300, 7);
-        let models = PaperModels::train(&FakeOracle, Benchmark::Gzip, &samples).unwrap();
-        let a = models.compile(&DesignSpace::exploration());
-        let b = models.compile(&DesignSpace::paper());
-        let _ = SuiteLanes::stack(&[a, b]);
     }
 
     #[test]

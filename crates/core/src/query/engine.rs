@@ -13,9 +13,7 @@ use crate::model::SuiteLanes;
 use crate::pareto::ParetoFrontier;
 use crate::space::{DesignPoint, DesignSpace};
 use crate::studies::pareto::{sweep_designs, PredictedDesign};
-use crate::studies::{
-    record_sweep, sweep_allocs_snapshot, CompiledSuite, StudyConfig, TrainedSuite,
-};
+use crate::studies::{record_sweep, sweep_allocs_snapshot, StudyConfig, TrainedSuite};
 
 use super::{Axis, Constraint, Objective, OptimumEntry, PredictedPoint, Query, QueryResult};
 
@@ -147,11 +145,11 @@ impl ResultCache {
 
 /// Executes [`Query`] values against one trained suite.
 ///
-/// The engine owns the suite compiled onto the exploration grid, the
-/// stacked [`SuiteLanes`] the fused walk runs on, the memoized
-/// full-space characterization every scanning query slices, and a
-/// byte-budgeted LRU of materialized scan results keyed by the query's
-/// canonical serialization. Execution records `query.executed`,
+/// The engine owns the trained suite, its models compiled onto the
+/// exploration grid as the stacked [`SuiteLanes`] the fused walk runs
+/// on, the memoized full-space characterization every scanning query
+/// slices, and a byte-budgeted LRU of materialized scan results keyed by
+/// the query's canonical serialization. Execution records `query.executed`,
 /// `query.cache.{hits,misses}`, and `query.designs_per_sec` into the
 /// ambient metrics registry; materializing the characterization records
 /// the `sweep.*` metrics.
@@ -167,9 +165,7 @@ impl ResultCache {
 /// reproducibility) — and bypass the result cache.
 pub struct Engine {
     suite: TrainedSuite,
-    compiled: CompiledSuite,
     lanes: SuiteLanes,
-    space: DesignSpace,
     stride: usize,
     sweep: Mutex<Option<Arc<Vec<Vec<PredictedDesign>>>>>,
     cache: Mutex<ResultCache>,
@@ -186,14 +182,10 @@ impl Engine {
     /// once. `config.eval_stride` becomes the stride the memoized
     /// characterization is materialized at.
     pub fn new(suite: TrainedSuite, config: &StudyConfig) -> Self {
-        let space = DesignSpace::exploration();
-        let compiled = suite.compile(&space);
-        let lanes = compiled.lanes();
+        let lanes = SuiteLanes::compile(suite.all_models(), &DesignSpace::exploration());
         Engine {
             suite,
-            compiled,
             lanes,
-            space,
             stride: config.eval_stride,
             sweep: Mutex::new(None),
             cache: Mutex::new(ResultCache::new(DEFAULT_RESULT_BUDGET)),
@@ -210,14 +202,15 @@ impl Engine {
         &self.suite
     }
 
-    /// The suite compiled onto the exploration grid.
-    pub fn compiled(&self) -> &CompiledSuite {
-        &self.compiled
+    /// The suite compiled onto the exploration grid, stacked in
+    /// [`Benchmark::ALL`] order.
+    pub(crate) fn lanes(&self) -> &SuiteLanes {
+        &self.lanes
     }
 
     /// The exploration space the engine scans.
     pub fn space(&self) -> &DesignSpace {
-        &self.space
+        self.lanes.space()
     }
 
     /// The stride of the memoized characterization.
@@ -245,7 +238,7 @@ impl Engine {
         let _span = udse_obs::span::enter("sweep");
         let allocs0 = sweep_allocs_snapshot();
         let started = Instant::now();
-        let designs = sweep_designs(&self.lanes, &self.space, stride);
+        let designs = sweep_designs(&self.lanes, stride);
         let swept: u64 = designs.iter().map(|d| d.len() as u64).sum();
         let rate = record_sweep(swept, started.elapsed().as_secs_f64(), allocs0);
         udse_obs::info!(
@@ -326,7 +319,7 @@ impl Engine {
     }
 
     /// One uncompiled model evaluation — the exact arithmetic
-    /// `PaperModels::predict_bips` / `predict_watts` perform.
+    /// [`crate::model::PaperModels::predict_metrics`] performs.
     fn predict_row(&self, benchmark: Benchmark, point: DesignPoint) -> PredictedPoint {
         PredictedPoint { point, predicted: self.suite.models(benchmark).predict_metrics(&point) }
     }
@@ -378,7 +371,7 @@ impl Engine {
                 Ok(QueryResult::Optima { entries: vec![entries[b.id() as usize].clone()] })
             }
             (None, Objective::Efficiency) => {
-                let mask = Mask::pushdown(&self.space, constraints)?;
+                let mask = Mask::pushdown(self.space(), constraints)?;
                 self.efficiency_optima(&mask, stride)
             }
             (None, Objective::SuiteRelative(refs)) => {
@@ -389,7 +382,7 @@ impl Engine {
                         refs.len()
                     ));
                 }
-                let mask = Mask::pushdown(&self.space, constraints)?;
+                let mask = Mask::pushdown(self.space(), constraints)?;
                 self.suite_relative_optimum(&mask, refs, stride)
             }
             (Some(_), Objective::SuiteRelative(_)) => {
@@ -423,7 +416,7 @@ impl Engine {
             }
             return sweep;
         }
-        let dims = self.space.dimensions();
+        let dims = self.space().dimensions();
         let mut weight = [1usize; 7];
         for a in (0..6).rev() {
             weight[a] = weight[a + 1] * dims[a + 1] as usize;
@@ -533,7 +526,7 @@ impl Engine {
         if bins == 0 {
             return Err("pareto_slice needs at least one delay bin".to_string());
         }
-        let mask = Mask::pushdown(&self.space, constraints)?;
+        let mask = Mask::pushdown(self.space(), constraints)?;
         let b = benchmark.id() as usize;
         let started = Instant::now();
         let mut admitted = Vec::new();
@@ -569,7 +562,7 @@ impl Engine {
         if k == 0 {
             return Err("top_k needs k >= 1".to_string());
         }
-        let mask = Mask::pushdown(&self.space, constraints)?;
+        let mask = Mask::pushdown(self.space(), constraints)?;
         let b = benchmark.id() as usize;
         let started = Instant::now();
         let mut ranked: Vec<(f64, usize)> = Vec::new();

@@ -9,10 +9,11 @@
 //!   what-if delta, 1-D axis sweep) with a canonical, versioned JSON
 //!   serialization (see [`json`]) that doubles as the wire format for
 //!   the planned `udse-serve` daemon.
-//! - [`Engine`] — owns the [`crate::studies::CompiledSuite`], the
-//!   memoized full-space characterization, constrained scans that visit
-//!   only the designs a query's constraints admit, and a byte-budgeted
-//!   LRU of materialized scan results.
+//! - [`Engine`] — owns the suite compiled into one
+//!   [`crate::model::SuiteLanes`] kernel, the memoized full-space
+//!   characterization, constrained scans that visit only the designs a
+//!   query's constraints admit, and a byte-budgeted LRU of materialized
+//!   scan results.
 //!
 //! The engine's answers are bitwise-identical to the per-study sweeps it
 //! replaced: scanning queries read the same predictions the fused grid

@@ -18,7 +18,7 @@ use udse_stats::{quantile, Boxplot, Histogram};
 use udse_trace::Benchmark;
 
 use crate::baseline::baseline_at_depth;
-use crate::oracle::Oracle;
+use crate::oracle::{Metrics, Oracle};
 use crate::query::{Axis, Constraint, Engine, Query};
 use crate::space::{DesignPoint, DesignSpace};
 
@@ -61,28 +61,29 @@ impl DepthStudy {
             depths.iter().map(|&d| baseline_at_depth(d)).collect();
 
         // Per-benchmark reference: best predicted baseline efficiency,
-        // from the compiled models (the flavor the fused sweep uses).
-        let compiled = engine.compiled();
-        let refs: Vec<f64> = Benchmark::ALL
+        // from the compiled lanes (the flavor the fused sweep uses).
+        let lanes = engine.lanes();
+        let original_metrics: Vec<Vec<Metrics>> = original_points
             .iter()
-            .map(|&b| {
-                let m = compiled.models(b);
-                original_points
+            .map(|p| {
+                let mut out = vec![Metrics { bips: 0.0, watts: 0.0 }; lanes.pairs()];
+                lanes.predict_metrics_into(&space.indices(p).map(usize::from), &mut out);
+                out
+            })
+            .collect();
+        let refs: Vec<f64> = (0..Benchmark::ALL.len())
+            .map(|b| {
+                original_metrics
                     .iter()
-                    .map(|p| m.predict_efficiency(p))
+                    .map(|m| m[b].bips_cubed_per_watt())
                     .fold(f64::NEG_INFINITY, f64::max)
             })
             .collect();
-        let rel = |p: &DesignPoint| -> f64 {
-            Benchmark::ALL
-                .iter()
-                .zip(&refs)
-                .map(|(&b, &r)| compiled.models(b).predict_efficiency(p) / r)
-                .sum::<f64>()
-                / 9.0
+        let rel = |m: &Vec<Metrics>| -> f64 {
+            m.iter().zip(&refs).map(|(m, &r)| m.bips_cubed_per_watt() / r).sum::<f64>() / 9.0
         };
 
-        let original_relative: Vec<f64> = original_points.iter().map(&rel).collect();
+        let original_relative: Vec<f64> = original_metrics.iter().map(rel).collect();
 
         let mut enhanced_boxplots = Vec::with_capacity(depths.len());
         let mut bound_points = Vec::with_capacity(depths.len());

@@ -10,7 +10,7 @@ pub mod validation;
 use udse_regress::RegressError;
 use udse_trace::Benchmark;
 
-use crate::model::{CompiledPaperModels, PaperModels, SuiteLanes};
+use crate::model::PaperModels;
 use crate::oracle::Oracle;
 use crate::plan::EvalPlan;
 use crate::space::{DesignPoint, DesignSpace};
@@ -155,38 +155,6 @@ impl TrainedSuite {
     /// The shared training sample.
     pub fn training_samples(&self) -> &[DesignPoint] {
         &self.samples
-    }
-
-    /// Lowers all nine model pairs onto `space`'s predictor grid (see
-    /// [`PaperModels::compile`]). The study sweeps compile once and then
-    /// predict allocation-free across the whole space.
-    pub fn compile(&self, space: &DesignSpace) -> CompiledSuite {
-        CompiledSuite { models: self.models.iter().map(|m| m.compile(space)).collect() }
-    }
-}
-
-/// A [`TrainedSuite`] lowered onto one design space's grid: nine
-/// [`CompiledPaperModels`] in [`Benchmark::ALL`] order.
-#[derive(Debug, Clone)]
-pub struct CompiledSuite {
-    models: Vec<CompiledPaperModels>,
-}
-
-impl CompiledSuite {
-    /// The compiled models for one benchmark.
-    pub fn models(&self, benchmark: Benchmark) -> &CompiledPaperModels {
-        &self.models[benchmark.id() as usize]
-    }
-
-    /// All nine compiled model pairs in [`Benchmark::ALL`] order.
-    pub fn all_models(&self) -> &[CompiledPaperModels] {
-        &self.models
-    }
-
-    /// Stacks all nine pairs into one model-major [`SuiteLanes`] plan, so
-    /// a fused sweep feeds 18 output lanes from one grid-index read.
-    pub fn lanes(&self) -> SuiteLanes {
-        SuiteLanes::stack(&self.models)
     }
 }
 

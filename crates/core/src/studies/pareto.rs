@@ -9,7 +9,7 @@ use crate::model::SuiteLanes;
 use crate::oracle::{Metrics, Oracle};
 use crate::plan::EvalPlan;
 use crate::query::{Engine, Query};
-use crate::space::{DesignPoint, DesignSpace};
+use crate::space::DesignPoint;
 use crate::studies::{strided_count, StudyConfig};
 
 /// One design with its regression-predicted delay and power.
@@ -86,19 +86,15 @@ const MIN_PARALLEL_POINTS: u64 = 2048;
 /// pair, chunk-parallel through [`udse_obs::pool::map_chunks`]. Chunk
 /// results concatenate in range order, so each pair's `Vec` is identical
 /// to a sequential walk regardless of worker count.
-pub(crate) fn sweep_designs(
-    lanes: &SuiteLanes,
-    space: &DesignSpace,
-    stride: usize,
-) -> Vec<Vec<PredictedDesign>> {
-    let total = strided_count(space, stride);
+pub(crate) fn sweep_designs(lanes: &SuiteLanes, stride: usize) -> Vec<Vec<PredictedDesign>> {
+    let total = strided_count(lanes.space(), stride);
     let pairs = lanes.pairs();
     let walk_chunk = |range: std::ops::Range<u64>| {
         let _chunk = udse_obs::span::enter("chunk");
         let chunk_len = (range.end - range.start) as usize;
         let mut per_pair: Vec<Vec<PredictedDesign>> =
             (0..pairs).map(|_| Vec::with_capacity(chunk_len)).collect();
-        let mut walker = lanes.walker(space, stride);
+        let mut walker = lanes.walker(stride);
         walker.walk(range, |point, metrics| {
             for (out, m) in per_pair.iter_mut().zip(metrics) {
                 out.push(PredictedDesign { point, predicted: *m });
@@ -261,6 +257,7 @@ pub fn efficiency_optimum<O: Oracle + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::DesignSpace;
     use crate::studies::tests::TinyOracle;
     use crate::studies::TrainedSuite;
 
@@ -292,10 +289,11 @@ mod tests {
         assert_eq!(fused.len(), 9);
         for (b, ch) in Benchmark::ALL.iter().zip(&fused) {
             assert_eq!(ch.benchmark, *b);
-            // Reference: a fresh single-model compiled sweep of the same
+            // Reference: a fresh single-pair lane sweep of the same
             // strided space, outside the engine.
-            let compiled = engine.suite().models(*b).compile(&space);
-            let mut per_pair = sweep_designs(&compiled.lanes(), &space, config.eval_stride);
+            let lanes =
+                SuiteLanes::compile(std::slice::from_ref(engine.suite().models(*b)), &space);
+            let mut per_pair = sweep_designs(&lanes, config.eval_stride);
             let separate = per_pair.pop().expect("one pair");
             assert_eq!(ch.designs.len(), separate.len());
             for (f, s) in ch.designs.iter().zip(&separate) {

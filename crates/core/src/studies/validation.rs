@@ -50,7 +50,7 @@ impl ValidationStudy {
 
     /// Runs the validation on an explicit point set. Predictions come
     /// from [`Query::Point`] executions, which use the uncompiled models
-    /// — bitwise-identical to calling `predict_bips`/`predict_watts`
+    /// — bitwise-identical to calling `PaperModels::predict_metrics`
     /// directly.
     ///
     /// # Panics

@@ -7,10 +7,10 @@
 //! benchmarks, even one small allocation per design would dominate the
 //! sweep. This test pins that with the counting allocator: walkers
 //! allocate their scratch at construction, then the whole walk (and the
-//! raw batch kernel) runs under `assert_no_alloc`, which panics on the
-//! first heap allocation on the asserting thread.
+//! stacked per-point kernel) runs under `assert_no_alloc`, which panics
+//! on the first heap allocation on the asserting thread.
 
-use udse_core::model::PaperModels;
+use udse_core::model::{PaperModels, SuiteLanes};
 use udse_core::oracle::{Metrics, Oracle};
 use udse_core::space::{DesignPoint, DesignSpace};
 use udse_trace::Benchmark;
@@ -35,23 +35,21 @@ impl Oracle for SmoothOracle {
     }
 }
 
-fn compiled_pair(space: &DesignSpace) -> udse_core::model::CompiledPaperModels {
+fn compiled_pair(space: &DesignSpace) -> SuiteLanes {
     let samples = DesignSpace::paper().sample_uar(300, 2007);
     let models =
         PaperModels::train(&SmoothOracle, Benchmark::Gzip, &samples).expect("smooth fit succeeds");
-    models.compile(space)
+    SuiteLanes::compile(&[models], space)
 }
 
 #[test]
 fn grid_walker_walk_is_allocation_free() {
-    let space = DesignSpace::exploration();
-    let compiled = compiled_pair(&space);
-    let lanes = compiled.lanes();
+    let lanes = compiled_pair(&DesignSpace::exploration());
 
     // Natural-order walk over a mid-space window. The walker owns its
     // prefix/metrics scratch, so everything past construction is pure
     // arithmetic — exactly what each `pool::map_chunks` chunk runs.
-    let mut walker = lanes.walker(&space, 1);
+    let mut walker = lanes.walker(1);
     let sweep = |walker: &mut udse_core::model::GridWalker| {
         let mut acc = 0.0f64;
         walker.walk(100_000..104_096, |_, m| acc += m[0].bips + m[0].watts);
@@ -64,7 +62,7 @@ fn grid_walker_walk_is_allocation_free() {
     assert!(expected.is_finite());
 
     // Strided walk (the quick-mode coprime subset) — same guarantee.
-    let mut strided = lanes.walker(&space, 97);
+    let mut strided = lanes.walker(97);
     let strided_sweep = |walker: &mut udse_core::model::GridWalker| {
         let mut acc = 0.0f64;
         walker.walk(0..2_048, |_, m| acc += m[0].bips + m[0].watts);
@@ -78,22 +76,27 @@ fn grid_walker_walk_is_allocation_free() {
 }
 
 #[test]
-fn stacked_batch_kernel_is_allocation_free() {
+fn stacked_point_kernel_is_allocation_free() {
     let space = DesignSpace::exploration();
-    let compiled = compiled_pair(&space);
-    let lanes = compiled.lanes();
+    let lanes = compiled_pair(&space);
 
-    // Grid-index rows precomputed, as the real batch callers do.
-    let points: Vec<DesignPoint> = space.sample_uar(4_096, 99);
-    let idx_rows: Vec<usize> = points.iter().flat_map(|p| compiled.grid_indices(p)).collect();
-    let mut out = vec![Metrics { bips: 0.0, watts: 0.0 }; points.len() * lanes.pairs()];
-
-    lanes.predict_metrics_batch(&idx_rows, &mut out);
-    let expected: f64 = out.iter().map(|m| m.bips + m.watts).sum();
-    udse_obs::alloc::assert_no_alloc("stacked batch prediction kernel", || {
-        lanes.predict_metrics_batch(&idx_rows, &mut out)
+    // Grid-index rows precomputed, so only the kernel runs under the
+    // assertion.
+    let idx_rows: Vec<[usize; 7]> =
+        space.sample_uar(4_096, 99).iter().map(|p| space.indices(p).map(usize::from)).collect();
+    let mut out = vec![Metrics { bips: 0.0, watts: 0.0 }; lanes.pairs()];
+    let predict_all = |out: &mut [Metrics]| {
+        let mut acc = 0.0f64;
+        for idx in &idx_rows {
+            lanes.predict_metrics_into(idx, out);
+            acc += out[0].bips + out[0].watts;
+        }
+        acc
+    };
+    let expected = predict_all(&mut out);
+    let again = udse_obs::alloc::assert_no_alloc("stacked per-point prediction kernel", || {
+        predict_all(&mut out)
     });
-    let again: f64 = out.iter().map(|m| m.bips + m.watts).sum();
-    assert_eq!(again.to_bits(), expected.to_bits(), "repeat batch must be deterministic");
+    assert_eq!(again.to_bits(), expected.to_bits(), "repeat predictions must be deterministic");
     assert!(expected.is_finite());
 }

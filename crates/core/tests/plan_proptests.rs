@@ -4,8 +4,12 @@
 //! properties carry the whole determinism story: the JSON round trip
 //! must be the identity (same jobs, same sim spec, same bytes), and the
 //! shard slices must partition the plan's job IDs exactly — every job in
-//! exactly one shard, in order, for any shard count.
+//! exactly one shard, in order, for any shard count. A worker handed a
+//! corrupt plan must fail with an error, never panic.
 
+mod common;
+
+use common::{arbitrary_text, hostile_variants};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,6 +103,20 @@ proptest! {
         }
         for (id, slot) in slots.iter().enumerate() {
             prop_assert_eq!(slot.as_ref(), Some(&plan.jobs()[id]));
+        }
+    }
+
+    #[test]
+    fn hostile_plans_are_rejected_without_panicking(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let _ = EvalPlan::parse(&arbitrary_text(&mut rng));
+        // Keep the canonical document short: every truncation is tried.
+        let plan = arbitrary_plan(&mut rng);
+        let jobs: Vec<_> = plan.jobs().iter().take(3).copied().collect();
+        let plan = EvalPlan::from_jobs(plan.label(), jobs);
+        let text = plan.to_json(&arbitrary_spec(&mut rng)).to_string_pretty();
+        for doc in hostile_variants(&text, &mut rng, 32) {
+            let _ = EvalPlan::parse(&doc);
         }
     }
 }

@@ -6,7 +6,13 @@
 //! identity on both the value and the bytes, and documents with fields
 //! the schema does not know are rejected rather than silently dropped
 //! (a misspelled constraint must not become an unconstrained scan).
+//! Hostile input — arbitrary bytes, truncated or mutated documents,
+//! nesting deep enough to exhaust a recursive parser's stack — must come
+//! back as `Err`, never as a panic or an abort.
 
+mod common;
+
+use common::{arbitrary_text, hostile_variants};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -132,6 +138,13 @@ fn with_unknown_field(text: &str) -> String {
     format!("{{\"bogus_field\": 1,{body}")
 }
 
+/// A document nested `depth` arrays (`[[…1…]]`) or objects
+/// (`{"k":{"k":…1…}}`) deep.
+fn deeply_nested(depth: usize, object: bool) -> String {
+    let (open, close) = if object { ("{\"k\":", "}") } else { ("[", "]") };
+    format!("{}1{}", open.repeat(depth), close.repeat(depth))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -170,5 +183,31 @@ proptest! {
             with_unknown_field(&arbitrary_result(&mut rng).to_json().to_string_pretty());
         let err = QueryResult::parse(&result_doc).expect_err("unknown field must fail");
         prop_assert!(err.contains("bogus_field"), "error does not name the field: {}", err);
+    }
+
+    #[test]
+    fn hostile_documents_are_rejected_without_panicking(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let query = arbitrary_query(&mut rng).to_json().to_string_compact();
+        let result = arbitrary_result(&mut rng).to_json().to_string_pretty();
+        let garbage = arbitrary_text(&mut rng);
+        let _ = Query::parse(&garbage);
+        let _ = QueryResult::parse(&garbage);
+        for doc in hostile_variants(&query, &mut rng, 16) {
+            let _ = Query::parse(&doc);
+        }
+        for doc in hostile_variants(&result, &mut rng, 16) {
+            let _ = QueryResult::parse(&doc);
+        }
+    }
+}
+
+#[test]
+fn nesting_deeper_than_the_parser_bound_is_an_error() {
+    for object in [false, true] {
+        let doc = deeply_nested(100_000, object);
+        assert!(udse_obs::json::Json::parse(&doc).is_err());
+        assert!(Query::parse(&doc).is_err());
+        assert!(QueryResult::parse(&doc).is_err());
     }
 }

@@ -148,11 +148,12 @@ impl Json {
     }
 
     /// Parses a JSON document, requiring it to span the whole input.
+    /// Arrays and objects may nest at most `MAX_DEPTH` (64) levels deep.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
         skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ParseError { pos, what: "trailing characters after document" });
@@ -229,6 +230,12 @@ fn write_seq(
     out.push(close);
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so unbounded nesting in hostile input would
+/// overflow the stack instead of returning an error; every document this
+/// workspace writes nests at most five levels.
+const MAX_DEPTH: usize = 64;
+
 /// A parse failure with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -261,7 +268,11 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8, what: &'static str) -> Result<()
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// Parses one value whose enclosing containers are `depth` levels deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(ParseError { pos: *pos, what: "nesting too deep" });
+    }
     match bytes.get(*pos) {
         None => Err(ParseError { pos: *pos, what: "unexpected end of input" }),
         Some(b'n') => parse_keyword(bytes, pos, b"null", Json::Null),
@@ -278,7 +289,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
             }
             loop {
                 skip_ws(bytes, pos);
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -304,7 +315,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':', "expected ':' after object key")?;
                 skip_ws(bytes, pos);
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -373,13 +384,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always at a char boundary).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| ParseError { pos: *pos, what: "invalid utf-8" })?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape. Both
+                // are ASCII, so the run ends on a char boundary of the
+                // (valid UTF-8) input and decodes in linear time.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(
+                    std::str::from_utf8(&bytes[start..*pos])
+                        .map_err(|_| ParseError { pos: start, what: "invalid utf-8" })?,
+                );
             }
         }
     }
@@ -471,6 +486,23 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.pos, err.what), (MAX_DEPTH, "nesting too deep"));
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        let text = "µ".repeat(200_000);
+        let doc = Json::str(text.as_str()).to_string_compact();
+        assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(text.as_str()));
     }
 
     #[test]

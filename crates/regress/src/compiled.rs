@@ -24,21 +24,16 @@
 //! The tables live in a structure-of-arrays plan: *one* flat `levels`
 //! buffer and *one* flat `partial` buffer, with per-variable offsets
 //! slicing out each axis's contiguous lane. That keeps the whole plan in
-//! a few cache lines (the paper grid is 47 levels × 2 `f64` buffers) and
-//! lets [`CompiledModel::predict_batch_into`] process index rows in fixed
-//! chunks of [`CompiledModel::BATCH_CHUNK`] with straight-line lane
-//! arithmetic: accumulators initialize to the intercept, each axis adds
-//! its partial-sum lane, each interaction adds a `β·x_a·x_b` product, and
-//! the response back-transform is applied in-lane with the `match` hoisted
-//! out of the row loop — no per-row branching anywhere.
+//! a few cache lines (the paper grid is 47 levels × 2 `f64` buffers).
+//! [`CompiledModel::predict_indices`] is the scalar reference over those
+//! lanes; the sweep kernel (`udse-core`'s `SuiteLanes`) restacks the
+//! lanes of many models so one grid read feeds all of them.
 //!
 //! The lowering is exact up to floating-point summation order (the terms
 //! are accumulated in the same model order, only grouped per variable),
 //! so compiled predictions agree with [`FittedModel::predict_row`] to
 //! ~1e-15 relative — well inside the 1e-12 equivalence bound the
-//! exhaustive grid tests assert. All compiled paths (row, index, batch)
-//! accumulate in the identical order, so they agree with each other
-//! *bitwise*.
+//! exhaustive grid tests assert.
 
 use crate::fit::FittedModel;
 use crate::spec::ResolvedTerm;
@@ -74,9 +69,8 @@ struct CompiledInteraction {
 ///     .unwrap();
 /// let grid = vec![vec![0.0, 2.0, 4.0, 6.0]];
 /// let compiled = model.compile(&grid).unwrap();
-/// assert!((compiled.predict_row(&[4.0]).unwrap() - 11.0).abs() < 1e-9);
-/// // Off-grid values are rejected, not silently extrapolated.
-/// assert!(compiled.predict_row(&[3.0]).is_err());
+/// // Level index 2 is the grid value 4.0.
+/// assert!((compiled.predict_indices(&[2]) - 11.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
@@ -172,13 +166,6 @@ impl FittedModel {
 }
 
 impl CompiledModel {
-    /// Rows per inner chunk of [`CompiledModel::predict_batch_into`]. The
-    /// batch kernel's accumulators live in a `[f64; BATCH_CHUNK]` stack
-    /// array: 8 lanes fill a 64-byte cache line, wide enough for the
-    /// autovectorizer to keep 2–4 AVX lanes busy per axis pass while
-    /// small enough that the gather indices stay in registers.
-    pub const BATCH_CHUNK: usize = 8;
-
     /// Number of predictor variables.
     pub fn width(&self) -> usize {
         self.width
@@ -221,22 +208,17 @@ impl CompiledModel {
         self.interactions.iter().map(|it| (it.a, it.b, it.beta))
     }
 
-    /// The position of `value` in predictor `var`'s level list, if it is
-    /// on the grid. Exact comparison — the caller is expected to produce
-    /// grid values by the same arithmetic that built the level lists.
-    pub fn level_index(&self, var: usize, value: f64) -> Option<usize> {
-        self.levels(var).iter().position(|&v| v == value)
-    }
-
-    /// Predicts on the transformed scale from per-variable *level
-    /// indices* — the fastest scalar path: `idx[v]` indexes into
-    /// [`CompiledModel::levels`]`(v)`.
+    /// Predicts the (untransformed) response from per-variable *level
+    /// indices*: `idx[v]` indexes into [`CompiledModel::levels`]`(v)`.
+    /// Accumulates intercept, per-axis partial sums in predictor order,
+    /// then interaction products in model order — the lane order every
+    /// stacked kernel reproduces bitwise.
     ///
     /// # Panics
     ///
     /// Panics when `idx` has the wrong length or an index is out of its
     /// variable's level range.
-    pub fn predict_transformed_indices(&self, idx: &[usize]) -> f64 {
+    pub fn predict_indices(&self, idx: &[usize]) -> f64 {
         assert_eq!(idx.len(), self.width, "one level index per predictor");
         let mut acc = self.intercept;
         for (v, &i) in idx.iter().enumerate() {
@@ -245,132 +227,7 @@ impl CompiledModel {
         for it in &self.interactions {
             acc += it.beta * self.levels(it.a)[idx[it.a]] * self.levels(it.b)[idx[it.b]];
         }
-        acc
-    }
-
-    /// Predicts the (untransformed) response from per-variable level
-    /// indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`CompiledModel::predict_transformed_indices`].
-    pub fn predict_indices(&self, idx: &[usize]) -> f64 {
-        self.transform.invert(self.predict_transformed_indices(idx))
-    }
-
-    /// Batch kernel: predicts one response per `width`-index row of
-    /// `idx_rows` (row-major: `idx_rows[r * width + v]` is row `r`'s
-    /// level index for predictor `v`) into `out`.
-    ///
-    /// Rows are processed in chunks of [`CompiledModel::BATCH_CHUNK`]
-    /// with no per-row branching: stack accumulators seed with the
-    /// intercept, every axis adds its contiguous partial-sum lane, every
-    /// interaction adds its product, and the response back-transform is
-    /// applied in-lane (the transform `match` runs once per chunk, not
-    /// per row). Each row's result is bitwise-identical to
-    /// [`CompiledModel::predict_indices`] on the same indices — the
-    /// accumulation order per lane is the same; only the loop structure
-    /// differs. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `idx_rows.len() != out.len() * width` or any index is
-    /// out of its variable's level range.
-    pub fn predict_batch_into(&self, idx_rows: &[usize], out: &mut [f64]) {
-        assert_eq!(
-            idx_rows.len(),
-            out.len() * self.width,
-            "idx_rows must hold one {}-index row per output slot",
-            self.width
-        );
-        let width = self.width;
-        let mut start = 0;
-        for outs in out.chunks_mut(Self::BATCH_CHUNK) {
-            let n = outs.len();
-            let rows = &idx_rows[start..start + n * width];
-            start += n * width;
-            let mut acc = [self.intercept; Self::BATCH_CHUNK];
-            for v in 0..width {
-                let lane = self.partial_sums(v);
-                for (j, a) in acc[..n].iter_mut().enumerate() {
-                    *a += lane[rows[j * width + v]];
-                }
-            }
-            for it in &self.interactions {
-                let la = self.levels(it.a);
-                let lb = self.levels(it.b);
-                for (j, a) in acc[..n].iter_mut().enumerate() {
-                    *a += it.beta * la[rows[j * width + it.a]] * lb[rows[j * width + it.b]];
-                }
-            }
-            match self.transform {
-                ResponseTransform::Identity => outs.copy_from_slice(&acc[..n]),
-                ResponseTransform::Sqrt => {
-                    for (o, &z) in outs.iter_mut().zip(&acc[..n]) {
-                        *o = z * z;
-                    }
-                }
-                ResponseTransform::Log => {
-                    for (o, &z) in outs.iter_mut().zip(&acc[..n]) {
-                        *o = z.exp();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Predicts the response for one predictor row whose values lie on
-    /// the compiled grid: the scalar wrapper over the same lanes the
-    /// batch kernel reads, resolving each value to its level index by
-    /// exact equality. Allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegressError::RowLength`] on a wrong-width row and
-    /// [`RegressError::OffGridValue`] when a value is not one of its
-    /// predictor's compiled levels.
-    pub fn predict_row(&self, row: &[f64]) -> Result<f64, RegressError> {
-        if row.len() != self.width {
-            return Err(RegressError::RowLength { expected: self.width, got: row.len() });
-        }
-        let mut acc = self.intercept;
-        for (var, &x) in row.iter().enumerate() {
-            let lane = self.partial_sums(var);
-            let i = self
-                .levels(var)
-                .iter()
-                .position(|&v| v == x)
-                .ok_or(RegressError::OffGridValue { var, value: x })?;
-            acc += lane[i];
-        }
-        // Row values equal their grid levels bitwise (checked above), so
-        // the products match the index-based paths exactly.
-        for it in &self.interactions {
-            acc += it.beta * row[it.a] * row[it.b];
-        }
-        Ok(self.transform.invert(acc))
-    }
-
-    /// Batch prediction into a caller-provided buffer: `out` is cleared
-    /// and refilled with one prediction per row, reusing its capacity so
-    /// steady-state sweeps allocate nothing.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first malformed or off-grid row; `out` then holds the
-    /// predictions completed so far.
-    pub fn predict_many_into(
-        &self,
-        rows: &[Vec<f64>],
-        out: &mut Vec<f64>,
-    ) -> Result<(), RegressError> {
-        out.clear();
-        out.reserve(rows.len());
-        for row in rows {
-            out.push(self.predict_row(row)?);
-        }
-        Ok(())
+        self.transform.invert(acc)
     }
 }
 
@@ -409,74 +266,21 @@ mod tests {
         for (ia, &a) in levels[0].iter().enumerate() {
             for (ib, &b) in levels[1].iter().enumerate() {
                 let naive = model.predict_row(&[a, b]).unwrap();
-                let by_row = compiled.predict_row(&[a, b]).unwrap();
                 let by_idx = compiled.predict_indices(&[ia, ib]);
                 assert!(
-                    (by_row - naive).abs() <= 1e-12 * naive.abs(),
-                    "row path diverges at ({a}, {b}): {by_row} vs {naive}"
-                );
-                assert_eq!(by_row.to_bits(), by_idx.to_bits(), "row and index paths must agree");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_kernel_matches_index_path_at_every_chunk_remainder() {
-        let (model, levels) = fitted_on_grid();
-        let compiled = model.compile(&levels).unwrap();
-        let all: Vec<[usize; 2]> =
-            (0..levels[0].len()).flat_map(|a| (0..levels[1].len()).map(move |b| [a, b])).collect();
-        // 18 rows with BATCH_CHUNK = 8 covers full chunks plus every
-        // remainder 1..BATCH_CHUNK as the batch length varies.
-        assert!(all.len() > 2 * CompiledModel::BATCH_CHUNK);
-        for n in 1..=all.len() {
-            let rows: Vec<usize> = all[..n].iter().flatten().copied().collect();
-            let mut out = vec![0.0; n];
-            compiled.predict_batch_into(&rows, &mut out);
-            for (idx, &got) in all[..n].iter().zip(&out) {
-                assert_eq!(
-                    got.to_bits(),
-                    compiled.predict_indices(idx).to_bits(),
-                    "batch kernel diverges at {idx:?} in a batch of {n}"
+                    (by_idx - naive).abs() <= 1e-12 * naive.abs(),
+                    "index path diverges at ({a}, {b}): {by_idx} vs {naive}"
                 );
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "one 2-index row per output slot")]
-    fn batch_kernel_rejects_mismatched_lengths() {
+    #[should_panic(expected = "one level index per predictor")]
+    fn index_path_rejects_wrong_width() {
         let (model, levels) = fitted_on_grid();
         let compiled = model.compile(&levels).unwrap();
-        let mut out = vec![0.0; 2];
-        compiled.predict_batch_into(&[0, 0, 1], &mut out);
-    }
-
-    #[test]
-    fn predict_many_into_reuses_buffer() {
-        let (model, levels) = fitted_on_grid();
-        let compiled = model.compile(&levels).unwrap();
-        let rows: Vec<Vec<f64>> =
-            levels[0].iter().flat_map(|&a| levels[1].iter().map(move |&b| vec![a, b])).collect();
-        let mut out = Vec::new();
-        compiled.predict_many_into(&rows, &mut out).unwrap();
-        assert_eq!(out.len(), rows.len());
-        let cap = out.capacity();
-        compiled.predict_many_into(&rows, &mut out).unwrap();
-        assert_eq!(out.capacity(), cap, "second batch must reuse the buffer");
-        for (row, &p) in rows.iter().zip(&out) {
-            assert_eq!(p.to_bits(), compiled.predict_row(row).unwrap().to_bits());
-        }
-    }
-
-    #[test]
-    fn off_grid_value_is_reported() {
-        let (model, levels) = fitted_on_grid();
-        let compiled = model.compile(&levels).unwrap();
-        let err = compiled.predict_row(&[1.5, 10.0]).unwrap_err();
-        assert!(matches!(err, RegressError::OffGridValue { var: 0, .. }), "{err:?}");
-        let err = compiled.predict_row(&[1.0]).unwrap_err();
-        assert!(matches!(err, RegressError::RowLength { expected: 2, got: 1 }));
+        compiled.predict_indices(&[0]);
     }
 
     #[test]
@@ -502,8 +306,7 @@ mod tests {
         assert_eq!(compiled.width(), 2);
         assert_eq!(compiled.transform(), ResponseTransform::Log);
         assert_eq!(compiled.levels(0), &levels[0][..]);
-        assert_eq!(compiled.level_index(1, 20.0), Some(1));
-        assert_eq!(compiled.level_index(1, 21.0), None);
+        assert_eq!(compiled.levels(1), &levels[1][..]);
         // The SoA plan exposes its lanes for model stacking.
         assert_eq!(compiled.partial_sums(0).len(), levels[0].len());
         assert_eq!(compiled.partial_sums(1).len(), levels[1].len());

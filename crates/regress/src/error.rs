@@ -38,14 +38,6 @@ pub enum RegressError {
     },
     /// The dataset rows are ragged or empty.
     MalformedDataset,
-    /// A value passed to a compiled model is not one of that predictor's
-    /// grid levels (compiled models never extrapolate off-grid).
-    OffGridValue {
-        /// Predictor index of the offending value.
-        var: usize,
-        /// The offending value.
-        value: f64,
-    },
     /// A level list handed to [`crate::FittedModel::compile`] is empty or
     /// not strictly increasing.
     BadLevels {
@@ -73,9 +65,6 @@ impl fmt::Display for RegressError {
                 write!(f, "prediction row has {got} values, expected {expected}")
             }
             RegressError::MalformedDataset => write!(f, "dataset rows are ragged or empty"),
-            RegressError::OffGridValue { var, value } => {
-                write!(f, "value {value} for variable {var} is not on the compiled grid")
-            }
             RegressError::BadLevels { var } => {
                 write!(f, "level list for variable {var} is empty or not strictly increasing")
             }

@@ -121,45 +121,17 @@ impl FittedModel {
             return Err(RegressError::RowLength { expected: self.width, got: row.len() });
         }
         let mut scratch = Vec::with_capacity(8);
-        Ok(self.transformed_with_scratch(row, &mut scratch))
-    }
-
-    /// The transformed-scale dot product, expanding each term into a
-    /// caller-owned scratch buffer so batch callers amortize the
-    /// allocation. The row length must already be validated.
-    fn transformed_with_scratch(&self, row: &[f64], scratch: &mut Vec<f64>) -> f64 {
         let mut acc = self.beta[0];
         let mut next = 1;
         for term in &self.resolved {
             scratch.clear();
-            term.expand_into(row, scratch);
-            for &c in scratch.iter() {
+            term.expand_into(row, &mut scratch);
+            for &c in &scratch {
                 acc += self.beta[next] * c;
                 next += 1;
             }
         }
-        acc
-    }
-
-    /// Predicts many rows at once, reusing one basis scratch buffer
-    /// across the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegressError::RowLength`] for the first mismatched row,
-    /// detected before any prediction work is done.
-    pub fn predict_rows(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>, RegressError> {
-        for row in rows {
-            if row.len() != self.width {
-                return Err(RegressError::RowLength { expected: self.width, got: row.len() });
-            }
-        }
-        let transform = self.spec.transform();
-        let mut scratch = Vec::with_capacity(8);
-        Ok(rows
-            .iter()
-            .map(|row| transform.invert(self.transformed_with_scratch(row, &mut scratch)))
-            .collect())
+        Ok(acc)
     }
 
     /// The model specification this model was fit from.
@@ -464,36 +436,5 @@ mod tests {
             .unwrap();
         assert!(model.r_squared() > 0.9999);
         assert!(fallbacks() > before, "collinear design should take the QR path");
-    }
-
-    #[test]
-    fn predict_rows_rejects_bad_width_before_the_loop() {
-        let (data, y) = grid_dataset();
-        let model = ModelSpec::new(ResponseTransform::Identity)
-            .with_term(TermSpec::Linear(0))
-            .with_term(TermSpec::Linear(1))
-            .fit(&data, &y)
-            .unwrap();
-        // The malformed row is last; validation must still catch it.
-        let rows = vec![vec![1.0, 2.0], vec![2.0, 3.0], vec![4.0]];
-        assert!(matches!(
-            model.predict_rows(&rows),
-            Err(RegressError::RowLength { expected: 2, got: 1 })
-        ));
-    }
-
-    #[test]
-    fn predict_rows_batches() {
-        let (data, y) = grid_dataset();
-        let model = ModelSpec::new(ResponseTransform::Sqrt)
-            .with_term(TermSpec::Linear(0))
-            .with_term(TermSpec::Linear(1))
-            .with_term(TermSpec::Interaction(0, 1))
-            .fit(&data, &y)
-            .unwrap();
-        let preds = model.predict_rows(data.rows()).unwrap();
-        for (p, t) in preds.iter().zip(&y) {
-            assert!((p - t).abs() < 1e-6);
-        }
     }
 }

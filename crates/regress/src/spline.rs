@@ -78,8 +78,9 @@ pub fn spline_basis(x: f64, knots: &[f64]) -> Vec<f64> {
 }
 
 /// Appends the restricted cubic spline basis at `x` to `out` — the
-/// allocation-free form of [`spline_basis`], used by batch prediction to
-/// reuse one scratch buffer across rows.
+/// allocation-free form of [`spline_basis`], used by design-matrix
+/// construction and row prediction to reuse one scratch buffer across
+/// terms.
 ///
 /// # Panics
 ///

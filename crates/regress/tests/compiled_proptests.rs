@@ -1,8 +1,10 @@
 //! Property tests for the compiled grid predictor ([`FittedModel::compile`]):
 //! whatever model shape the fit produces — spline or degraded-to-linear
 //! terms, any response transform, any strictly-increasing level grid —
-//! the compiled per-level partial-sum tables must predict equivalently
-//! to per-row spline-basis evaluation at every grid point.
+//! the compiled per-level partial-sum tables, read by level index through
+//! [`CompiledModel::predict_indices`], must predict equivalently to
+//! per-row spline-basis evaluation ([`FittedModel::predict_row`]) at
+//! every grid point.
 //!
 //! Fit *quality* is irrelevant here: responses are random, and the
 //! property is purely about the lowering being faithful to the fitted
@@ -29,15 +31,19 @@ fn arbitrary_levels(rng: &mut StdRng) -> Vec<f64> {
 /// Fits a random two-variable model (spline/linear terms, optional
 /// interaction, random transform) on the full cross product of a random
 /// grid with random responses. `None` when the random design happens to
-/// be rank deficient — those cases say nothing about compilation.
-fn random_grid_model(rng: &mut StdRng) -> Option<(FittedModel, CompiledModel, Vec<Vec<f64>>)> {
+/// be rank deficient — those cases say nothing about compilation. Each
+/// grid row comes with its per-variable level indices.
+type GridCase = (FittedModel, CompiledModel, Vec<(Vec<f64>, [usize; 2])>);
+
+fn random_grid_model(rng: &mut StdRng) -> Option<GridCase> {
     let levels = vec![arbitrary_levels(rng), arbitrary_levels(rng)];
-    let mut rows = Vec::new();
-    for &a in &levels[0] {
-        for &b in &levels[1] {
-            rows.push(vec![a, b]);
+    let mut grid = Vec::new();
+    for (ia, &a) in levels[0].iter().enumerate() {
+        for (ib, &b) in levels[1].iter().enumerate() {
+            grid.push((vec![a, b], [ia, ib]));
         }
     }
+    let rows: Vec<Vec<f64>> = grid.iter().map(|(row, _)| row.clone()).collect();
     let transform = match rng.gen_range(0u32..3) {
         0 => ResponseTransform::Identity,
         1 => ResponseTransform::Sqrt,
@@ -56,10 +62,10 @@ fn random_grid_model(rng: &mut StdRng) -> Option<(FittedModel, CompiledModel, Ve
     if rng.gen::<bool>() {
         spec = spec.with_term(TermSpec::Interaction(0, 1));
     }
-    let data = Dataset::new(vec!["a".into(), "b".into()], rows.clone()).ok()?;
+    let data = Dataset::new(vec!["a".into(), "b".into()], rows).ok()?;
     let model = spec.fit(&data, &y).ok()?;
     let compiled = model.compile(&levels).expect("levels are strictly increasing");
-    Some((model, compiled, rows))
+    Some((model, compiled, grid))
 }
 
 fn close(a: f64, b: f64) -> bool {
@@ -78,86 +84,14 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let case = random_grid_model(&mut rng);
         prop_assume!(case.is_some());
-        let (model, compiled, rows) = case.unwrap();
-        for row in &rows {
+        let (model, compiled, grid) = case.unwrap();
+        for (row, idx) in &grid {
             let naive = model.predict_row(row).expect("width matches");
-            let fast = compiled.predict_row(row).expect("row is on the grid");
+            let fast = compiled.predict_indices(idx);
             prop_assert!(
                 close(naive, fast),
-                "row {:?}: naive {naive} vs compiled {fast}", row
+                "row {:?} at {:?}: naive {naive} vs compiled {fast}", row, idx
             );
         }
-    }
-
-    #[test]
-    fn batch_prediction_paths_agree(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let case = random_grid_model(&mut rng);
-        prop_assume!(case.is_some());
-        let (model, compiled, rows) = case.unwrap();
-        let naive = model.predict_rows(&rows).expect("widths match");
-        let mut fast = Vec::new();
-        compiled.predict_many_into(&rows, &mut fast).expect("rows on the grid");
-        prop_assert_eq!(naive.len(), fast.len());
-        for (i, (n, f)) in naive.iter().zip(&fast).enumerate() {
-            prop_assert!(close(*n, *f), "row {i}: naive {n} vs compiled {f}");
-        }
-        // The batch path is the row path: re-running into the same buffer
-        // reproduces identical bits.
-        let first = fast.clone();
-        compiled.predict_many_into(&rows, &mut fast).expect("rows on the grid");
-        for (a, b) in first.iter().zip(&fast) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn batch_kernel_agrees_at_every_chunk_remainder(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let case = random_grid_model(&mut rng);
-        prop_assume!(case.is_some());
-        let (model, compiled, rows) = case.unwrap();
-        let idx_rows: Vec<usize> = rows
-            .iter()
-            .flat_map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(var, &x)| compiled.level_index(var, x).expect("row is on the grid"))
-            })
-            .collect();
-        let width = compiled.width();
-        let mut out = vec![0.0f64; rows.len()];
-        // Every prefix length exercises every possible final-chunk
-        // remainder (grids have ≥ 9 rows, so > CompiledModel::BATCH_CHUNK).
-        for n in 1..=rows.len() {
-            let out = &mut out[..n];
-            compiled.predict_batch_into(&idx_rows[..n * width], out);
-            for (i, (&fast, row)) in out.iter().zip(&rows).enumerate() {
-                // Bitwise vs the scalar compiled path: both resolve the
-                // same lanes and accumulate in the same order.
-                let scalar = compiled.predict_row(row).expect("row is on the grid");
-                prop_assert!(
-                    fast.to_bits() == scalar.to_bits(),
-                    "prefix {}, row {}: batch {} vs scalar {}", n, i, fast, scalar
-                );
-                // And numerically vs the uncompiled spline-basis path.
-                let naive = model.predict_row(row).expect("width matches");
-                prop_assert!(close(naive, fast), "row {}: naive {} vs batch {}", i, naive, fast);
-            }
-        }
-    }
-
-    #[test]
-    fn off_grid_rows_are_rejected(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let case = random_grid_model(&mut rng);
-        prop_assume!(case.is_some());
-        let (_, compiled, rows) = case.unwrap();
-        // Nudge one coordinate off its level: compiled models must refuse
-        // to extrapolate rather than silently use a neighboring level.
-        let mut row = rows[rng.gen_range(0..rows.len())].clone();
-        let var = rng.gen_range(0usize..2);
-        row[var] += 0.1;
-        prop_assert!(compiled.predict_row(&row).is_err(), "off-grid row accepted: {:?}", row);
     }
 }

@@ -190,6 +190,12 @@ if [ -n "${baseline}" ]; then
     # alone; it trips when the cycle engine itself collapses (the
     # retired per-instruction replay loop ran at 14-18M on that host).
     #
+    # The memo itself is guarded by a deterministic counter instead:
+    # sim.precompute.hits counts sub-config stream lookups served from
+    # the memo. The fixed-seed quick workload reads 3,149 hits, and 0
+    # when the stream memo is lost, so the 1,500 floor fails exactly
+    # then, on any machine.
+    #
     # The query-engine watches guard the unified query layer the studies
     # now run on: query.cache.hits is a deterministic counter (table2's
     # nine per-benchmark optima share one materialized all-benchmark
@@ -197,13 +203,14 @@ if [ -n "${baseline}" ]; then
     # and query.designs_per_sec is the engine's scan throughput (admitted
     # designs x benchmarks scanned per second) —
     # both warn on a >50% fall and on going missing entirely.
-    echo "==> udse-inspect diff ${baseline} target/bench-current.json --warn-wall --tol-gauge sweep.designs_per_sec:50 --tol-gauge query.designs_per_sec:50 --tol-gauge query.cache.hits:50 --min-gauge sweep.designs_per_sec:5000000 --min-gauge sim.instructions_per_sec:15000000 --tol-resource alloc.bytes:100 --tol-resource sweep.allocs_per_design:100:0.05"
+    echo "==> udse-inspect diff ${baseline} target/bench-current.json --warn-wall --tol-gauge sweep.designs_per_sec:50 --tol-gauge query.designs_per_sec:50 --tol-gauge query.cache.hits:50 --min-gauge sweep.designs_per_sec:5000000 --min-gauge sim.instructions_per_sec:15000000 --min-gauge sim.precompute.hits:1500 --tol-resource alloc.bytes:100 --tol-resource sweep.allocs_per_design:100:0.05"
     ./target/release/udse-inspect diff "${baseline}" target/bench-current.json --warn-wall \
         --tol-gauge sweep.designs_per_sec:50 \
         --tol-gauge query.designs_per_sec:50 \
         --tol-gauge query.cache.hits:50 \
         --min-gauge sweep.designs_per_sec:5000000 \
         --min-gauge sim.instructions_per_sec:15000000 \
+        --min-gauge sim.precompute.hits:1500 \
         --tol-resource alloc.bytes:100 \
         --tol-resource sweep.allocs_per_design:100:0.05
 else

@@ -29,9 +29,8 @@
 //! let samples = space.sample_uar(200, 42);
 //! let models = PaperModels::train(&oracle, Benchmark::Gzip, &samples).unwrap();
 //! let point = space.decode(12345).unwrap();
-//! let perf = models.predict_bips(&point);
-//! let power = models.predict_watts(&point);
-//! println!("predicted {perf:.3} bips at {power:.1} W");
+//! let predicted = models.predict_metrics(&point);
+//! println!("predicted {:.3} bips at {:.1} W", predicted.bips, predicted.watts);
 //! ```
 
 pub use udse_cluster as cluster;

@@ -41,7 +41,7 @@ fn train_predict_validate_single_benchmark() {
     let (mut obs, mut pred) = (Vec::new(), Vec::new());
     for p in &validation {
         obs.push(oracle.evaluate(Benchmark::Gzip, &p.clone()).bips);
-        pred.push(models.predict_bips(p));
+        pred.push(models.predict_metrics(p).bips);
     }
     let err = median_abs_rel_error(&obs, &pred);
     assert!(err < 0.25, "median validation error {err} unexpectedly large");

@@ -1,6 +1,8 @@
 //! Power-model behaviour across the suite: the orderings and scaling
 //! laws the paper's §2.1/§5.1 substrate description promises.
 
+use udse::core::oracle::{Oracle, SimOracle};
+use udse::core::space::{DesignPoint, DesignSpace};
 use udse::sim::{MachineConfigBuilder, Simulator};
 use udse::trace::{Benchmark, Trace};
 
@@ -110,5 +112,42 @@ fn power_breakdown_sums_to_total_in_real_runs() {
             + p.leakage_w;
         assert!((r.watts - sum).abs() < 1e-9);
         assert!(p.clock_w > 0.0 && p.leakage_w > 0.0);
+    }
+}
+
+#[test]
+fn power_is_monotone_in_width() {
+    // Metamorphic invariant: widening the machine with every other axis
+    // fixed adds decode/rename bandwidth, ports and units, so simulated
+    // power may never fall, at any point of either design space.
+    const DESIGNS_PER_SPACE: usize = 20;
+    const WIDTH_AXIS: usize = 1; // `DesignSpace::point` index order
+                                 // Both spaces share one width list.
+    let ladder_len = DesignSpace::paper().dimensions()[WIDTH_AXIS] as usize;
+    let mut jobs: Vec<(Benchmark, DesignPoint)> = Vec::new();
+    for (space, seed) in [(DesignSpace::paper(), 31), (DesignSpace::exploration(), 32)] {
+        for p in space.sample_uar(DESIGNS_PER_SPACE, seed) {
+            let mut idx = space.indices(&p);
+            for b in Benchmark::ALL {
+                for w in 0..ladder_len {
+                    idx[WIDTH_AXIS] = w as u8;
+                    jobs.push((b, space.point(idx).expect("width level in range")));
+                }
+            }
+        }
+    }
+    let metrics = SimOracle::with_trace_len(20_000).evaluate_many(&jobs);
+    for (ladder, m) in jobs.chunks(ladder_len).zip(metrics.chunks(ladder_len)) {
+        for w in 1..ladder_len {
+            assert!(
+                m[w].watts >= m[w - 1].watts,
+                "{}: watts fell from {:.3} to {:.3} widening {:?} to {:?}",
+                ladder[w].0,
+                m[w - 1].watts,
+                m[w].watts,
+                ladder[w - 1].1,
+                ladder[w].1
+            );
+        }
     }
 }

@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use udse_sim::{
-    BhtSubConfig, BranchStream, CacheStreams, CacheSubConfig, Simulator, StreamScratch,
-    TracePreflight,
+    run_streamed_lanes, BhtSubConfig, BranchStream, CacheStreams, CacheSubConfig, Simulator,
+    StreamScratch, TracePreflight,
 };
 use udse_trace::{Benchmark, Trace};
 
@@ -198,11 +198,20 @@ impl StreamStore {
     }
 }
 
+/// Designs a batch steps through one trace together (see
+/// [`udse_sim::run_streamed_lanes`]). Four lanes hide the cycle loop's
+/// dependency chains; eight measured no faster.
+const LANES: usize = 4;
+
+/// One simulation ready to run: the design's simulator and the outcome
+/// streams resolved for its sub-configs.
+type Run<'a> = (Simulator, &'a CacheStreams, &'a BranchStream);
+
 thread_local! {
-    /// Per-thread engine scratch: work-pool threads reuse one set of
-    /// pools and one completion ring across every simulation they run,
-    /// keeping the steady-state cycle loop allocation-free.
-    static SCRATCH: RefCell<StreamScratch> = RefCell::new(StreamScratch::default());
+    /// Per-thread engine scratch, one per lane: work-pool threads reuse
+    /// the same pools and completion rings across every simulation they
+    /// run, keeping the steady-state cycle loop allocation-free.
+    static SCRATCH: RefCell<[StreamScratch; LANES]> = RefCell::new(Default::default());
 }
 
 impl SimOracle {
@@ -356,20 +365,17 @@ impl SimOracle {
         resolved
     }
 
-    /// Runs one simulation against resolved artifacts with the calling
-    /// thread's reusable scratch.
-    fn run(
-        &self,
-        point: &DesignPoint,
-        pre: &TracePreflight,
-        cache: &CacheStreams,
-        bht: &BranchStream,
-    ) -> Metrics {
-        let sim = Simulator::new(point.to_machine_config());
-        let result = SCRATCH.with(|s| {
-            sim.run_streamed_with(pre, cache, bht, self.warmup_insts(), &mut s.borrow_mut())
+    /// Steps `K <= LANES` simulations of one trace through the cycle
+    /// core together, with the calling thread's reusable scratch.
+    fn run_lanes<const K: usize>(&self, pre: &TracePreflight, runs: [Run<'_>; K]) -> [Metrics; K] {
+        let jobs = runs.each_ref().map(|(sim, cache, bht)| (sim, *cache, *bht));
+        let results = SCRATCH.with(|s| {
+            let mut s = s.borrow_mut();
+            let mut lanes = s.iter_mut();
+            let scratches = std::array::from_fn(|_| lanes.next().expect("K <= LANES"));
+            run_streamed_lanes(jobs, pre, self.warmup_insts(), scratches)
         });
-        Metrics { bips: result.bips, watts: result.watts }
+        results.map(|r| Metrics { bips: r.bips, watts: r.watts })
     }
 }
 
@@ -385,7 +391,8 @@ impl Oracle for SimOracle {
         let pre = self.preflight(benchmark);
         let cache = self.cache_streams(benchmark, &pre, CacheSubConfig::of(&cfg));
         let bht = self.branch_stream(benchmark, &pre, BhtSubConfig::of(&cfg));
-        self.run(point, &pre, &cache, &bht)
+        let [m] = self.run_lanes(&pre, [(Simulator::new(cfg), &cache, &bht)]);
+        m
     }
 
     /// Batched evaluation with deterministic memo accounting: a
@@ -398,7 +405,10 @@ impl Oracle for SimOracle {
     /// inserted into the shared store in first-occurrence order (so
     /// eviction is deterministic too), and the simulations fan out over
     /// batch-local `Arc`s that keep every stream alive even if the
-    /// bounded store evicts it mid-batch.
+    /// bounded store evicts it mid-batch. Each benchmark's jobs run in
+    /// bundles of `LANES` stepped through its trace together (a group's
+    /// ragged tail one job at a time); every result is a pure function
+    /// of its job, so the bundling changes no number.
     fn evaluate_many(&self, jobs: &[(Benchmark, DesignPoint)]) -> Vec<Metrics> {
         if jobs.is_empty() {
             return Vec::new();
@@ -469,12 +479,44 @@ impl Oracle for SimOracle {
             }
         }
 
-        udse_obs::pool::map(jobs, |(b, p)| {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: HashMap<Benchmark, usize> = HashMap::new();
+        for (i, (b, _)) in jobs.iter().enumerate() {
+            let g = *group_of.entry(*b).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(i);
+        }
+        let bundles: Vec<&[usize]> = groups
+            .iter()
+            .flat_map(|g| {
+                let full = g.len() - g.len() % LANES;
+                g[..full].chunks(LANES).chain(g[full..].chunks(1))
+            })
+            .collect();
+        let run = |i: usize| -> Run<'_> {
+            let (b, p) = &jobs[i];
             let cfg = p.to_machine_config();
-            let ck = (*b, CacheSubConfig::of(&cfg));
-            let bk = (*b, BhtSubConfig::of(&cfg));
-            self.run(p, &preflights[b], &cache_ready[&ck], &branch_ready[&bk])
-        })
+            let cache = &cache_ready[&(*b, CacheSubConfig::of(&cfg))];
+            let bht = &branch_ready[&(*b, BhtSubConfig::of(&cfg))];
+            (Simulator::new(cfg), cache, bht)
+        };
+        let bundled = udse_obs::pool::map(&bundles, |bundle| {
+            let pre = &preflights[&jobs[bundle[0]].0];
+            match <[usize; LANES]>::try_from(*bundle) {
+                Ok(lanes) => self.run_lanes(pre, lanes.map(run)).to_vec(),
+                Err(_) => bundle.iter().flat_map(|&i| self.run_lanes(pre, [run(i)])).collect(),
+            }
+        });
+
+        let mut out = vec![Metrics { bips: 0.0, watts: 0.0 }; jobs.len()];
+        for (bundle, metrics) in bundles.iter().zip(bundled) {
+            for (&i, m) in bundle.iter().zip(metrics) {
+                out[i] = m;
+            }
+        }
+        out
     }
 }
 

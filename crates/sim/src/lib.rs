@@ -61,4 +61,4 @@ pub use preflight::{
     OUTCOME_L2, OUTCOME_MEMORY,
 };
 pub use result::{SimResult, StallBreakdown};
-pub use stream::StreamScratch;
+pub use stream::{run_streamed_lanes, LaneJob, StreamScratch};

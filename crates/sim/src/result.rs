@@ -37,6 +37,30 @@ pub struct ActivityCounts {
     pub mispredicts: u64,
 }
 
+impl ActivityCounts {
+    /// The events counted after `earlier`, an earlier snapshot of the
+    /// same run.
+    pub(crate) fn since(&self, earlier: &ActivityCounts) -> ActivityCounts {
+        ActivityCounts {
+            instructions: self.instructions - earlier.instructions,
+            cycles: self.cycles - earlier.cycles,
+            fx_ops: self.fx_ops - earlier.fx_ops,
+            fp_ops: self.fp_ops - earlier.fp_ops,
+            loads: self.loads - earlier.loads,
+            stores: self.stores - earlier.stores,
+            branches: self.branches - earlier.branches,
+            il1_accesses: self.il1_accesses - earlier.il1_accesses,
+            il1_misses: self.il1_misses - earlier.il1_misses,
+            dl1_accesses: self.dl1_accesses - earlier.dl1_accesses,
+            dl1_misses: self.dl1_misses - earlier.dl1_misses,
+            l2_accesses: self.l2_accesses - earlier.l2_accesses,
+            l2_misses: self.l2_misses - earlier.l2_misses,
+            bht_lookups: self.bht_lookups - earlier.bht_lookups,
+            mispredicts: self.mispredicts - earlier.mispredicts,
+        }
+    }
+}
+
 /// Attribution of scheduling delay to machine bottlenecks, in cycle-sums
 /// (the total cycles instructions were pushed back by each cause; causes
 /// can overlap, so the fields do not sum to total cycles — they rank

@@ -26,6 +26,15 @@
 //!   earliest release" (unused entries sit at release 0, reproducing
 //!   the heap's not-full fast path).
 //!
+//! One loop, [`run_streamed_lanes`], steps `K` designs ("lanes") through
+//! the trace together. Every design on a trace reads the same packed
+//! words, takes the same opcode branch and advances the same event
+//! cursors; only the pipeline state differs. A [`Lane`] holds that
+//! state, and the loop runs each instruction's opcode arm on every lane
+//! in turn, so the lanes share the per-instruction overhead and their
+//! independent dependency chains overlap in the CPU.
+//! [`Simulator::run_streamed_with`] is the same loop at `K = 1`.
+//!
 //! All per-run state lives in a reusable [`StreamScratch`], so
 //! steady-state runs are allocation-free (pinned by
 //! `tests/no_alloc_stream.rs`).
@@ -39,6 +48,8 @@ use crate::result::{ActivityCounts, SimResult, StallBreakdown};
 /// Dependency window: matches the trace generator's maximum dependency
 /// distance.
 const DEP_WINDOW: usize = 1024;
+/// Index mask of the completion ring.
+const MASK: usize = DEP_WINDOW - 1;
 
 /// A FIFO ring standing in for a min-heap whose pushes are known to be
 /// nondecreasing: the front entry is always the minimum release cycle.
@@ -218,17 +229,412 @@ impl StreamScratch {
     }
 }
 
-/// Running cache/BHT counters, derived from outcome events.
-#[derive(Debug, Clone, Copy, Default)]
-struct StreamCounts {
-    il1_accesses: u64,
-    il1_misses: u64,
-    dl1_accesses: u64,
-    dl1_misses: u64,
-    l2_accesses: u64,
-    l2_misses: u64,
-    bht_lookups: u64,
-    mispredicts: u64,
+/// Waits at dispatch for a free entry of `$pool`, charging the delay to
+/// the `$stall` counter.
+macro_rules! hold {
+    ($pool:expr, $stall:expr, $d:ident) => {{
+        let before = $d;
+        $d = $pool.acquire($d);
+        $stall += $d - before;
+    }};
+}
+
+/// One design in a lane bundle: its simulator and the outcome streams
+/// resolved for its cache and branch sub-configs.
+pub type LaneJob<'a> = (&'a Simulator, &'a CacheStreams, &'a BranchStream);
+
+/// One design's state in the cycle loop: its configuration-derived
+/// constants, scratch and outcome streams, its fetch/dispatch/issue/
+/// commit bookkeeping and its counters. Lanes stepping the same trace
+/// share nothing else.
+struct Lane<'a> {
+    cfg: &'a MachineConfig,
+    scratch: &'a mut StreamScratch,
+    code_events: &'a [u8],
+    data_events: &'a [u8],
+    branch_events: &'a [bool],
+    /// Outcome-indexed latency tables replacing a per-access match on
+    /// `AccessOutcome`.
+    code_penalty: [u64; 3],
+    load_latency: [u64; 3],
+    front_stages: u64,
+    fx_latency: u64,
+    fp_latency: u64,
+    decode_width: u32,
+    dispatch_width: u32,
+    commit_width: u32,
+    in_order: bool,
+    fetch_cycle: u64,
+    fetched_this_cycle: u32,
+    redirect_ready: u64,
+    last_dispatch: u64,
+    dispatched_this_cycle: u32,
+    /// The current instruction's dispatch cycle so far, from `front`.
+    dispatch: u64,
+    last_issue: u64,
+    last_commit: u64,
+    committed_this_cycle: u32,
+    acts: ActivityCounts,
+    stalls: StallBreakdown,
+    /// Commit cycle and counters at the warmup boundary, subtracted at
+    /// the end so results describe only the measured region.
+    warmup_commit: u64,
+    warmup_acts: ActivityCounts,
+}
+
+impl<'a> Lane<'a> {
+    fn new(
+        (sim, cache, branches): LaneJob<'a>,
+        pre: &TracePreflight,
+        scratch: &'a mut StreamScratch,
+    ) -> Self {
+        assert_eq!(cache.code().len(), pre.code_events(), "cache stream mismatches preflight");
+        assert_eq!(cache.data().len(), pre.data_events(), "cache stream mismatches preflight");
+        assert_eq!(
+            branches.correct().len(),
+            pre.branch_events(),
+            "branch stream mismatches preflight"
+        );
+        let cfg = sim.config();
+        let t = cfg.timing();
+        scratch.reset(cfg);
+        Lane {
+            cfg,
+            scratch,
+            code_events: cache.code(),
+            data_events: cache.data(),
+            branch_events: branches.correct(),
+            code_penalty: [0, t.l2_latency, t.l2_latency + t.memory_latency],
+            load_latency: [
+                t.dl1_latency,
+                t.dl1_latency + t.l2_latency,
+                t.dl1_latency + t.l2_latency + t.memory_latency,
+            ],
+            front_stages: t.front_stages,
+            fx_latency: t.fx_latency,
+            fp_latency: t.fp_latency,
+            decode_width: cfg.decode_width,
+            dispatch_width: cfg.dispatch_width(),
+            commit_width: cfg.commit_width(),
+            in_order: cfg.in_order,
+            fetch_cycle: 0,
+            fetched_this_cycle: 0,
+            redirect_ready: 0,
+            last_dispatch: 0,
+            dispatched_this_cycle: 0,
+            dispatch: 0,
+            last_issue: 0,
+            last_commit: 0,
+            committed_this_cycle: 0,
+            acts: ActivityCounts::default(),
+            stalls: StallBreakdown::default(),
+            warmup_commit: 0,
+            warmup_acts: ActivityCounts::default(),
+        }
+    }
+
+    fn mark_warmup(&mut self) {
+        self.warmup_commit = self.last_commit;
+        self.warmup_acts = self.acts;
+    }
+
+    /// Fetches one instruction (code event `cc` if it starts a code
+    /// block) and runs the dispatch steps every opcode shares: dispatch
+    /// bandwidth and a ROB entry.
+    #[inline(always)]
+    fn front(&mut self, meta: u64, cc: usize) {
+        // Branchless redirect: `fc >= fetch_cycle` always holds, so the
+        // stall delta is 0 exactly when no redirect applies and the reset
+        // of the fetch group is a select.
+        let fc0 = self.fetch_cycle.max(self.redirect_ready);
+        let redirect_delta = fc0 - self.fetch_cycle;
+        self.stalls.redirect += redirect_delta;
+        let mut fetched = if redirect_delta > 0 { 0 } else { self.fetched_this_cycle };
+        let mut fc = fc0;
+        if meta & 8 != 0 {
+            let ev = self.code_events[cc] as usize;
+            self.acts.il1_accesses += 1;
+            // Branchless: a hit has penalty 0 and adds nothing.
+            let missed = (ev != OUTCOME_L1 as usize) as u64;
+            self.acts.il1_misses += missed;
+            self.acts.l2_accesses += missed;
+            self.acts.l2_misses += (ev == 2) as u64;
+            let miss_penalty = self.code_penalty[ev];
+            self.stalls.icache += miss_penalty;
+            fc += miss_penalty;
+            fetched *= (ev == OUTCOME_L1 as usize) as u32;
+        }
+        fc += (fetched >= self.decode_width) as u64;
+        self.fetched_this_cycle = if fetched >= self.decode_width { 1 } else { fetched + 1 };
+        self.fetch_cycle = fc;
+
+        let mut d = (fc + self.front_stages).max(self.last_dispatch);
+        d += (d == self.last_dispatch && self.dispatched_this_cycle >= self.dispatch_width) as u64;
+        hold!(self.scratch.rob, self.stalls.rob, d);
+        self.dispatch = d;
+    }
+
+    /// Steps instruction `i` of opcode class `OP` (the low three bits of
+    /// its packed word `meta`) through this lane's pipeline. `cc`, `dc`
+    /// and `bc` index its code, data and branch events. The arithmetic
+    /// and its order are pinned bit for bit by the golden fixture
+    /// (`tests/golden_sim.rs`).
+    #[inline(always)]
+    fn step<const OP: u64>(&mut self, i: usize, meta: u64, dc: usize, bc: usize) {
+        let mut d = self.dispatch;
+        let s = &mut *self.scratch;
+        match OP {
+            0 => {
+                hold!(s.gpr, self.stalls.registers, d);
+                hold!(s.resv_fx, self.stalls.reservations, d);
+            }
+            1 => {
+                hold!(s.fpr, self.stalls.registers, d);
+                hold!(s.resv_fp, self.stalls.reservations, d);
+            }
+            2 => {
+                hold!(s.gpr, self.stalls.registers, d);
+                hold!(s.lsq, self.stalls.lsq, d);
+            }
+            3 => {
+                hold!(s.lsq, self.stalls.lsq, d);
+                hold!(s.sq, self.stalls.store_queue, d);
+            }
+            _ => {
+                hold!(s.spr, self.stalls.registers, d);
+                hold!(s.resv_br, self.stalls.reservations, d);
+            }
+        }
+        // `d >= last_dispatch` always holds; a select compiles to a
+        // conditional move instead of a branch.
+        self.dispatched_this_cycle =
+            if d > self.last_dispatch { 1 } else { self.dispatched_this_cycle + 1 };
+        self.last_dispatch = d;
+
+        let ready = self.readiness(i, d, meta);
+        let s = &mut *self.scratch;
+        let fu = match OP {
+            0 => &mut s.fu_fx,
+            1 => &mut s.fu_fp,
+            2 | 3 => &mut s.fu_ls,
+            _ => &mut s.fu_br,
+        };
+        let mut iss = fu.acquire(ready);
+        if self.in_order {
+            iss = iss.max(self.last_issue);
+        }
+        fu.release_at(iss + 1);
+        self.last_issue = iss;
+
+        let complete = match OP {
+            1 => iss + self.fp_latency,
+            2 => {
+                let ev = self.data_access(dc);
+                iss + 1 + self.load_latency[ev]
+            }
+            // Stores complete once the address is generated; the data
+            // drains from the store queue after commit.
+            3 => {
+                self.data_access(dc);
+                iss + 1
+            }
+            _ => iss + self.fx_latency,
+        };
+        let cm = self.commit(complete);
+        let s = &mut *self.scratch;
+        s.rob.release_at(cm);
+        match OP {
+            0 => {
+                s.gpr.release_at(cm);
+                s.resv_fx.release_at(iss + 1);
+                self.acts.fx_ops += 1;
+            }
+            1 => {
+                s.fpr.release_at(cm);
+                s.resv_fp.release_at(iss + 1);
+                self.acts.fp_ops += 1;
+            }
+            2 => {
+                s.gpr.release_at(cm);
+                s.lsq.release_at(cm);
+                self.acts.loads += 1;
+            }
+            3 => {
+                s.lsq.release_at(cm);
+                s.sq.release_at(cm + 2);
+                self.acts.stores += 1;
+            }
+            _ => {
+                s.spr.release_at(cm);
+                s.resv_br.release_at(iss + 1);
+                self.acts.branches += 1;
+                self.resolve_branch(meta, bc, complete);
+            }
+        }
+        self.scratch.complete_ring[i & MASK] = complete;
+    }
+
+    /// The cycle instruction `i`'s operands are ready, dispatched at `d`.
+    #[inline(always)]
+    fn readiness(&self, i: usize, d: u64, meta: u64) -> u64 {
+        // Branchless: an out-of-window distance contributes 0 to the max
+        // instead of skipping the lookup, so the two data-dependent "has a
+        // dependency" branches disappear. The masked index is always in
+        // bounds; the stale slot it reads when the distance is invalid is
+        // masked away.
+        let ring = &self.scratch.complete_ring;
+        let horizon = i.min(DEP_WINDOW);
+        let s1 = (meta >> 16 & 0xFFFF) as usize;
+        let v1 = ((s1 > 0 && s1 <= horizon) as u64).wrapping_neg();
+        let p1 = ring[i.wrapping_sub(s1) & MASK];
+        let s2 = (meta >> 32 & 0xFFFF) as usize;
+        let v2 = ((s2 > 0 && s2 <= horizon) as u64).wrapping_neg();
+        let p2 = ring[i.wrapping_sub(s2) & MASK];
+        (d + 1).max(p1 & v1).max(p2 & v2)
+    }
+
+    /// Counts data event `dc` and returns its outcome.
+    #[inline(always)]
+    fn data_access(&mut self, dc: usize) -> usize {
+        let ev = self.data_events[dc] as usize;
+        self.acts.dl1_accesses += 1;
+        // Branchless event accounting: a hit adds zero to the miss
+        // counters rather than branching around them.
+        let missed = (ev != OUTCOME_L1 as usize) as u64;
+        self.acts.dl1_misses += missed;
+        self.acts.l2_accesses += missed;
+        self.acts.l2_misses += (ev == 2) as u64;
+        ev
+    }
+
+    #[inline(always)]
+    fn commit(&mut self, complete: u64) -> u64 {
+        let mut cm = (complete + 1).max(self.last_commit);
+        cm += (cm == self.last_commit && self.committed_this_cycle >= self.commit_width) as u64;
+        self.committed_this_cycle =
+            if cm > self.last_commit { 1 } else { self.committed_this_cycle + 1 };
+        self.last_commit = cm;
+        cm
+    }
+
+    /// Applies branch event `bc` to a branch completing at `complete`.
+    #[inline(always)]
+    fn resolve_branch(&mut self, meta: u64, bc: usize, complete: u64) {
+        self.acts.bht_lookups += 1;
+        if !self.branch_events[bc] {
+            self.acts.mispredicts += 1;
+            // Redirect: fetch resumes after the branch resolves.
+            self.redirect_ready = self.redirect_ready.max(complete + 1);
+        } else if meta & 16 != 0 {
+            // A correctly predicted taken branch still ends the fetch
+            // group (one-cycle fetch bubble).
+            self.fetched_this_cycle = self.decode_width;
+        }
+    }
+
+    fn finish(self, measured: u64) -> SimResult {
+        let mut acts = self.acts.since(&self.warmup_acts);
+        acts.instructions = measured;
+        acts.cycles = self.last_commit.saturating_sub(self.warmup_commit).max(1);
+        let power = PowerModel::new(self.cfg).evaluate(&acts);
+        SimResult::new(self.cfg, &acts, power, self.stalls)
+    }
+}
+
+/// Steps `K` designs ("lanes") through one preflighted trace in a single
+/// loop, discarding statistics for the first `warmup_insts`
+/// instructions. Each job's streams must have been resolved from `pre`
+/// for that design's sub-configs, and each lane gets its own scratch;
+/// result `k` is bit-identical to job `k` run alone through
+/// [`Simulator::run_streamed_with`], which is this loop at `K = 1`.
+///
+/// The lanes share the per-instruction work that depends only on the
+/// trace: reading the packed word, the one opcode dispatch, and the
+/// code/data/branch event cursors (how many events precede an
+/// instruction is fixed by the preflight). Everything that depends on
+/// the design is per lane.
+///
+/// # Panics
+///
+/// Panics if `K == 0`, if `warmup_insts >= pre.len()`, or if a job's
+/// stream event counts do not match the preflight.
+///
+/// # Examples
+///
+/// ```
+/// use udse_sim::{
+///     run_streamed_lanes, BhtSubConfig, BranchStream, CacheStreams, CacheSubConfig,
+///     MachineConfig, Simulator, StreamScratch, TracePreflight,
+/// };
+/// use udse_trace::{Benchmark, Trace};
+///
+/// let trace = Trace::generate(Benchmark::Mcf, 2_000, 1);
+/// let pre = TracePreflight::of(&trace);
+/// let base = MachineConfig::power4_baseline();
+/// let sims = [Simulator::new(base), Simulator::new(MachineConfig { dl1_kb: 8, ..base })];
+/// let streams: Vec<_> = sims
+///     .iter()
+///     .map(|s| {
+///         let cache = CacheStreams::resolve(&pre, &CacheSubConfig::of(s.config()));
+///         (cache, BranchStream::resolve(&pre, &BhtSubConfig::of(s.config())))
+///     })
+///     .collect();
+/// let (mut a, mut b) = (StreamScratch::default(), StreamScratch::default());
+/// let both = run_streamed_lanes(
+///     [(&sims[0], &streams[0].0, &streams[0].1), (&sims[1], &streams[1].0, &streams[1].1)],
+///     &pre,
+///     500,
+///     [&mut a, &mut b],
+/// );
+/// for (sim, result) in sims.iter().zip(both) {
+///     assert_eq!(result, sim.run_with_warmup(&trace, 500));
+/// }
+/// ```
+pub fn run_streamed_lanes<const K: usize>(
+    jobs: [LaneJob<'_>; K],
+    pre: &TracePreflight,
+    warmup_insts: usize,
+    scratches: [&mut StreamScratch; K],
+) -> [SimResult; K] {
+    assert!(K > 0, "a lane bundle needs at least one design");
+    assert!(warmup_insts < pre.len(), "warmup must leave at least one measured instruction");
+    let mut scratches = scratches.into_iter();
+    let mut lanes =
+        jobs.map(|job| Lane::new(job, pre, scratches.next().expect("one scratch per job")));
+
+    let (mut cc, mut dc, mut bc) = (0usize, 0usize, 0usize);
+    for (i, &meta) in pre.packed().iter().enumerate() {
+        if i == warmup_insts {
+            lanes.iter_mut().for_each(Lane::mark_warmup);
+        }
+        lanes.iter_mut().for_each(|l| l.front(meta, cc));
+        // The loop's one data-dependent branch: every lane takes the
+        // same opcode arm.
+        match meta & 7 {
+            0 => lanes.iter_mut().for_each(|l| l.step::<0>(i, meta, dc, bc)),
+            1 => lanes.iter_mut().for_each(|l| l.step::<1>(i, meta, dc, bc)),
+            2 => {
+                lanes.iter_mut().for_each(|l| l.step::<2>(i, meta, dc, bc));
+                dc += 1;
+            }
+            3 => {
+                lanes.iter_mut().for_each(|l| l.step::<3>(i, meta, dc, bc));
+                dc += 1;
+            }
+            _ => {
+                lanes.iter_mut().for_each(|l| l.step::<4>(i, meta, dc, bc));
+                bc += 1;
+            }
+        }
+        cc += (meta & 8 != 0) as usize;
+    }
+
+    // One registry update per bundle (never per instruction) keeps the
+    // accounting overhead invisible next to the simulation itself.
+    udse_obs::metrics::counter("sim.runs").add(K as u64);
+    udse_obs::metrics::counter("sim.instructions").add((K * pre.len()) as u64);
+    let measured = (pre.len() - warmup_insts) as u64;
+    lanes.map(|lane| lane.finish(measured))
 }
 
 impl Simulator {
@@ -283,7 +689,8 @@ impl Simulator {
     }
 
     /// [`Simulator::run_streamed`] against caller-owned scratch, for
-    /// allocation-free steady state across many runs.
+    /// allocation-free steady state across many runs: the one-lane
+    /// call of [`run_streamed_lanes`].
     pub fn run_streamed_with(
         &self,
         pre: &TracePreflight,
@@ -292,333 +699,8 @@ impl Simulator {
         warmup_insts: usize,
         scratch: &mut StreamScratch,
     ) -> SimResult {
-        assert!(warmup_insts < pre.len(), "warmup must leave at least one measured instruction");
-        assert_eq!(cache.code().len(), pre.code_events(), "cache stream mismatches preflight");
-        assert_eq!(cache.data().len(), pre.data_events(), "cache stream mismatches preflight");
-        assert_eq!(
-            branches.correct().len(),
-            pre.branch_events(),
-            "branch stream mismatches preflight"
-        );
-        let cfg = self.config();
-        let t = cfg.timing();
-        scratch.reset(cfg);
-
-        // Outcome-indexed latency tables replacing the per-access match
-        // on `AccessOutcome`.
-        let code_penalty = [0u64, t.l2_latency, t.l2_latency + t.memory_latency];
-        let load_latency = [
-            t.dl1_latency,
-            t.dl1_latency + t.l2_latency,
-            t.dl1_latency + t.l2_latency + t.memory_latency,
-        ];
-        let dispatch_width = cfg.dispatch_width();
-        let commit_width = cfg.commit_width();
-
-        let packed = pre.packed();
-        let code_events = cache.code();
-        let data_events = cache.data();
-        let branch_events = branches.correct();
-        let (mut cc, mut dc, mut bc) = (0usize, 0usize, 0usize);
-
-        let mut fetch_cycle: u64 = 0;
-        let mut fetched_this_cycle: u32 = 0;
-        let mut redirect_ready: u64 = 0;
-        let mut last_dispatch: u64 = 0;
-        let mut dispatched_this_cycle: u32 = 0;
-        let mut last_issue: u64 = 0;
-        let mut last_commit: u64 = 0;
-        let mut committed_this_cycle: u32 = 0;
-
-        let mut acts = ActivityCounts::default();
-        let mut stalls = StallBreakdown::default();
-        let mut counts = StreamCounts::default();
-        let mut final_commit: u64 = 0;
-        let mut warmup_commit: u64 = 0;
-        let mut warmup_snapshot = WarmupSnapshot::default();
-
-        let in_order = cfg.in_order;
-        let decode_width = cfg.decode_width;
-        const MASK: usize = DEP_WINDOW - 1;
-
-        // Shared pipeline steps, expanded inside each opcode arm so the
-        // loop body takes exactly one data-dependent branch per
-        // instruction (the opcode dispatch) instead of one per stage.
-        // The arithmetic and its order are pinned bit for bit by the
-        // golden fixture (`tests/golden_sim.rs`).
-        macro_rules! pool_acquire {
-            ($pool:ident, $stall:ident, $d:ident) => {{
-                let before = $d;
-                $d = scratch.$pool.acquire($d);
-                stalls.$stall += $d - before;
-            }};
-        }
-        macro_rules! dispatch_done {
-            ($d:ident) => {{
-                // `$d >= last_dispatch` always holds; a select compiles
-                // to a conditional move instead of a branch.
-                dispatched_this_cycle =
-                    if $d > last_dispatch { 1 } else { dispatched_this_cycle + 1 };
-                last_dispatch = $d;
-            }};
-        }
-        macro_rules! readiness {
-            ($i:ident, $d:ident, $m:ident) => {{
-                // Branchless: an out-of-window distance contributes 0 to
-                // the max instead of skipping the lookup, so the two
-                // data-dependent "has a dependency" branches disappear.
-                // The masked index is always in bounds; the stale slot it
-                // reads when the distance is invalid is masked away.
-                let horizon = $i.min(DEP_WINDOW);
-                let s1 = ($m >> 16 & 0xFFFF) as usize;
-                let v1 = ((s1 > 0 && s1 <= horizon) as u64).wrapping_neg();
-                let p1 = scratch.complete_ring[$i.wrapping_sub(s1) & MASK];
-                let s2 = ($m >> 32 & 0xFFFF) as usize;
-                let v2 = ((s2 > 0 && s2 <= horizon) as u64).wrapping_neg();
-                let p2 = scratch.complete_ring[$i.wrapping_sub(s2) & MASK];
-                ($d + 1).max(p1 & v1).max(p2 & v2)
-            }};
-        }
-        macro_rules! issue {
-            ($fu:ident, $ready:expr) => {{
-                let mut iss = scratch.$fu.acquire($ready);
-                if in_order {
-                    iss = iss.max(last_issue);
-                }
-                scratch.$fu.release_at(iss + 1);
-                last_issue = iss;
-                iss
-            }};
-        }
-        macro_rules! data_access {
-            () => {{
-                let ev = data_events[dc] as usize;
-                dc += 1;
-                counts.dl1_accesses += 1;
-                // Branchless event accounting: a hit adds zero to the
-                // miss counters rather than branching around them.
-                let missed = (ev != OUTCOME_L1 as usize) as u64;
-                counts.dl1_misses += missed;
-                counts.l2_accesses += missed;
-                counts.l2_misses += (ev == 2) as u64;
-                ev
-            }};
-        }
-        macro_rules! commit {
-            ($complete:expr) => {{
-                let mut cm = ($complete + 1).max(last_commit);
-                cm += (cm == last_commit && committed_this_cycle >= commit_width) as u64;
-                committed_this_cycle = if cm > last_commit { 1 } else { committed_this_cycle + 1 };
-                last_commit = cm;
-                final_commit = cm;
-                cm
-            }};
-        }
-
-        for (i, &meta) in packed.iter().enumerate() {
-            if i == warmup_insts && i > 0 {
-                warmup_commit = last_commit;
-                warmup_snapshot = snapshot(&acts, &counts);
-            }
-            // ---------------- fetch ----------------
-            // Branchless redirect: `fc >= fetch_cycle` always holds, so
-            // the stall delta is 0 exactly when no redirect applies and
-            // the reset of the fetch group is a select.
-            let fc0 = fetch_cycle.max(redirect_ready);
-            let redirect_delta = fc0 - fetch_cycle;
-            stalls.redirect += redirect_delta;
-            fetched_this_cycle = if redirect_delta > 0 { 0 } else { fetched_this_cycle };
-            let mut fc = fc0;
-            if meta & 8 != 0 {
-                let ev = code_events[cc] as usize;
-                cc += 1;
-                counts.il1_accesses += 1;
-                // Branchless: a hit has penalty 0 and adds nothing.
-                let missed = (ev != OUTCOME_L1 as usize) as u64;
-                counts.il1_misses += missed;
-                counts.l2_accesses += missed;
-                counts.l2_misses += (ev == 2) as u64;
-                let miss_penalty = code_penalty[ev];
-                stalls.icache += miss_penalty;
-                fc += miss_penalty;
-                fetched_this_cycle *= (ev == OUTCOME_L1 as usize) as u32;
-            }
-            fc += (fetched_this_cycle >= decode_width) as u64;
-            fetched_this_cycle =
-                if fetched_this_cycle >= decode_width { 1 } else { fetched_this_cycle + 1 };
-            fetch_cycle = fc;
-
-            // ---------------- dispatch (shared prefix) ----------------
-            let mut d = (fc + t.front_stages).max(last_dispatch);
-            d += (d == last_dispatch && dispatched_this_cycle >= dispatch_width) as u64;
-            pool_acquire!(rob, rob, d);
-
-            // ---------------- per-opcode pipeline ----------------
-            let complete = match meta & 7 {
-                0 => {
-                    pool_acquire!(gpr, registers, d);
-                    pool_acquire!(resv_fx, reservations, d);
-                    dispatch_done!(d);
-                    let ready = readiness!(i, d, meta);
-                    let iss = issue!(fu_fx, ready);
-                    let complete = iss + t.fx_latency;
-                    let cm = commit!(complete);
-                    scratch.rob.release_at(cm);
-                    scratch.gpr.release_at(cm);
-                    scratch.resv_fx.release_at(iss + 1);
-                    acts.fx_ops += 1;
-                    complete
-                }
-                1 => {
-                    pool_acquire!(fpr, registers, d);
-                    pool_acquire!(resv_fp, reservations, d);
-                    dispatch_done!(d);
-                    let ready = readiness!(i, d, meta);
-                    let iss = issue!(fu_fp, ready);
-                    let complete = iss + t.fp_latency;
-                    let cm = commit!(complete);
-                    scratch.rob.release_at(cm);
-                    scratch.fpr.release_at(cm);
-                    scratch.resv_fp.release_at(iss + 1);
-                    acts.fp_ops += 1;
-                    complete
-                }
-                2 => {
-                    pool_acquire!(gpr, registers, d);
-                    pool_acquire!(lsq, lsq, d);
-                    dispatch_done!(d);
-                    let ready = readiness!(i, d, meta);
-                    let iss = issue!(fu_ls, ready);
-                    acts.loads += 1;
-                    let ev = data_access!();
-                    let complete = iss + 1 + load_latency[ev];
-                    let cm = commit!(complete);
-                    scratch.rob.release_at(cm);
-                    scratch.gpr.release_at(cm);
-                    scratch.lsq.release_at(cm);
-                    complete
-                }
-                3 => {
-                    pool_acquire!(lsq, lsq, d);
-                    pool_acquire!(sq, store_queue, d);
-                    dispatch_done!(d);
-                    let ready = readiness!(i, d, meta);
-                    let iss = issue!(fu_ls, ready);
-                    acts.stores += 1;
-                    let _ev = data_access!();
-                    // Stores complete once the address is generated; the
-                    // data drains from the store queue after commit.
-                    let complete = iss + 1;
-                    let cm = commit!(complete);
-                    scratch.rob.release_at(cm);
-                    scratch.lsq.release_at(cm);
-                    scratch.sq.release_at(cm + 2);
-                    complete
-                }
-                _ => {
-                    pool_acquire!(spr, registers, d);
-                    pool_acquire!(resv_br, reservations, d);
-                    dispatch_done!(d);
-                    let ready = readiness!(i, d, meta);
-                    let iss = issue!(fu_br, ready);
-                    let complete = iss + t.fx_latency;
-                    let cm = commit!(complete);
-                    scratch.rob.release_at(cm);
-                    scratch.spr.release_at(cm);
-                    scratch.resv_br.release_at(iss + 1);
-                    acts.branches += 1;
-                    counts.bht_lookups += 1;
-                    let correct = branch_events[bc];
-                    bc += 1;
-                    if !correct {
-                        counts.mispredicts += 1;
-                        // Redirect: fetch resumes after the branch resolves.
-                        redirect_ready = redirect_ready.max(complete + 1);
-                    } else if meta & 16 != 0 {
-                        // Correctly predicted taken branch still ends the
-                        // fetch group (one-cycle fetch bubble).
-                        fetched_this_cycle = decode_width;
-                    }
-                    complete
-                }
-            };
-
-            scratch.complete_ring[i & MASK] = complete;
-        }
-
-        acts.instructions = (pre.len() - warmup_insts) as u64;
-        // One registry update per run (never per instruction) keeps the
-        // accounting overhead invisible next to the simulation itself.
-        udse_obs::metrics::counter("sim.runs").inc();
-        udse_obs::metrics::counter("sim.instructions").add(pre.len() as u64);
-        acts.cycles = final_commit.saturating_sub(warmup_commit).max(1);
-        acts.il1_accesses = counts.il1_accesses;
-        acts.il1_misses = counts.il1_misses;
-        acts.dl1_accesses = counts.dl1_accesses;
-        acts.dl1_misses = counts.dl1_misses;
-        acts.l2_accesses = counts.l2_accesses;
-        acts.l2_misses = counts.l2_misses;
-        acts.bht_lookups = counts.bht_lookups;
-        acts.mispredicts = counts.mispredicts;
-        warmup_snapshot.subtract_from(&mut acts);
-
-        let power = PowerModel::new(cfg).evaluate(&acts);
-        SimResult::new(cfg, &acts, power, stalls)
-    }
-}
-
-/// Counter values at the warmup boundary, subtracted from the final
-/// counts so results describe only the measured region.
-#[derive(Debug, Clone, Copy, Default)]
-struct WarmupSnapshot {
-    fx_ops: u64,
-    fp_ops: u64,
-    loads: u64,
-    stores: u64,
-    branches: u64,
-    il1_accesses: u64,
-    il1_misses: u64,
-    dl1_accesses: u64,
-    dl1_misses: u64,
-    l2_accesses: u64,
-    l2_misses: u64,
-    bht_lookups: u64,
-    mispredicts: u64,
-}
-
-impl WarmupSnapshot {
-    fn subtract_from(&self, acts: &mut ActivityCounts) {
-        acts.fx_ops -= self.fx_ops;
-        acts.fp_ops -= self.fp_ops;
-        acts.loads -= self.loads;
-        acts.stores -= self.stores;
-        acts.branches -= self.branches;
-        acts.il1_accesses -= self.il1_accesses;
-        acts.il1_misses -= self.il1_misses;
-        acts.dl1_accesses -= self.dl1_accesses;
-        acts.dl1_misses -= self.dl1_misses;
-        acts.l2_accesses -= self.l2_accesses;
-        acts.l2_misses -= self.l2_misses;
-        acts.bht_lookups -= self.bht_lookups;
-        acts.mispredicts -= self.mispredicts;
-    }
-}
-
-fn snapshot(acts: &ActivityCounts, counts: &StreamCounts) -> WarmupSnapshot {
-    WarmupSnapshot {
-        fx_ops: acts.fx_ops,
-        fp_ops: acts.fp_ops,
-        loads: acts.loads,
-        stores: acts.stores,
-        branches: acts.branches,
-        il1_accesses: counts.il1_accesses,
-        il1_misses: counts.il1_misses,
-        dl1_accesses: counts.dl1_accesses,
-        dl1_misses: counts.dl1_misses,
-        l2_accesses: counts.l2_accesses,
-        l2_misses: counts.l2_misses,
-        bht_lookups: counts.bht_lookups,
-        mispredicts: counts.mispredicts,
+        let [result] = run_streamed_lanes([(self, cache, branches)], pre, warmup_insts, [scratch]);
+        result
     }
 }
 

@@ -24,6 +24,10 @@
 //! warmups 0, 1, len/4 and len-1; and the first 64 draws of
 //! `common::arbitrary_config`, each with the benchmark, length, trace
 //! seed and warmup the same draw picks.
+//!
+//! The corpus runs twice against the fixture: one design per call, and
+//! through `run_streamed_lanes` in four-lane bundles of the cases that
+//! share a trace and warmup.
 
 mod common;
 
@@ -32,7 +36,10 @@ use std::collections::HashMap;
 use common::arbitrary_config;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use udse_sim::{MachineConfig, MachineConfigBuilder, SimResult, Simulator};
+use udse_sim::{
+    run_streamed_lanes, BhtSubConfig, BranchStream, CacheStreams, CacheSubConfig, MachineConfig,
+    MachineConfigBuilder, SimResult, Simulator, StreamScratch, TracePreflight,
+};
 use udse_trace::{Benchmark, Trace};
 
 const FIXTURE: &str = include_str!("golden_sim.txt");
@@ -271,6 +278,48 @@ fn simulate(cases: &[Case]) -> Vec<SimResult> {
         .collect()
 }
 
+/// Simulates every case through four-lane bundles of the cases sharing
+/// a trace and warmup (a group's leftovers one lane at a time), with
+/// one set of scratch reused across every bundle.
+fn simulate_lanes(cases: &[Case]) -> Vec<SimResult> {
+    // (bench, len, trace_seed, warmup) and the indices of its cases.
+    type Group = ((Benchmark, usize, u64, usize), Vec<usize>);
+    let mut groups: Vec<Group> = Vec::new();
+    for (i, (b, len, seed, warmup, _)) in cases.iter().enumerate() {
+        let key = (*b, *len, *seed, *warmup);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((key, vec![i])),
+        }
+    }
+    let mut scratches: [StreamScratch; 4] = Default::default();
+    let mut results: Vec<Option<SimResult>> = vec![None; cases.len()];
+    for ((b, len, seed, warmup), members) in groups {
+        let pre = TracePreflight::of(&Trace::generate(b, len, seed));
+        let runs: Vec<(Simulator, CacheStreams, BranchStream)> = members
+            .iter()
+            .map(|&i| {
+                let cfg = config(&cases[i].4);
+                let cache = CacheStreams::resolve(&pre, &CacheSubConfig::of(&cfg));
+                (Simulator::new(cfg), cache, BranchStream::resolve(&pre, &BhtSubConfig::of(&cfg)))
+            })
+            .collect();
+        let full = runs.len() - runs.len() % 4;
+        for (k, four) in runs[..full].chunks_exact(4).enumerate() {
+            let jobs = std::array::from_fn(|l| (&four[l].0, &four[l].1, &four[l].2));
+            let out = run_streamed_lanes(jobs, &pre, warmup, scratches.each_mut());
+            for (l, r) in out.into_iter().enumerate() {
+                results[members[4 * k + l]] = Some(r);
+            }
+        }
+        for (&i, (sim, cache, bht)) in members[full..].iter().zip(&runs[full..]) {
+            let [r] = run_streamed_lanes([(sim, cache, bht)], &pre, warmup, [&mut scratches[0]]);
+            results[i] = Some(r);
+        }
+    }
+    results.into_iter().map(|r| r.expect("every case simulated")).collect()
+}
+
 fn parse_case(head: &[&str]) -> Case {
     (
         head[0].parse().expect("benchmark name"),
@@ -281,8 +330,9 @@ fn parse_case(head: &[&str]) -> Case {
     )
 }
 
-#[test]
-fn simulator_reproduces_the_golden_fixture_bit_for_bit() {
+/// Checks `simulate`'s results for the corpus against every fixture
+/// field.
+fn assert_reproduces_fixture(simulate: fn(&[Case]) -> Vec<SimResult>) {
     let lines: Vec<Vec<&str>> =
         FIXTURE.lines().filter(|l| !l.is_empty()).map(|l| l.split(' ').collect()).collect();
     // The fixture is exactly the corpus, in order: a line dropped or
@@ -305,6 +355,16 @@ fn simulator_reproduces_the_golden_fixture_bit_for_bit() {
         mismatches.len(),
         mismatches.join("\n")
     );
+}
+
+#[test]
+fn simulator_reproduces_the_golden_fixture_bit_for_bit() {
+    assert_reproduces_fixture(simulate);
+}
+
+#[test]
+fn four_lane_bundles_reproduce_the_golden_fixture_bit_for_bit() {
+    assert_reproduces_fixture(simulate_lanes);
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //! allocation on the asserting thread.
 
 use udse_sim::{
-    BhtSubConfig, BranchStream, CacheStreams, CacheSubConfig, MachineConfig, Simulator,
-    StreamScratch, TracePreflight,
+    run_streamed_lanes, BhtSubConfig, BranchStream, CacheStreams, CacheSubConfig, MachineConfig,
+    MachineConfigBuilder, Simulator, StreamScratch, TracePreflight,
 };
 use udse_trace::{Benchmark, Trace};
 
@@ -58,4 +58,38 @@ fn streamed_cycle_loop_is_allocation_free() {
         sim_o.run_streamed_with(&pre, &cache_o, &bht_o, 5_000, &mut scratch)
     });
     assert_eq!(reused, one_shot);
+}
+
+#[test]
+fn four_lane_cycle_loop_is_allocation_free() {
+    // The oracle's batched path: four designs with their own streams
+    // stepped through one trace, each lane on its own scratch.
+    let trace = Trace::generate(Benchmark::Mcf, 20_000, 7);
+    let pre = TracePreflight::of(&trace);
+    let runs = [(12, 8, 128, 4_096), (18, 4, 32, 1_024), (24, 2, 8, 256), (30, 8, 64, 512)].map(
+        |(fo4, width, dl1_kb, l2_kb)| {
+            let cfg = MachineConfigBuilder::power4_baseline()
+                .depth_fo4(fo4)
+                .width(width)
+                .dl1_kb(dl1_kb)
+                .l2_kb(l2_kb)
+                .build()
+                .expect("Table 1 designs are valid");
+            let cache = CacheStreams::resolve(&pre, &CacheSubConfig::of(&cfg));
+            (Simulator::new(cfg), cache, BranchStream::resolve(&pre, &BhtSubConfig::of(&cfg)))
+        },
+    );
+    let jobs = || runs.each_ref().map(|(sim, cache, bht)| (sim, cache, bht));
+    let mut scratches: [StreamScratch; 4] = Default::default();
+
+    // Warm call: registers the counters and sizes every scratch.
+    let warm = run_streamed_lanes(jobs(), &pre, 5_000, scratches.each_mut());
+
+    let pinned = udse_obs::alloc::assert_no_alloc("four-lane cycle loop", || {
+        run_streamed_lanes(jobs(), &pre, 5_000, scratches.each_mut())
+    });
+    assert_eq!(pinned, warm, "steady-state bundles must be deterministic");
+    for ((sim, _, _), lane) in runs.iter().zip(pinned) {
+        assert_eq!(lane, sim.run_with_warmup(&trace, 5_000));
+    }
 }

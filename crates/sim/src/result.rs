@@ -64,7 +64,9 @@ impl ActivityCounts {
 /// Attribution of scheduling delay to machine bottlenecks, in cycle-sums
 /// (the total cycles instructions were pushed back by each cause; causes
 /// can overlap, so the fields do not sum to total cycles — they rank
-/// bottlenecks, as a performance-counter profile would).
+/// bottlenecks, as a performance-counter profile would). Like every
+/// other count in a [`SimResult`], they cover only the instructions
+/// measured after the warmup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StallBreakdown {
     /// Fetch delayed by branch-misprediction redirects.
@@ -84,6 +86,20 @@ pub struct StallBreakdown {
 }
 
 impl StallBreakdown {
+    /// The stall cycles counted after `earlier`, an earlier snapshot of
+    /// the same run.
+    pub(crate) fn since(&self, earlier: &StallBreakdown) -> StallBreakdown {
+        StallBreakdown {
+            redirect: self.redirect - earlier.redirect,
+            icache: self.icache - earlier.icache,
+            rob: self.rob - earlier.rob,
+            registers: self.registers - earlier.registers,
+            reservations: self.reservations - earlier.reservations,
+            lsq: self.lsq - earlier.lsq,
+            store_queue: self.store_queue - earlier.store_queue,
+        }
+    }
+
     /// The dominant bottleneck's name (ties broken by field order), or
     /// `"none"` when no delay was recorded.
     pub fn dominant(&self) -> &'static str {

@@ -276,10 +276,12 @@ struct Lane<'a> {
     committed_this_cycle: u32,
     acts: ActivityCounts,
     stalls: StallBreakdown,
-    /// Commit cycle and counters at the warmup boundary, subtracted at
-    /// the end so results describe only the measured region.
+    /// Commit cycle, counters and stalls at the warmup boundary,
+    /// subtracted at the end so results describe only the measured
+    /// region.
     warmup_commit: u64,
     warmup_acts: ActivityCounts,
+    warmup_stalls: StallBreakdown,
 }
 
 impl<'a> Lane<'a> {
@@ -330,12 +332,14 @@ impl<'a> Lane<'a> {
             stalls: StallBreakdown::default(),
             warmup_commit: 0,
             warmup_acts: ActivityCounts::default(),
+            warmup_stalls: StallBreakdown::default(),
         }
     }
 
     fn mark_warmup(&mut self) {
         self.warmup_commit = self.last_commit;
         self.warmup_acts = self.acts;
+        self.warmup_stalls = self.stalls;
     }
 
     /// Fetches one instruction (code event `cc` if it starts a code
@@ -537,7 +541,7 @@ impl<'a> Lane<'a> {
         acts.instructions = measured;
         acts.cycles = self.last_commit.saturating_sub(self.warmup_commit).max(1);
         let power = PowerModel::new(self.cfg).evaluate(&acts);
-        SimResult::new(self.cfg, &acts, power, self.stalls)
+        SimResult::new(self.cfg, &acts, power, self.stalls.since(&self.warmup_stalls))
     }
 }
 
@@ -733,6 +737,29 @@ mod tests {
             let shared = sim.run_streamed(&pre, &cache, &bht, warmup);
             assert_eq!(shared, one_shot, "warmup {warmup}");
         }
+    }
+
+    #[test]
+    fn stalls_exclude_the_warmup_prefix() {
+        // Stall cycles accumulate per instruction, so discarding a longer
+        // warmup can only remove stall cycles, and discarding half a
+        // stall-heavy trace must remove some.
+        let trace = Trace::generate(Benchmark::Mcf, 8_000, 3);
+        let cfg = MachineConfig::power4_baseline();
+        let (pre, cache, bht) = artifacts(&cfg, &trace);
+        let sim = Simulator::new(cfg);
+        let fields = |s: &StallBreakdown| {
+            [s.redirect, s.icache, s.rob, s.registers, s.reservations, s.lsq, s.store_queue]
+        };
+        let by_warmup: Vec<[u64; 7]> = [0usize, 1, 2_000, 4_000, 7_999]
+            .iter()
+            .map(|&w| fields(&sim.run_streamed(&pre, &cache, &bht, w).stalls))
+            .collect();
+        for pair in by_warmup.windows(2) {
+            assert!(pair[0].iter().zip(&pair[1]).all(|(a, b)| a >= b), "{pair:?}");
+        }
+        let total = |s: &[u64; 7]| s.iter().sum::<u64>();
+        assert!(total(&by_warmup[3]) < total(&by_warmup[0]), "{by_warmup:?}");
     }
 
     #[test]

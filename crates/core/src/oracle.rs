@@ -479,17 +479,12 @@ impl Oracle for SimOracle {
             }
         }
 
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut group_of: HashMap<Benchmark, usize> = HashMap::new();
-        for (i, (b, _)) in jobs.iter().enumerate() {
-            let g = *group_of.entry(*b).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[g].push(i);
-        }
-        let bundles: Vec<&[usize]> = groups
-            .iter()
+        // Job indices grouped by benchmark (the sort is stable, so each
+        // group keeps job order), cut into bundles.
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_key(|&i| jobs[i].0);
+        let bundles: Vec<&[usize]> = order
+            .chunk_by(|&a, &b| jobs[a].0 == jobs[b].0)
             .flat_map(|g| {
                 let full = g.len() - g.len() % LANES;
                 g[..full].chunks(LANES).chain(g[full..].chunks(1))
@@ -709,7 +704,10 @@ mod tests {
     fn evaluate_many_matches_sequential_evaluation() {
         let space = DesignSpace::paper();
         let oracle = SimOracle::with_trace_len(1_000);
-        let jobs: Vec<(Benchmark, DesignPoint)> = (0..12)
+        // 31 jobs interleaved over nine benchmarks: four jobs (one
+        // four-lane bundle) for four of them, a ragged tail of three for
+        // the rest.
+        let jobs: Vec<(Benchmark, DesignPoint)> = (0..31)
             .map(|i| (Benchmark::ALL[i % 9], space.decode(i as u64 * 1_000).unwrap()))
             .collect();
         let batched = oracle.evaluate_many(&jobs);

@@ -379,10 +379,10 @@ impl<'a> Lane<'a> {
     }
 
     /// Steps instruction `i` of opcode class `OP` (the low three bits of
-    /// its packed word `meta`) through this lane's pipeline. `cc`, `dc`
-    /// and `bc` index its code, data and branch events. The arithmetic
-    /// and its order are pinned bit for bit by the golden fixture
-    /// (`tests/golden_sim.rs`).
+    /// its packed word `meta`) through this lane's pipeline, from the
+    /// dispatch cycle `front` left. `dc` and `bc` index its data and
+    /// branch events. The arithmetic and its order are pinned bit for
+    /// bit by the golden fixture (`tests/golden_sim.rs`).
     #[inline(always)]
     fn step<const OP: u64>(&mut self, i: usize, meta: u64, dc: usize, bc: usize) {
         let mut d = self.dispatch;
@@ -612,8 +612,8 @@ pub fn run_streamed_lanes<const K: usize>(
             lanes.iter_mut().for_each(Lane::mark_warmup);
         }
         lanes.iter_mut().for_each(|l| l.front(meta, cc));
-        // The loop's one data-dependent branch: every lane takes the
-        // same opcode arm.
+        // One opcode dispatch per instruction, not per design: every
+        // lane takes the same arm.
         match meta & 7 {
             0 => lanes.iter_mut().for_each(|l| l.step::<0>(i, meta, dc, bc)),
             1 => lanes.iter_mut().for_each(|l| l.step::<1>(i, meta, dc, bc)),

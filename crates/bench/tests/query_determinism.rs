@@ -115,10 +115,9 @@ fn warm_cache_replays_the_cold_answer_bitwise() {
         let point_shaped =
             matches!(q, Query::Point { .. } | Query::WhatIf { .. } | Query::AxisSweep { .. });
         let m0 = misses.get();
-        // A cold run misses at least once (per-benchmark optima delegate
-        // to the all-benchmark query, which is its own cache entry).
+        // A cold run misses exactly once: no query runs another behind it.
         let cold = engine.execute(&q).expect("cold run");
-        assert!(misses.get() > m0, "cold run of {q:?} must miss");
+        assert_eq!(misses.get(), m0 + 1, "cold run of {q:?} must miss once");
         let (h1, m1) = (hits.get(), misses.get());
         let warm = engine.execute(&q).expect("warm run");
         if point_shaped {

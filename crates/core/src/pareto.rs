@@ -40,40 +40,51 @@ impl ParetoFrontier {
     /// Panics if `points` is empty, `bins` is zero, or any value is
     /// non-finite.
     pub fn from_points(points: &[(f64, f64)], bins: usize) -> Self {
-        assert!(!points.is_empty(), "pareto frontier of empty set");
+        Self::from_fn(points.len(), |i| points[i], bins)
+    }
+
+    /// Builds the frontier over `len` designs whose `(delay, power)` is
+    /// `point(i)`, without materializing them: `point` is called twice
+    /// per design plus once per frontier design, so it should be a cheap
+    /// lookup. Indices in the result refer to `0..len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero, `bins` is zero, or any value is
+    /// non-finite.
+    pub fn from_fn(len: usize, point: impl Fn(usize) -> (f64, f64), bins: usize) -> Self {
+        assert!(len > 0, "pareto frontier of empty set");
         assert!(bins > 0, "need at least one delay bin");
-        assert!(
-            points.iter().all(|(d, p)| d.is_finite() && p.is_finite()),
-            "non-finite delay/power"
-        );
         let (mut dmin, mut dmax) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &(d, _) in points {
+        for i in 0..len {
+            let (d, p) = point(i);
+            assert!(d.is_finite() && p.is_finite(), "non-finite delay/power");
             dmin = dmin.min(d);
             dmax = dmax.max(d);
         }
         let span = (dmax - dmin).max(f64::MIN_POSITIVE);
-        // Power-minimizing candidate per delay bin.
-        let mut best: Vec<Option<usize>> = vec![None; bins];
-        for (i, &(d, p)) in points.iter().enumerate() {
+        // Power-minimizing candidate per delay bin, with its power.
+        let mut best: Vec<Option<(usize, f64)>> = vec![None; bins];
+        for i in 0..len {
+            let (d, p) = point(i);
             let b = (((d - dmin) / span) * bins as f64) as usize;
             let b = b.min(bins - 1);
             match best[b] {
-                Some(j) if points[j].1 <= p => {}
-                _ => best[b] = Some(i),
+                Some((_, q)) if q <= p => {}
+                _ => best[b] = Some((i, p)),
             }
         }
         // Sweep bins by increasing delay, keeping only candidates that
         // strictly improve (lower) power: the non-dominated skyline.
         let mut indices = Vec::new();
         let mut min_power = f64::INFINITY;
-        for candidate in best.into_iter().flatten() {
-            let p = points[candidate].1;
+        for (candidate, p) in best.into_iter().flatten() {
             if p < min_power {
                 min_power = p;
                 indices.push(candidate);
             }
         }
-        let frontier_points = indices.iter().map(|&i| points[i]).collect();
+        let frontier_points = indices.iter().map(|&i| point(i)).collect();
         ParetoFrontier { indices, points: frontier_points }
     }
 

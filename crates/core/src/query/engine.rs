@@ -81,6 +81,11 @@ impl Mask {
         Ok(Mask { lo, hi })
     }
 
+    /// Number of grid designs in the level box.
+    fn volume(&self) -> usize {
+        self.lo.iter().zip(&self.hi).map(|(&lo, &hi)| (hi - lo) as usize + 1).product()
+    }
+
     fn allows(&self, p: &DesignPoint) -> bool {
         let idx =
             [p.depth_idx, p.width_idx, p.regs_idx, p.resv_idx, p.il1_idx, p.dl1_idx, p.l2_idx];
@@ -358,21 +363,12 @@ impl Engine {
     ) -> Result<QueryResult, String> {
         match (benchmark, objective) {
             (Some(b), Objective::Efficiency) => {
-                // Project the all-benchmarks optimum, so nine
-                // per-benchmark requests under the same constraints cost
-                // one scan plus eight cache hits.
-                let all = self.execute(&Query::ConstrainedOptimum {
-                    benchmark: None,
-                    objective: Objective::Efficiency,
-                    constraints: constraints.to_vec(),
-                    stride,
-                })?;
-                let entries = all.optima().expect("efficiency optimum yields optima");
-                Ok(QueryResult::Optima { entries: vec![entries[b.id() as usize].clone()] })
+                let mask = Mask::pushdown(self.space(), constraints)?;
+                self.efficiency_optima(&[b], &mask, stride)
             }
             (None, Objective::Efficiency) => {
                 let mask = Mask::pushdown(self.space(), constraints)?;
-                self.efficiency_optima(&mask, stride)
+                self.efficiency_optima(&Benchmark::ALL, &mask, stride)
             }
             (None, Objective::SuiteRelative(refs)) => {
                 if refs.len() != self.lanes.pairs() {
@@ -444,29 +440,38 @@ impl Engine {
         }
     }
 
-    /// The per-benchmark argmax over the admitted designs. Ties break
-    /// toward the design visited *last* in walk order — the element
-    /// `Iterator::max_by` would return.
-    fn efficiency_optima(&self, mask: &Mask, stride: usize) -> Result<QueryResult, String> {
+    /// The argmax over the admitted designs for each of `benchmarks`,
+    /// reading only those benchmarks' rows. Ties break toward the design
+    /// visited *last* in walk order — the element `Iterator::max_by`
+    /// would return — so one benchmark's winner is the same whether it
+    /// is asked for alone or with the rest of the suite.
+    fn efficiency_optima(
+        &self,
+        benchmarks: &[Benchmark],
+        mask: &Mask,
+        stride: usize,
+    ) -> Result<QueryResult, String> {
         let started = Instant::now();
-        let mut best: Vec<Option<(usize, f64)>> = vec![None; self.lanes.pairs()];
+        let ids: Vec<usize> = benchmarks.iter().map(|b| b.id() as usize).collect();
+        let mut best: Vec<Option<(usize, f64)>> = vec![None; ids.len()];
         let mut admitted = 0;
         let sweep = self.admitted(mask, stride, |rows, i| {
-            admitted += rows.len();
-            for (b, row) in best.iter_mut().zip(rows) {
-                let eff = row[i].predicted.bips_cubed_per_watt();
+            admitted += ids.len();
+            for (win, &b) in best.iter_mut().zip(&ids) {
+                let eff = rows[b][i].predicted.bips_cubed_per_watt();
                 // `>=` replaces: the last maximal element wins.
-                if b.is_none_or(|(_, cur)| eff.total_cmp(&cur) != Ordering::Less) {
-                    *b = Some((i, eff));
+                if win.is_none_or(|(_, cur)| eff.total_cmp(&cur) != Ordering::Less) {
+                    *win = Some((i, eff));
                 }
             }
         });
         record_scan(admitted, started);
-        let entries = Benchmark::ALL
+        let entries = benchmarks
             .iter()
-            .zip(&sweep[..])
+            .zip(&ids)
             .zip(best)
-            .map(|((&b, row), win)| {
+            .map(|((&b, &id), win)| {
+                let row = &sweep[id];
                 win.map(|(i, eff)| OptimumEntry {
                     benchmark: Some(b),
                     point: row[i].point,
@@ -527,27 +532,33 @@ impl Engine {
             return Err("pareto_slice needs at least one delay bin".to_string());
         }
         let mask = Mask::pushdown(self.space(), constraints)?;
-        let b = benchmark.id() as usize;
         let started = Instant::now();
-        let mut admitted = Vec::new();
-        let mut pts = Vec::new();
-        let sweep = self.admitted(&mask, stride, |rows, i| {
-            let d = &rows[b][i];
-            admitted.push(i);
-            pts.push((d.predicted.delay_seconds(), d.predicted.watts));
-        });
+        // Only the admitted sweep positions are kept (4 bytes each; the
+        // stride-1 grid has 262,500); the binning reads each design's
+        // delay and power straight out of the memoized sweep.
+        let mut admitted: Vec<u32> = Vec::new();
+        if stride.max(1) == 1 {
+            admitted.reserve_exact(mask.volume());
+        }
+        let sweep = self.admitted(&mask, stride, |_, i| admitted.push(i as u32));
         if admitted.is_empty() {
             return Err("constraints exclude every design in the strided walk".to_string());
         }
         record_scan(admitted.len(), started);
-        let frontier = ParetoFrontier::from_points(&pts, bins);
+        let row = &sweep[benchmark.id() as usize];
+        let design = |j: usize| &row[admitted[j] as usize];
+        let frontier = ParetoFrontier::from_fn(
+            admitted.len(),
+            |j| {
+                let m = &design(j).predicted;
+                (m.delay_seconds(), m.watts)
+            },
+            bins,
+        );
         let rows = frontier
             .indices()
             .iter()
-            .map(|&j| {
-                let d = &sweep[b][admitted[j]];
-                PredictedPoint { point: d.point, predicted: d.predicted }
-            })
+            .map(|&j| PredictedPoint { point: design(j).point, predicted: design(j).predicted })
             .collect();
         Ok(QueryResult::Frontier { benchmark, designs: rows })
     }
@@ -781,7 +792,8 @@ mod tests {
         let second = e.execute(&q).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "warm result is the cached Arc");
         assert!(udse_obs::metrics::counter("query.cache.hits").get() > hits0);
-        // Per-benchmark projections of the same walk hit the fused entry.
+        // A one-benchmark optimum scans that benchmark alone and finds
+        // the all-nine answer's entry for it.
         let one = e.execute(&Query::optimum(Some(Benchmark::Twolf), vec![], e.stride())).unwrap();
         assert_eq!(one.optima().unwrap()[0].point, first.optima().unwrap()[8].point);
     }

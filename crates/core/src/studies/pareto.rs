@@ -234,10 +234,11 @@ impl EfficiencyOptimum {
 }
 
 /// Finds the predicted `bips^3/w` optimum over the exploration space and
-/// validates it by simulation (one row of Table 2). The engine's argmax
-/// sweep is compiled and chunk-parallel with a boundary-independent
-/// tie-break, so the chosen design matches a sequential `max_by` exactly;
-/// nine per-benchmark requests cost one fused walk plus eight cache hits.
+/// validates it by simulation (one row of Table 2). The engine scans this
+/// benchmark's row of the memoized sweep in walk order and keeps the
+/// last maximum, so the chosen design matches a sequential `max_by`
+/// exactly; nine per-benchmark requests read as many rows as one
+/// all-benchmark scan.
 pub fn efficiency_optimum<O: Oracle + ?Sized>(
     oracle: &O,
     engine: &Engine,

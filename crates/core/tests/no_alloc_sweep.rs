@@ -12,7 +12,9 @@
 
 use udse_core::model::{PaperModels, SuiteLanes};
 use udse_core::oracle::{Metrics, Oracle};
+use udse_core::query::{Engine, Query};
 use udse_core::space::{DesignPoint, DesignSpace};
+use udse_core::studies::{StudyConfig, TrainedSuite};
 use udse_trace::Benchmark;
 
 // Integration tests are separate binaries: each one that measures
@@ -99,4 +101,35 @@ fn stacked_point_kernel_is_allocation_free() {
     });
     assert_eq!(again.to_bits(), expected.to_bits(), "repeat predictions must be deterministic");
     assert!(expected.is_finite());
+}
+
+#[test]
+fn pareto_slice_allocates_four_bytes_per_admitted_design() {
+    // A stride-1 engine: the unconstrained slice admits every design of
+    // the exploration grid.
+    let config = StudyConfig { eval_stride: 1, ..StudyConfig::quick() };
+    let suite = TrainedSuite::train(&SmoothOracle, &config).expect("smooth fit succeeds");
+    let engine = Engine::new(suite, &config);
+    let admitted = engine.full_sweep()[0].len() as u64;
+    assert_eq!(admitted, DesignSpace::exploration().len());
+    // A first slice warms the span, metric and result-cache maps; the
+    // measured one differs in `bins`, so it is a cache miss and scans.
+    engine.execute(&Query::pareto(Benchmark::Gzip, vec![], 1, 39)).expect("warm-up slice");
+
+    let bins = 40;
+    let before = udse_obs::alloc::thread_stats();
+    let result =
+        engine.execute(&Query::pareto(Benchmark::Gzip, vec![], 1, bins)).expect("pareto slice");
+    let bytes = udse_obs::alloc::thread_stats().bytes - before.bytes;
+    let frontier = result.frontier().expect("frontier rows").len() as u64;
+    // One `u32` position per admitted design, plus the per-bin
+    // candidates, the frontier rows and a fixed allowance for the
+    // query's cache key, span and result. An admitted-size buffer of
+    // `(delay, power)` pairs alone would add 16 bytes per design.
+    let bound = 4 * admitted + 64 * bins as u64 + 256 * frontier + 16 * 1024;
+    assert!(
+        bytes <= bound,
+        "slice over {admitted} designs allocated {bytes} B, bound {bound} B \
+         ({frontier} frontier designs)"
+    );
 }

@@ -164,6 +164,29 @@ fn every_scanning_kind_matches_a_brute_force_filter_of_the_full_sweep() {
         assert_eq!(entry.point, want.point);
         assert_eq!(entry.score.to_bits(), eff.to_bits());
 
+        // Every benchmark's lone optimum is the all-nine answer's entry,
+        // bit for bit, from a scan of its own: each call executes exactly
+        // one query, so no all-nine query runs behind it. (The benchmark
+        // drawn above replays its cached answer.)
+        let executed = udse_obs::metrics::counter("query.executed");
+        for (b, all_entry) in Benchmark::ALL.iter().zip(entries) {
+            let before = executed.get();
+            let one = engine
+                .execute(&Query::optimum(Some(*b), constraints.clone(), 1))
+                .expect("one-benchmark optimum");
+            assert_eq!(executed.get(), before + 1, "{} optimum ran a nested query", b.name());
+            let [got] = one.optima().expect("optima entries") else {
+                panic!("a one-benchmark optimum has one entry")
+            };
+            let want = all_entry;
+            assert_eq!(got.benchmark, Some(*b));
+            assert_eq!(got.point, want.point, "{} alone under {constraints:?}", b.name());
+            assert_eq!(got.score.to_bits(), want.score.to_bits());
+            let (g, w) = (got.predicted.expect("metrics"), want.predicted.expect("metrics"));
+            assert_eq!(g.bips.to_bits(), w.bips.to_bits());
+            assert_eq!(g.watts.to_bits(), w.watts.to_bits());
+        }
+
         // Suite-relative optimum.
         let refs: Vec<f64> = (0..9).map(|_| rng.gen_range(0.5..2.0)).collect();
         let suite_opt = engine

@@ -1,39 +1,58 @@
-//! Best-effort `/proc` resource probes: CPU time and resident-set size.
+//! Best-effort resource probes: CPU time and resident-set size.
 //!
-//! Everything here follows the same contract as the original RSS probe
-//! that lived in [`crate::sidecar`]: read a `/proc` file, parse, return
-//! `Option` — `None` on any platform or parse hiccup, never an error
-//! and never a panic. Both sides of a sharded run use these: workers
-//! stamp their sidecar summaries, the parent stamps its manifest
+//! Every probe returns `Option` — `None` on an unsupported platform or a
+//! failed read, never an error and never a panic. Workers stamp their
+//! sidecar summaries with these, the parent stamps its manifest
 //! `resources` section, and [`crate::span`] samples thread CPU time at
-//! span enter/exit.
+//! every span enter and exit.
 //!
-//! # CPU-time caveats
+//! CPU time comes from `clock_gettime` on the per-thread and
+//! per-process CPU clocks: one system call, with microsecond
+//! resolution, so even microsecond spans read their real CPU. It is
+//! declared directly against the libc that `std` already links; on
+//! targets other than 64-bit Linux the CPU probes return `None`.
 //!
-//! `/proc/*/stat` reports `utime`/`stime` in clock ticks. Without libc
-//! there is no `sysconf(_SC_CLK_TCK)`, so the conversion assumes the
-//! near-universal Linux default of **100 ticks/second**; on a kernel
-//! configured otherwise the absolute values scale by a constant factor
-//! (ratios — skew tables, wall-vs-CPU contention — are unaffected).
-//! That 10ms granularity also means short spans legitimately read 0
-//! CPU; totals accumulate coarsely and only become meaningful for spans
-//! well above the tick.
+//! Resident-set size still reads `/proc/self/status` (`VmRSS`,
+//! `VmHWM`). Those reads run only when a manifest or a sidecar summary
+//! is written, never per span.
 
-/// Assumed kernel tick rate (`USER_HZ`); see the module docs.
-const TICKS_PER_SEC: u64 = 100;
+/// `CLOCK_PROCESS_CPUTIME_ID` and `CLOCK_THREAD_CPUTIME_ID` from
+/// `<time.h>`; the same on every Linux architecture.
+const PROCESS_CPUTIME: i32 = 2;
+const THREAD_CPUTIME: i32 = 3;
 
-/// Parses `utime + stime` (fields 14 and 15) out of a `/proc/*/stat`
-/// line and converts ticks to microseconds. The comm field (2) is an
-/// arbitrary string in parentheses — possibly containing spaces or even
-/// `)` — so fields are counted from the *last* `)`.
-fn stat_cpu_us(stat: &str) -> Option<u64> {
-    let rest = &stat[stat.rfind(')')? + 1..];
-    let mut fields = rest.split_whitespace();
-    // After the comm field: state is field 3, so utime (14) and stime
-    // (15) are the 12th and 13th tokens of the remainder.
-    let utime: u64 = fields.nth(11)?.parse().ok()?;
-    let stime: u64 = fields.next()?.parse().ok()?;
-    Some((utime + stime) * 1_000_000 / TICKS_PER_SEC)
+/// Reads the CPU clock `clock` in microseconds; `None` if the call
+/// fails.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn cpu_clock_us(clock: i32) -> Option<u64> {
+    /// `struct timespec` on 64-bit Linux, glibc and musl alike: two
+    /// 64-bit fields (`time_t`, `long`). 32-bit targets disagree on
+    /// the width of `time_t`, so they take the fallback below.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `clock_gettime` writes one `struct timespec` through the
+    // pointer and keeps nothing. `Timespec` has that struct's layout on
+    // this target (see its docs), and `ts` is a live, writable local for
+    // the whole call. Both clock ids exist on every Linux kernel, and an
+    // unknown id would only make the call return -1.
+    if unsafe { clock_gettime(clock, &mut ts) } != 0 {
+        return None;
+    }
+    Some(u64::try_from(ts.tv_sec).ok()? * 1_000_000 + u64::try_from(ts.tv_nsec).ok()? / 1_000)
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn cpu_clock_us(_clock: i32) -> Option<u64> {
+    None
 }
 
 /// Looks up a `kB`-valued field in `/proc/self/status` text.
@@ -43,16 +62,15 @@ fn status_kb(status: &str, key: &str) -> Option<u64> {
 }
 
 /// CPU time (user + system) consumed by the **calling thread**, in
-/// microseconds, from `/proc/thread-self/stat`. `None` where `/proc`
-/// is unavailable.
+/// microseconds (`CLOCK_THREAD_CPUTIME_ID`). `None` off 64-bit Linux.
 pub fn thread_cpu_us() -> Option<u64> {
-    stat_cpu_us(&std::fs::read_to_string("/proc/thread-self/stat").ok()?)
+    cpu_clock_us(THREAD_CPUTIME)
 }
 
 /// CPU time (user + system) consumed by the **whole process** across
-/// all threads, in microseconds, from `/proc/self/stat`.
+/// all threads, in microseconds (`CLOCK_PROCESS_CPUTIME_ID`).
 pub fn process_cpu_us() -> Option<u64> {
-    stat_cpu_us(&std::fs::read_to_string("/proc/self/stat").ok()?)
+    cpu_clock_us(PROCESS_CPUTIME)
 }
 
 /// Resident-set size of this process in KiB, read from
@@ -69,21 +87,20 @@ pub fn peak_rss_kb() -> Option<u64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
-    #[test]
-    fn stat_parsing_counts_from_the_last_paren() {
-        // A comm containing spaces and a `)` — the adversarial case.
-        let line = "1234 (a b)c) R 1 1 1 0 -1 4194560 100 0 0 0 250 125 0 0 20 0 1 0 8 0 0";
-        assert_eq!(stat_cpu_us(line), Some((250 + 125) * 10_000));
-    }
-
-    #[test]
-    fn stat_parsing_rejects_garbage() {
-        assert_eq!(stat_cpu_us(""), None);
-        assert_eq!(stat_cpu_us("no parens here"), None);
-        assert_eq!(stat_cpu_us("1 (x) R 1 2 3"), None);
+    /// Spins on arithmetic until `wall` has passed.
+    pub(crate) fn burn(wall: Duration) {
+        let started = Instant::now();
+        let mut acc = 0u64;
+        while started.elapsed() < wall {
+            for i in 0..10_000u64 {
+                acc = acc.wrapping_add(i.wrapping_mul(2_654_435_761));
+            }
+        }
+        std::hint::black_box(acc);
     }
 
     #[test]
@@ -95,7 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn live_probes_are_best_effort_and_sane() {
+    fn live_rss_probes_are_best_effort_and_sane() {
         // On Linux these read real values; elsewhere they return None.
         // Either way they must not panic.
         if let Some(kb) = read_rss_kb() {
@@ -104,21 +121,31 @@ mod tests {
         if let (Some(rss), Some(peak)) = (read_rss_kb(), peak_rss_kb()) {
             assert!(peak >= rss, "high-water mark {peak} below current RSS {rss}");
         }
-        if let Some(t) = thread_cpu_us() {
-            // Burn a little CPU and confirm the counter is monotone.
-            let mut acc = 0u64;
-            for i in 0..2_000_000u64 {
-                acc = acc.wrapping_add(i.wrapping_mul(2_654_435_761));
-            }
-            assert!(acc != 1, "keep the loop");
-            assert!(thread_cpu_us().unwrap_or(0) >= t, "thread CPU time is monotone");
-        }
-        if let (Some(thread), Some(process)) = (thread_cpu_us(), process_cpu_us()) {
-            // Ticks are coarse: allow one tick of slop between the reads.
-            assert!(
-                process + 1_000_000 / TICKS_PER_SEC >= thread,
-                "process CPU {process} cannot trail this thread's {thread}"
-            );
-        }
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn two_milliseconds_of_work_read_as_positive_thread_cpu_within_wall() {
+        let started = Instant::now();
+        let t0 = thread_cpu_us().expect("thread CPU clock on Linux");
+        burn(Duration::from_millis(2));
+        let t1 = thread_cpu_us().expect("thread CPU clock on Linux");
+        let wall = started.elapsed().as_micros() as u64;
+        let cpu = t1 - t0;
+        assert!(cpu > 0, "2 ms of arithmetic read as zero thread CPU");
+        // The wall clock brackets both CPU reads. Each side truncates to
+        // whole microseconds, which is the only slack allowed.
+        assert!(cpu <= wall + 2, "thread CPU {cpu} µs exceeds the {wall} µs wall it ran in");
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn thread_cpu_never_exceeds_process_cpu() {
+        burn(Duration::from_millis(1));
+        // Thread first: the process clock read afterwards has seen at
+        // least everything the thread clock had.
+        let thread = thread_cpu_us().expect("thread CPU clock on Linux");
+        let process = process_cpu_us().expect("process CPU clock on Linux");
+        assert!(process >= thread, "process CPU {process} trails this thread's {thread}");
     }
 }

@@ -17,8 +17,9 @@
 //!   ([`alloc::CountingAlloc`], opt-in per binary) whose process-wide
 //!   and per-thread counters feed the manifest `resources` section,
 //!   span attribution, and the [`alloc::assert_no_alloc`] test guard;
-//! - [`cputime`] — best-effort `/proc` probes shared by parent and
-//!   workers: thread/process CPU time, current and peak RSS;
+//! - [`cputime`] — best-effort probes shared by parent and workers:
+//!   thread/process CPU time from the CPU clocks, current and peak RSS
+//!   from `/proc`;
 //! - [`pool`] — a scoped-thread work pool ([`pool::map`]) with
 //!   deterministic, input-ordered results; the oracle layer fans
 //!   simulation batches through it, sized by [`pool::set_max_workers`]

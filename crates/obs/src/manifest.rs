@@ -69,7 +69,7 @@ pub struct ResourceTotals {
 }
 
 impl ResourceTotals {
-    /// Snapshots this process's counters and `/proc` probes.
+    /// Snapshots this process's counters and resource probes.
     pub fn capture() -> Self {
         let a = crate::alloc::stats();
         ResourceTotals {
@@ -304,7 +304,7 @@ pub struct SpanTotal {
     /// Longest single execution, seconds.
     pub max_seconds: f64,
     /// Total executing-thread CPU time, seconds (0 in pre-v3 docs and
-    /// where `/proc` is unavailable).
+    /// where the thread CPU clock is unavailable).
     pub cpu_seconds: f64,
     /// Heap allocations on the executing thread (0 in pre-v3 docs and
     /// without the counting allocator).

@@ -215,9 +215,14 @@ mod tests {
     #[test]
     fn pool_metrics_accumulate() {
         let before = crate::metrics::counter("pool.jobs").get();
-        with_workers(4, || map(&[0u8; 100], |_| ()));
+        // Read the gauge while `with_workers` still holds the test lock:
+        // once it is released, another test's batch may reset it.
+        let workers = with_workers(4, || {
+            map(&[0u8; 100], |_| ());
+            crate::metrics::gauge("pool.workers").get()
+        });
         assert!(crate::metrics::counter("pool.jobs").get() >= before + 100);
-        assert_eq!(crate::metrics::gauge("pool.workers").get(), 4.0);
+        assert_eq!(workers, 4.0);
     }
 
     #[test]

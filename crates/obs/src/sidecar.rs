@@ -123,7 +123,7 @@ pub struct SpanLine {
 /// The closing record of a cleanly-exiting worker.
 ///
 /// The resource fields are all best-effort `Option`s: `None` when the
-/// probe is unavailable (non-Linux `/proc`, counting allocator not
+/// probe is unavailable (not Linux, counting allocator not
 /// installed) *and* when reading a sidecar written before they existed
 /// — readers must treat "absent" and "unmeasured" identically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -61,8 +61,8 @@ pub struct SpanStat {
     /// Longest single execution.
     pub max: Duration,
     /// Total CPU time (user + system) of the *executing thread* across
-    /// executions; zero where `/proc` is unavailable. Tick-granular
-    /// (see [`crate::cputime`]), so short spans legitimately read 0.
+    /// executions, at microsecond resolution; zero where the thread CPU
+    /// clock is unavailable (see [`crate::cputime`]).
     pub cpu: Duration,
     /// Heap allocations on the executing thread across executions;
     /// zero when the counting allocator is not installed.
@@ -109,7 +109,12 @@ impl Collector {
     /// consumed on the executing thread.
     pub fn record_resources(&self, path: &str, elapsed: Duration, res: ResourceDelta) {
         let mut stats = self.stats.lock().expect("span collector poisoned");
-        let s = stats.entry(path.to_string()).or_default();
+        // Look up before inserting: a path seen before costs no key
+        // allocation, and spans repeat far more often than they appear.
+        let s = match stats.get_mut(path) {
+            Some(s) => s,
+            None => stats.entry(path.to_string()).or_default(),
+        };
         s.count += 1;
         s.total += elapsed;
         s.max = s.max.max(elapsed);
@@ -217,7 +222,7 @@ pub fn global() -> &'static Collector {
 pub struct SpanGuard {
     path: String,
     start: Instant,
-    /// Thread CPU time at enter, µs; `None` where `/proc` is absent.
+    /// Thread CPU time at enter, µs; `None` where the clock is absent.
     cpu_start_us: Option<u64>,
     /// This thread's allocation counters at enter (zeros when the
     /// counting allocator is not installed — the exit snapshot then
@@ -236,7 +241,7 @@ pub fn enter(name: &str) -> SpanGuard {
     SpanGuard {
         path,
         // Resource snapshots before the wall clock starts, so probe
-        // cost (a /proc read) lands outside the measured window.
+        // cost (a clock read) lands outside the measured window.
         cpu_start_us: crate::cputime::thread_cpu_us(),
         alloc_start: crate::alloc::thread_stats(),
         start: Instant::now(),
@@ -533,6 +538,18 @@ mod tests {
         let (_, s) = snap.iter().find(|(p, _)| p == "alloc_attr_span").expect("recorded");
         assert!(s.allocs >= 1, "span saw {} allocs", s.allocs);
         assert!(s.alloc_bytes >= 100 * 1024, "span saw {} bytes", s.alloc_bytes);
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn a_busy_span_records_its_thread_cpu() {
+        {
+            let _g = enter("busy_cpu_span");
+            crate::cputime::tests::burn(Duration::from_millis(20));
+        }
+        let snap = global().snapshot();
+        let (_, s) = snap.iter().find(|(p, _)| p == "busy_cpu_span").expect("recorded");
+        assert!(s.cpu > Duration::ZERO, "a 20 ms busy span recorded no CPU");
     }
 
     #[test]

@@ -196,23 +196,34 @@ if [ -n "${baseline}" ]; then
     # when the stream memo is lost, so the 1,500 floor fails exactly
     # then, on any machine.
     #
-    # The query-engine watches guard the unified query layer the studies
-    # now run on: query.cache.hits is a deterministic counter (table2's
-    # nine per-benchmark optima share one materialized all-benchmark
-    # scan, so a hit-count drop means the memoized-delegation path broke)
-    # and query.designs_per_sec is the engine's scan throughput (admitted
-    # designs x benchmarks scanned per second) —
-    # both warn on a >50% fall and on going missing entirely.
-    echo "==> udse-inspect diff ${baseline} target/bench-current.json --warn-wall --tol-gauge sweep.designs_per_sec:50 --tol-gauge query.designs_per_sec:50 --tol-gauge query.cache.hits:50 --min-gauge sweep.designs_per_sec:5000000 --min-gauge sim.instructions_per_sec:15000000 --min-gauge sim.precompute.hits:1500 --tol-resource alloc.bytes:100 --tol-resource sweep.allocs_per_design:100:0.05"
+    # query.designs_per_sec is the query engine's scan throughput
+    # (admitted designs x benchmarks scanned per second); it warns on a
+    # >50% fall and on going missing entirely.
+    echo "==> udse-inspect diff ${baseline} target/bench-current.json --warn-wall --tol-gauge sweep.designs_per_sec:50 --tol-gauge query.designs_per_sec:50 --min-gauge sweep.designs_per_sec:5000000 --min-gauge sim.instructions_per_sec:15000000 --min-gauge sim.precompute.hits:1500 --tol-resource alloc.bytes:100 --tol-resource sweep.allocs_per_design:100:0.05"
     ./target/release/udse-inspect diff "${baseline}" target/bench-current.json --warn-wall \
         --tol-gauge sweep.designs_per_sec:50 \
         --tol-gauge query.designs_per_sec:50 \
-        --tol-gauge query.cache.hits:50 \
         --min-gauge sweep.designs_per_sec:5000000 \
         --min-gauge sim.instructions_per_sec:15000000 \
         --min-gauge sim.precompute.hits:1500 \
         --tol-resource alloc.bytes:100 \
         --tol-resource sweep.allocs_per_design:100:0.05
+
+    # The query traffic itself is pinned exactly: query.executed counts
+    # every Engine::execute call the fixed-seed fig1/fig2/table2 run
+    # makes, and the studies' shapes fix it: fig1's 25 held-out designs
+    # x 9 benchmarks as point queries (225) plus table2's nine
+    # one-benchmark optima, 234 in all. A query that
+    # starts running a nested query behind the one it answers (as
+    # one-benchmark optima once did, nine extra per run) or a study that
+    # stops going through the engine moves it, on any machine.
+    executed=$(grep -oE '"query\.executed": [0-9]+' target/bench-current.json \
+        | grep -oE '[0-9]+$' || true)
+    echo "==> query.executed in target/bench-current.json: ${executed:-missing} (expected 234)"
+    if [ "${executed}" != 234 ]; then
+        echo "==> query.executed must read exactly 234" >&2
+        exit 1
+    fi
 else
     echo "==> no BENCH_*.json baseline; skipping regression gate (run scripts/bench.sh and commit the output)"
 fi

@@ -10,10 +10,7 @@
 //!                                    [--tol-gauge <name>:<pct> ...]
 //!                                    [--min-gauge <name>:<value> ...]
 //!                                    [--tol-resource <name>:<pct>[:<floor>] ...]
-//! udse-inspect merge <manifest>... [--tol <abs>] [-o <out>]
-//! udse-inspect trace <manifest | events.jsonl | trace.json> [--folded]
-//!                    [--per-worker] [-o <out>]
-//! udse-inspect report <manifest> [--shard-dir <dir>]
+//! udse-inspect trace <manifest | events.jsonl | trace.json> [--folded] [-o <out>]
 //! ```
 //!
 //! `show` prints a human-readable summary (artifacts, model quality,
@@ -39,25 +36,13 @@
 //! `--tol-resource sweep.allocs_per_design:100:0.05` keeps the compiled
 //! sweep allocation-free; `resources.`-prefixed names read the manifest
 //! `resources` section (`resources.alloc_bytes`, `resources.peak_rss_kb`,
-//! …). `merge` aggregates the per-process manifests of one
-//! `repro --shards` run (the parent's plus every worker's) into a single
-//! document: minimum wall per artifact/span, work counters summed across
-//! processes, quality records carried verbatim with shared keys required
-//! to agree within `--tol` (default exact to 1e-9); the merged document
-//! is an ordinary manifest, so `diff` can gate a sharded run against a
-//! single-process baseline. `trace` emits Chrome `trace_event` JSON (open in Perfetto
-//! or `chrome://tracing`) from a JSONL event stream recorded with
-//! `UDSE_TRACE=1`, an existing Chrome trace array (e.g. the merged
-//! multi-process trace `repro --shards --trace` writes), or synthesized
-//! from a manifest's span totals; `trace <manifest> --folded` instead
-//! emits folded stacks (`path;to;span self_us` lines) consumable by
-//! `flamegraph.pl` and inferno, and `trace <input> --per-worker` prints
-//! a per-pid-lane breakdown (event count, wall span, busiest span) of a
-//! merged trace. `report` is the one-command run summary: the manifest
-//! sections of `show` plus, with `--shard-dir`, everything the worker
-//! telemetry sidecars add — per-shard wall/job-throughput skew,
-//! heartbeat-gap straggler warnings, unclean worker exits, and dropped
-//! trace events (silence threshold: `UDSE_STALL_SECS`, default 30).
+//! …). `trace` emits Chrome `trace_event` JSON (open in Perfetto or
+//! `chrome://tracing`) from a JSONL event stream recorded with
+//! `UDSE_TRACE=1`, an existing Chrome trace array (e.g. the one
+//! `repro --trace` writes), or synthesized from a manifest's span
+//! totals; `trace <manifest> --folded` instead emits folded stacks
+//! (`path;to;span self_us` lines) consumable by `flamegraph.pl` and
+//! inferno.
 //!
 //! Exit codes: 0 success / within tolerance, 1 regression detected,
 //! 2 usage or I/O error.
@@ -81,13 +66,9 @@ const USAGE: &str = "usage: udse-inspect <command>\n\
         [--tol-quality-pooled <abs>] [--tol-quality-max <abs>] [--warn-wall]\n\
         [--tol-gauge <name>:<pct> ...] [--min-gauge <name>:<value> ...]\n\
         [--tol-resource <name>:<pct>[:<floor>] ...] gate a run against a baseline\n\
-  merge <manifest>... [--tol <abs>] [-o <path>]    aggregate sharded-run manifests\n\
-  trace <manifest | events.jsonl | trace.json> [--folded] [--per-worker] [-o <path>]\n\
-                                                   export Chrome trace_event JSON,\n\
-                                                   folded flamegraph stacks, or a\n\
-                                                   per-pid-lane summary\n\
-  report <manifest> [--shard-dir <dir>]            unified run report (spans, shard\n\
-                                                   skew, stragglers, quality)";
+  trace <manifest | events.jsonl | trace.json> [--folded] [-o <path>]\n\
+                                                   export Chrome trace_event JSON\n\
+                                                   or folded flamegraph stacks";
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("udse-inspect: {message}");
@@ -103,7 +84,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Flags that consume the next argument; everything else non-dashed
     // is positional.
-    const VALUE_FLAGS: [&str; 10] = [
+    const VALUE_FLAGS: [&str; 8] = [
         "--tol-wall",
         "--tol-quality",
         "--tol-quality-pooled",
@@ -111,8 +92,6 @@ fn main() -> ExitCode {
         "--tol-gauge",
         "--min-gauge",
         "--tol-resource",
-        "--tol",
-        "--shard-dir",
         "-o",
     ];
     let mut positional: Vec<&String> = Vec::new();
@@ -252,43 +231,6 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
         }
-        "merge" => {
-            let paths = &positional[1..];
-            if paths.is_empty() {
-                return fail("merge expects at least one manifest path");
-            }
-            let tol = match parse_f64("--tol") {
-                Ok(v) => v.unwrap_or(1e-9),
-                Err(e) => return fail(&e),
-            };
-            let mut inputs: Vec<(String, ParsedManifest)> = Vec::with_capacity(paths.len());
-            for p in paths {
-                match load(p) {
-                    Ok(m) => inputs.push((p.to_string(), m)),
-                    Err(e) => return fail(&e),
-                }
-            }
-            let doc = match inspect::merge(&inputs, tol) {
-                Ok(doc) => doc,
-                Err(e) => return fail(&e),
-            };
-            let text = doc.to_string_pretty();
-            match flag_value("-o") {
-                Some(out) => {
-                    let out = PathBuf::from(out);
-                    if let Err(e) = write_with_parents(&out, &text) {
-                        return fail(&e.to_string());
-                    }
-                    eprintln!(
-                        "udse-inspect: merged {} manifest(s) into {}",
-                        inputs.len(),
-                        out.display()
-                    );
-                }
-                None => print!("{text}"),
-            }
-            ExitCode::SUCCESS
-        }
         "trace" => {
             let [_, input] = positional[..] else {
                 return fail("trace expects exactly one input path");
@@ -314,16 +256,16 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             // Accept three input shapes: a JSONL event stream, an
-            // already-assembled Chrome trace array (e.g. the merged
-            // multi-process trace from `repro --shards --trace`), or a
-            // manifest whose span totals we synthesize events from.
-            let parsed = if input.ends_with(".jsonl") {
+            // already-assembled Chrome trace array (e.g. from
+            // `repro --trace`), or a manifest whose span totals we
+            // synthesize events from.
+            let events = if input.ends_with(".jsonl") {
                 let text = match std::fs::read_to_string(input.as_str()) {
                     Ok(t) => t,
                     Err(e) => return fail(&format!("reading events {input}: {e}")),
                 };
                 match trace::parse_jsonl(&text) {
-                    Ok(events) => trace::ParsedChromeTrace { events, lanes: Vec::new() },
+                    Ok(events) => events,
                     Err(e) => return fail(&format!("events {input}: {e}")),
                 }
             } else {
@@ -333,34 +275,17 @@ fn main() -> ExitCode {
                 };
                 if text.trim_start().starts_with('[') {
                     match trace::parse_chrome_trace(&text) {
-                        Ok(parsed) => parsed,
+                        Ok(events) => events,
                         Err(e) => return fail(&format!("trace {input}: {e}")),
                     }
                 } else {
                     match ParsedManifest::parse(&text) {
-                        Ok(m) => trace::ParsedChromeTrace {
-                            events: inspect::manifest_trace_events(&m),
-                            lanes: Vec::new(),
-                        },
+                        Ok(m) => inspect::manifest_trace_events(&m),
                         Err(e) => return fail(&format!("{input}: {e}")),
                     }
                 }
             };
-            if args.iter().any(|a| a == "--per-worker") {
-                let summary = inspect::per_worker_summary(&parsed);
-                match flag_value("-o") {
-                    Some(out) => {
-                        let out = PathBuf::from(out);
-                        if let Err(e) = write_with_parents(&out, &summary) {
-                            return fail(&e.to_string());
-                        }
-                        eprintln!("udse-inspect: wrote {}", out.display());
-                    }
-                    None => print!("{summary}"),
-                }
-                return ExitCode::SUCCESS;
-            }
-            let doc = trace::chrome_trace_json_named(&parsed.events, &parsed.lanes);
+            let doc = trace::chrome_trace_json(&events);
             let text = doc.to_string_pretty();
             match flag_value("-o") {
                 Some(out) => {
@@ -372,27 +297,6 @@ fn main() -> ExitCode {
                 }
                 None => print!("{text}"),
             }
-            ExitCode::SUCCESS
-        }
-        "report" => {
-            let [_, path] = positional[..] else {
-                return fail("report expects exactly one manifest path");
-            };
-            let m = match load(path) {
-                Ok(m) => m,
-                Err(e) => return fail(&e),
-            };
-            let (sidecars, problems) = match flag_value("--shard-dir") {
-                Some(dir) => udse_obs::sidecar::collect(Path::new(dir)),
-                None => (Vec::new(), Vec::new()),
-            };
-            let stall_after = std::env::var("UDSE_STALL_SECS")
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|s| *s > 0.0)
-                .map(std::time::Duration::from_secs_f64)
-                .unwrap_or(std::time::Duration::from_secs(30));
-            print!("{}", inspect::report(&m, &sidecars, &problems, stall_after));
             ExitCode::SUCCESS
         }
         other => fail(&format!("unknown command `{other}`\n{USAGE}")),

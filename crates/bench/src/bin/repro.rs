@@ -3,12 +3,9 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--quick] [--verbose] [--jobs N] [--shards N] [--shard-dir <dir>]
-//!       [--csv <dir>] [--manifest <path>] [--trace <path>] <artifact>...
-//! repro plan [--quick] [--out <path>]
+//! repro [--quick] [--verbose] [--jobs N] [--csv <dir>] [--manifest <path>]
+//!       [--trace <path>] <artifact>...
 //! repro query [--quick] [--jobs N] [--manifest <path>] (--file <path> | '<json>')
-//! repro worker --plan <file> --shard i/N --out <file>
-//!              [--manifest <path>] [--telemetry <path>] [--jobs W]
 //!
 //! artifacts:
 //!   space     Table 1 design space summary
@@ -53,30 +50,12 @@
 //! instructions, oracle cache hits/misses, sweep throughput, …), span
 //! totals, and model-quality records (`udse-inspect` consumes these).
 //! `--trace <path>` records discrete span events (like `UDSE_TRACE=1`)
-//! and writes them as Chrome `trace_event` JSON loadable in Perfetto;
-//! combined with `--shards N` the written trace is the *merged*
-//! multi-process timeline — parent plus one pid lane per worker shard,
-//! with worker clocks normalized onto the parent's via the anchors in
-//! their telemetry sidecars. Only the paper's tables and figures go to
-//! stdout.
+//! and writes them as Chrome `trace_event` JSON loadable in Perfetto.
+//! Only the paper's tables and figures go to stdout.
 //!
-//! `--shards N` distributes every simulation batch across `N` forked
-//! `repro worker` child processes instead of in-process threads: each
-//! batch becomes an on-disk evaluation plan (see `repro plan`), each
-//! worker evaluates a deterministic contiguous job-ID slice and writes a
-//! result shard plus its own manifest, and the parent reassembles the
-//! shards in job-ID order. Outputs are bitwise-identical to `--jobs`-only
-//! runs. `--shard-dir <dir>` (default `target/shards`) holds the plan,
-//! shard, per-worker manifest, and telemetry sidecar files; aggregate
-//! the manifests with `udse-inspect merge` and summarize a whole run
-//! with `udse-inspect report`. While workers run, the parent tails
-//! their sidecars: per-shard completion renders live on stderr, worker
-//! log lines are prefixed `[shard i/N]`, and a worker silent past
-//! `UDSE_STALL_SECS` (default 30) is flagged as a straggler/stall with
-//! its last-known job. The `plan` and `worker` subcommands are the
-//! pieces: `plan` emits the training plan document, `worker` evaluates
-//! one shard of a plan file (the parent forks these, and a failed or
-//! killed worker is reported with the exact command to retry).
+//! Unknown options and unknown artifact names are rejected up front,
+//! with the usage text on stderr and a non-zero exit, before any
+//! artifact runs.
 //!
 //! `query` answers a single design-space question from the command line:
 //! it trains the model suite (or reuses nothing — training is cheap at
@@ -87,22 +66,20 @@
 //! exit. `--manifest <path>` snapshots the engine's `query.*` counters
 //! (executed, cache hits/misses, designs/sec) for `udse-inspect`.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use udse_bench::{
     ablations, csv_export, depth_figs, extensions, figures, hetero_figs, plot_export, Context,
 };
 use udse_core::report::format_table;
 use udse_core::space::DesignSpace;
-use udse_core::studies::TrainedSuite;
-use udse_core::{EvalPlan, Oracle, Query, SimSpec};
-use udse_obs::{cputime, sidecar, span, trace, Json, Level, ResultShard, RunManifest};
+use udse_core::Query;
+use udse_obs::{span, trace, Json, Level, RunManifest};
 use udse_sim::MachineConfig;
 
-// Count every heap allocation (parent and forked workers alike — the
-// worker is this same binary) so manifests, telemetry sidecars, and
-// span attribution report measured numbers instead of "not measured".
+// Count every heap allocation so manifests and span attribution report
+// measured numbers instead of "not measured".
 // See `udse_obs::alloc` for the near-zero disabled/enabled cost.
 #[global_allocator]
 static ALLOC: udse_obs::CountingAlloc = udse_obs::CountingAlloc::new();
@@ -177,7 +154,9 @@ fn print_baseline() -> String {
     )
 }
 
-fn run(artifact: &str, ctx: &Context) -> Result<(), String> {
+/// Renders one artifact to stdout. `artifact` must be one of [`ALL`];
+/// `main` validates every name before any artifact runs.
+fn run(artifact: &str, ctx: &Context) {
     let out = match artifact {
         "space" => print_space(),
         "baseline" => print_baseline(),
@@ -207,10 +186,9 @@ fn run(artifact: &str, ctx: &Context) -> Result<(), String> {
             ablations::transforms(ctx),
             ablations::sample_size(ctx)
         ),
-        other => return Err(format!("unknown artifact `{other}` (try --help)")),
+        other => unreachable!("artifact `{other}` passed validation"),
     };
     println!("{out}");
-    Ok(())
 }
 
 const ALL: [&str; 22] = [
@@ -238,51 +216,11 @@ const ALL: [&str; 22] = [
     "ablations",
 ];
 
-const USAGE: &str = "usage: repro [--quick] [--verbose] [--jobs N] [--shards N] \
-     [--shard-dir <dir>] [--csv <dir>] [--manifest <path>] [--trace <path>] <artifact>...";
-
-const PLAN_USAGE: &str = "usage: repro plan [--quick] [--out <path>]";
+const USAGE: &str = "usage: repro [--quick] [--verbose] [--jobs N] [--csv <dir>] \
+     [--manifest <path>] [--trace <path>] <artifact>...";
 
 const QUERY_USAGE: &str =
     "usage: repro query [--quick] [--jobs N] [--manifest <path>] (--file <path> | '<json>')";
-
-const WORKER_USAGE: &str = "usage: repro worker --plan <file> --shard i/N --out <file> \
-     [--manifest <path>] [--telemetry <path>] [--jobs W]";
-
-/// `repro plan`: emit the canonical training evaluation plan as JSON, to
-/// stdout or `--out <path>`. The document is what `repro worker`
-/// consumes and what `--shards` writes per batch.
-fn plan_main(args: &[String]) -> ExitCode {
-    let quick = args.iter().any(|a| a == "--quick");
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{PLAN_USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let ctx = Context::new(quick);
-    let plan = TrainedSuite::training_plan(ctx.config());
-    let doc = plan.to_json(&SimSpec::of(ctx.sim_oracle())).to_string_pretty();
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    match out {
-        Some(path) => match udse_obs::manifest::write_with_parents(&path, &doc) {
-            Ok(()) => {
-                udse_obs::info!("plan", "wrote {} jobs to {}", plan.len(), path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                udse_obs::error!("plan", "cannot write plan: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        None => {
-            print!("{doc}");
-            ExitCode::SUCCESS
-        }
-    }
-}
 
 /// `repro query`: execute one canonical query JSON document against the
 /// unified query engine and print the canonical result JSON. Exit codes:
@@ -368,324 +306,110 @@ fn query_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro worker`: evaluate one deterministic contiguous shard of a plan
-/// file and write the result shard (and optionally a worker manifest).
-/// The parent `repro --shards N` forks these; the exit code tells it
-/// whether the shard file is trustworthy.
-fn worker_main(args: &[String]) -> ExitCode {
-    let value = |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1));
-    let (Some(plan_path), Some(shard_arg), Some(out_path)) =
-        (value("--plan"), value("--shard"), value("--out"))
-    else {
-        eprintln!("{WORKER_USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let parsed = shard_arg
-        .split_once('/')
-        .and_then(|(i, n)| Some((i.parse::<usize>().ok()?, n.parse::<usize>().ok()?)));
-    let Some((index, count)) = parsed.filter(|&(i, n)| n >= 1 && i < n) else {
-        eprintln!("--shard expects i/N with i < N\n{WORKER_USAGE}");
-        return ExitCode::FAILURE;
-    };
-    if let Some(v) = value("--jobs") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => udse_obs::pool::set_max_workers(n),
-            _ => {
-                eprintln!("--jobs expects a positive integer\n{WORKER_USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let text = match std::fs::read_to_string(plan_path) {
-        Ok(t) => t,
-        Err(e) => {
-            udse_obs::error!("worker", "cannot read plan {plan_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (plan, spec) = match EvalPlan::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            udse_obs::error!("worker", "plan {plan_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let oracle = spec.build();
-    let range = plan.shard_range(index, count);
-    let started = std::time::Instant::now();
-    // The parent re-emits worker stderr under a `[shard i/N]` prefix, so
-    // this line both announces the range and proves log attribution.
-    udse_obs::info!(
-        "worker",
-        "shard {index}/{count} of plan `{}`: {} jobs",
-        plan.label(),
-        range.len()
-    );
-    // Telemetry sidecar: meta first, then heartbeats from a companion
-    // thread while evaluation runs, then spans/events/summary at exit.
-    // Telemetry failures must never take down the work itself, so a
-    // sidecar that cannot be created is warned about and skipped.
-    let writer = value("--telemetry").and_then(|tpath| {
-        let meta = sidecar::SidecarMeta {
-            pid: std::process::id() as u64,
-            plan_label: plan.label().to_string(),
-            shard_index: index as u64,
-            shard_count: count as u64,
-            jobs: range.len() as u64,
-            anchor_unix_us: udse_obs::trace::anchor_unix_us(),
-        };
-        match sidecar::SidecarWriter::create(std::path::Path::new(tpath.as_str()), &meta) {
-            Ok(w) => Some(w),
-            Err(e) => {
-                udse_obs::warn!("worker", "telemetry disabled: {e}");
-                None
-            }
-        }
-    });
-    let total = range.len() as u64;
-    let done = AtomicU64::new(0);
-    // Last completed plan-global job id, offset by one so 0 means none.
-    let last_job = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let beat = |writer: &sidecar::SidecarWriter| {
-        let job = last_job.load(Ordering::Relaxed);
-        writer.heartbeat(&sidecar::Heartbeat {
-            t_us: udse_obs::trace::since_anchor_us(),
-            done: done.load(Ordering::Relaxed),
-            total,
-            last_job: job.checked_sub(1),
-            rss_kb: cputime::read_rss_kb(),
-        });
-    };
-    let mut metrics = Vec::with_capacity(range.len());
-    std::thread::scope(|scope| {
-        if let Some(writer) = &writer {
-            beat(writer);
-            scope.spawn(|| {
-                let interval = std::env::var("UDSE_HEARTBEAT_MS")
-                    .ok()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .filter(|ms| *ms > 0)
-                    .unwrap_or(250);
-                let slice = std::time::Duration::from_millis(10);
-                let mut slept = 0;
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(slice);
-                    slept += 10;
-                    if slept >= interval {
-                        slept = 0;
-                        beat(writer);
-                    }
+/// The artifact run's command line, validated.
+#[derive(Debug, Default)]
+struct Options {
+    quick: bool,
+    verbose: bool,
+    help: bool,
+    jobs: Option<usize>,
+    csv: Option<PathBuf>,
+    manifest: Option<PathBuf>,
+    trace: Option<PathBuf>,
+    artifacts: Vec<String>,
+}
+
+impl Options {
+    /// Parses the artifact command line. Every option must be known,
+    /// every value-taking option must have its value, and every artifact
+    /// must name one of [`ALL`] (or `all`), so a typo fails here instead
+    /// of running at full paper scale or after earlier artifacts.
+    fn parse(args: &[String]) -> Result<Options, String> {
+        let mut opts = Options::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let mut value =
+                || args.next().map(PathBuf::from).ok_or_else(|| format!("{arg} expects a value"));
+            match arg.as_str() {
+                "--quick" => opts.quick = true,
+                "--verbose" | "-v" => opts.verbose = true,
+                "--help" | "-h" => opts.help = true,
+                "--csv" => opts.csv = Some(value()?),
+                "--manifest" => opts.manifest = Some(value()?),
+                "--trace" => opts.trace = Some(value()?),
+                "--jobs" => {
+                    let n = value()?.to_string_lossy().parse::<usize>().ok().filter(|&n| n >= 1);
+                    opts.jobs = Some(n.ok_or("--jobs expects a positive integer")?);
                 }
-            });
-        }
-        // Evaluate in job-id-ordered chunks so the heartbeat counters
-        // advance mid-shard. Every job is a pure function and chunks
-        // concatenate in input order, so the chunk size cannot affect
-        // the assembled values — only heartbeat granularity.
-        let _w = span::enter("worker");
-        let chunk = range.len().div_ceil(64).max(udse_obs::pool::max_workers()).max(1);
-        let mut at = range.start;
-        while at < range.end {
-            let upto = (at + chunk).min(range.end);
-            metrics.extend(oracle.evaluate_many(&plan.jobs()[at..upto]));
-            done.store((upto - range.start) as u64, Ordering::Relaxed);
-            last_job.store(upto as u64, Ordering::Relaxed);
-            at = upto;
-        }
-        drop(_w);
-        stop.store(true, Ordering::Relaxed);
-    });
-    if let Some(writer) = &writer {
-        beat(writer);
-    }
-    let rows: Vec<(u64, Vec<f64>)> =
-        range.clone().zip(&metrics).map(|(id, m)| (id as u64, vec![m.bips, m.watts])).collect();
-    let shard =
-        match ResultShard::new(plan.label(), plan.len() as u64, index as u64, count as u64, rows) {
-            Ok(s) => s,
-            Err(e) => {
-                udse_obs::error!("worker", "shard {index}/{count} of plan `{}`: {e}", plan.label());
-                return ExitCode::FAILURE;
+                flag if flag.starts_with('-') => return Err(format!("unknown option `{flag}`")),
+                name if name == "all" || ALL.contains(&name) => {
+                    opts.artifacts.push(name.to_string())
+                }
+                name => return Err(format!("unknown artifact `{name}`")),
             }
-        };
-    if let Err(e) = shard.write_to_path(std::path::Path::new(out_path.as_str())) {
-        udse_obs::error!("worker", "cannot write result shard: {e}");
-        return ExitCode::FAILURE;
-    }
-    let dropped = udse_obs::trace::global().dropped();
-    if let Some(mpath) = value("--manifest") {
-        // Trace-buffer overflow is a counter, so the manifest snapshot
-        // (and any later `udse-inspect diff`) sees it, not just stderr.
-        udse_obs::metrics::counter("trace.dropped_events").add(dropped);
-        let mut manifest = RunManifest::new("repro-worker");
-        manifest.set("plan", Json::str(plan.label()));
-        manifest.set("shard_index", Json::Int(index as i64));
-        manifest.set("shard_count", Json::Int(count as i64));
-        manifest.set("trace_len", Json::Int(spec.trace_len as i64));
-        manifest.set("seed", Json::Int(spec.seed as i64));
-        manifest.record_artifact("worker", started.elapsed().as_secs_f64());
-        if let Err(e) = manifest.write_to_path(std::path::Path::new(mpath.as_str())) {
-            udse_obs::error!("worker", "cannot write manifest: {e}");
-            return ExitCode::FAILURE;
         }
-    }
-    if let Some(writer) = &writer {
-        let spans = sidecar::span_lines(&span::global().snapshot());
-        let events = if udse_obs::trace::enabled() {
-            udse_obs::trace::global().snapshot()
-        } else {
-            Vec::new()
-        };
-        let stats = udse_obs::alloc::stats();
-        let summary = sidecar::Summary {
-            done: done.load(Ordering::Relaxed),
-            wall_us: udse_obs::trace::since_anchor_us(),
-            dropped_events: dropped,
-            cpu_us: cputime::process_cpu_us(),
-            allocs: udse_obs::alloc::counting().then_some(stats.allocs),
-            alloc_bytes: udse_obs::alloc::counting().then_some(stats.bytes_allocated),
-            peak_rss_kb: cputime::peak_rss_kb(),
-            // Memo effectiveness travels with the shard: a worker only
-            // sees its own job range, so the parent needs these to
-            // judge sub-config reuse across the whole plan.
-            precompute_hits: Some(udse_obs::metrics::counter("sim.precompute.hits").get()),
-            precompute_misses: Some(udse_obs::metrics::counter("sim.precompute.misses").get()),
-        };
-        if let Err(e) = writer.finish(&spans, &events, &summary) {
-            udse_obs::warn!("worker", "telemetry incomplete: {e}");
+        if opts.artifacts.iter().any(|a| a == "all") {
+            opts.artifacts = ALL.iter().map(|a| a.to_string()).collect();
         }
+        Ok(opts)
     }
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
     udse_obs::log::init();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("plan") => return plan_main(&args[1..]),
-        Some("query") => return query_main(&args[1..]),
-        Some("worker") => return worker_main(&args[1..]),
-        _ => {}
+    if args.first().map(String::as_str) == Some("query") {
+        return query_main(&args[1..]);
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let verbose = args.iter().any(|a| a == "--verbose" || a == "-v");
-    if verbose {
+    let usage = || format!("{USAGE}\nartifacts: {} all", ALL.join(" "));
+    let opts = match Options::parse(&args) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("repro: {e}\n{}", usage());
+            return ExitCode::FAILURE;
+        }
+    };
+    if opts.help || opts.artifacts.is_empty() {
+        eprintln!("{}", usage());
+        return if opts.help { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+    }
+    if opts.verbose {
         udse_obs::log::raise_level(Level::Info);
     }
-    // --csv <dir>: also export tabular series next to the text output.
-    let arg_value = |flag: &str| -> Option<std::path::PathBuf> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from)
-    };
-    let csv_dir = arg_value("--csv");
-    let manifest_path = arg_value("--manifest");
-    let trace_path = arg_value("--trace");
-    if trace_path.is_some() {
+    if opts.trace.is_some() {
         udse_obs::trace::enable();
     }
     // --jobs N: cap the simulation/fitting worker pool. Default is all
     // available cores; 1 restores fully sequential execution.
-    let jobs = match arg_value("--jobs") {
-        Some(v) => match v.to_string_lossy().parse::<usize>() {
-            Ok(n) if n >= 1 => {
-                udse_obs::pool::set_max_workers(n);
-                n
-            }
-            _ => {
-                eprintln!("--jobs expects a positive integer\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => udse_obs::pool::max_workers(),
-    };
-    // --shards N: fork every simulation batch across N worker processes
-    // (bitwise-identical results; see the module docs above).
-    let shards = match arg_value("--shards") {
-        Some(v) => match v.to_string_lossy().parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => {
-                eprintln!("--shards expects a positive integer\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let shard_dir =
-        arg_value("--shard-dir").unwrap_or_else(|| std::path::PathBuf::from("target/shards"));
-    let mut skip_next = false;
-    let mut artifacts: Vec<&str> = Vec::new();
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--csv"
-            || a == "--manifest"
-            || a == "--trace"
-            || a == "--jobs"
-            || a == "--shards"
-            || a == "--shard-dir"
-        {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with('-') {
-            artifacts.push(a.as_str());
-        }
+    if let Some(n) = opts.jobs {
+        udse_obs::pool::set_max_workers(n);
     }
-    if args.iter().any(|a| a == "--help" || a == "-h") || artifacts.is_empty() {
-        eprintln!("{USAGE}\nartifacts: {} all", ALL.join(" "));
-        return if artifacts.is_empty() { ExitCode::FAILURE } else { ExitCode::SUCCESS };
-    }
-    if artifacts.contains(&"all") {
-        artifacts = ALL.to_vec();
-    }
-    let ctx = match shards {
-        Some(n) => {
-            let exe = match std::env::current_exe() {
-                Ok(p) => p,
-                Err(e) => {
-                    udse_obs::error!("repro", "cannot locate own binary for --shards: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // Split the thread budget so N workers do not oversubscribe
-            // the machine N-fold.
-            let worker_jobs = jobs.div_ceil(n).max(1);
-            Context::sharded(quick, n, exe, shard_dir.clone(), worker_jobs)
-        }
-        None => Context::new(quick),
-    };
+    let jobs = udse_obs::pool::max_workers();
+    let quick = opts.quick;
+    let ctx = Context::new(quick);
     let mut manifest = RunManifest::new("repro");
     manifest.set("quick", Json::Bool(quick));
     manifest.set("jobs", Json::Int(jobs as i64));
-    manifest.set("shards", Json::Int(shards.unwrap_or(1) as i64));
     manifest.set("seed", Json::Int(ctx.config().seed as i64));
     manifest.set("train_samples", Json::Int(ctx.config().train_samples as i64));
     manifest.set("eval_stride", Json::Int(ctx.config().eval_stride as i64));
     manifest.set("trace_len", Json::Int(ctx.sim_oracle().trace_len() as i64));
     let t0 = std::time::Instant::now();
-    if let Some(dir) = &csv_dir {
+    if let Some(dir) = &opts.csv {
         if let Err(e) = std::fs::create_dir_all(dir) {
             udse_obs::error!("repro", "cannot create csv directory {}: {e}", dir.display());
             return ExitCode::FAILURE;
         }
     }
-    for artifact in artifacts {
+    for artifact in &opts.artifacts {
+        let artifact = artifact.as_str();
         println!("==================== {artifact} ====================");
         let started = std::time::Instant::now();
         let guard = span::enter(artifact);
-        let outcome = run(artifact, &ctx);
+        run(artifact, &ctx);
         drop(guard);
-        if let Err(e) = outcome {
-            udse_obs::error!("repro", "{e}");
-            return ExitCode::FAILURE;
-        }
         manifest.record_artifact(artifact, started.elapsed().as_secs_f64());
-        if let Some(dir) = &csv_dir {
+        if let Some(dir) = &opts.csv {
             match csv_export::export(&ctx, artifact, dir) {
                 Ok(Some(path)) => udse_obs::info!("csv", "wrote {}", path.display()),
                 Ok(None) => {}
@@ -720,13 +444,13 @@ fn main() -> ExitCode {
     // Allocation totals as counters so `udse-inspect diff
     // --tol-resource alloc.bytes:pct[:floor]` can gate allocation
     // regressions between runs (the `resources` section carries the
-    // same totals; counters additionally merge across shard manifests).
+    // same totals).
     if udse_obs::alloc::counting() {
         let a = udse_obs::alloc::stats();
         udse_obs::metrics::counter("alloc.count").add(a.allocs);
         udse_obs::metrics::counter("alloc.bytes").add(a.bytes_allocated);
     }
-    if let Some(path) = &manifest_path {
+    if let Some(path) = &opts.manifest {
         match manifest.write_to_path(path) {
             Ok(()) => udse_obs::info!("repro", "wrote manifest {}", path.display()),
             Err(e) => {
@@ -735,49 +459,12 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(path) = &trace_path {
+    if let Some(path) = &opts.trace {
         let events = trace::global().snapshot();
         if dropped > 0 {
             udse_obs::warn!("repro", "trace buffer full: {dropped} events dropped");
         }
-        // Sharded runs merge every worker's sidecar events onto the
-        // parent's timeline, one pid lane per shard index, clocks
-        // normalized via the sidecar anchors.
-        let doc = if shards.is_some() {
-            let (sidecars, problems) = sidecar::collect(&shard_dir);
-            for problem in &problems {
-                udse_obs::warn!("repro", "trace merge: {problem}");
-            }
-            let mut worker_traces = Vec::new();
-            let mut lanes = vec![(trace::PARENT_PID, "repro (parent)".to_string())];
-            for (spath, doc) in &sidecars {
-                let Some(meta) = &doc.meta else {
-                    udse_obs::warn!("repro", "trace merge: {} has no meta", spath.display());
-                    continue;
-                };
-                let lane = meta.shard_index;
-                if !lanes.iter().any(|(pid, _)| *pid == trace::worker_pid(lane)) {
-                    lanes.push((trace::worker_pid(lane), format!("worker shard {lane}")));
-                }
-                worker_traces.push(trace::WorkerTrace {
-                    lane,
-                    anchor_unix_us: meta.anchor_unix_us,
-                    events: doc.events.clone(),
-                });
-            }
-            lanes.sort_by_key(|(pid, _)| *pid);
-            let merged =
-                trace::merge_process_traces(&events, trace::anchor_unix_us(), &worker_traces);
-            udse_obs::info!(
-                "repro",
-                "merged {} worker sidecar(s) into the trace ({} lanes)",
-                worker_traces.len(),
-                lanes.len()
-            );
-            trace::chrome_trace_json_named(&merged, &lanes)
-        } else {
-            trace::chrome_trace_json(&events)
-        };
+        let doc = trace::chrome_trace_json(&events);
         match udse_obs::manifest::write_with_parents(path, &doc.to_string_pretty()) {
             Ok(()) => {
                 udse_obs::info!(

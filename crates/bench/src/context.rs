@@ -1,6 +1,5 @@
 //! Shared experiment context: one oracle, one trained model suite.
 
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use udse_core::studies::depth::DepthStudy;
@@ -8,21 +7,17 @@ use udse_core::studies::pareto::{self, Characterization};
 use udse_core::studies::{StudyConfig, TrainedSuite};
 use udse_core::{CachedOracle, Engine, SimOracle};
 
-use crate::shard::{GroundTruth, ShardedOracle};
-
 /// Lazily trains the nine benchmark model pairs once and shares them
 /// across all experiment drivers, mirroring the paper's "formulated once,
 /// used in multiple studies" workflow (§7). `Send + Sync` (lazy slots sit
 /// behind mutexes), so one context can feed parallel drivers.
 ///
-/// The ground truth behind the memoizing cache is a [`GroundTruth`]:
-/// in-process simulation by default ([`Context::new`]), or fan-out to
-/// `repro worker` child processes ([`Context::sharded`]). Because the
-/// cache sits above the ground truth, every study batch dedups first and
-/// then shards automatically.
+/// Ground truth is a [`SimOracle`] behind a memoizing [`CachedOracle`]:
+/// every study batch dedups first, then fans its misses out across the
+/// [`udse_obs::pool`] threads (`repro --jobs N`).
 #[derive(Debug)]
 pub struct Context {
-    oracle: CachedOracle<GroundTruth>,
+    oracle: CachedOracle<SimOracle>,
     config: StudyConfig,
     suite: Mutex<Option<TrainedSuite>>,
     engine: Mutex<Option<Arc<Engine>>>,
@@ -33,42 +28,17 @@ pub struct Context {
 /// Trace length used in quick mode (tests, smoke runs).
 const QUICK_TRACE_LEN: usize = 20_000;
 
-fn base(quick: bool) -> (SimOracle, StudyConfig) {
-    if quick {
-        (SimOracle::with_trace_len(QUICK_TRACE_LEN), StudyConfig::quick())
-    } else {
-        (SimOracle::new(), StudyConfig::paper())
-    }
-}
-
 impl Context {
-    /// Creates an in-process context. `quick` selects reduced sample
-    /// counts and short traces for smoke runs; otherwise the paper-scale
+    /// Creates a context. `quick` selects reduced sample counts and
+    /// short traces for smoke runs; otherwise the paper-scale
     /// configuration is used (1,000 training samples, exhaustive
     /// evaluation).
     pub fn new(quick: bool) -> Self {
-        let (oracle, config) = base(quick);
-        Self::with_ground_truth(GroundTruth::Local(oracle), config)
-    }
-
-    /// Creates a context whose simulation batches fork to `shards`
-    /// `repro worker` child processes (`exe` is the `repro` binary,
-    /// `dir` receives plan/shard/manifest files, `worker_jobs` caps each
-    /// worker's thread pool). Results are bitwise-identical to
-    /// [`Context::new`] — see [`crate::shard`].
-    pub fn sharded(
-        quick: bool,
-        shards: usize,
-        exe: PathBuf,
-        dir: PathBuf,
-        worker_jobs: usize,
-    ) -> Self {
-        let (oracle, config) = base(quick);
-        let sharded = ShardedOracle::new(oracle, shards, exe, dir, worker_jobs);
-        Self::with_ground_truth(GroundTruth::Sharded(sharded), config)
-    }
-
-    fn with_ground_truth(oracle: GroundTruth, config: StudyConfig) -> Self {
+        let (oracle, config) = if quick {
+            (SimOracle::with_trace_len(QUICK_TRACE_LEN), StudyConfig::quick())
+        } else {
+            (SimOracle::new(), StudyConfig::paper())
+        };
         Context {
             oracle: CachedOracle::new(oracle),
             config,
@@ -81,13 +51,13 @@ impl Context {
 
     /// The ground-truth oracle (memoized: studies that revisit the same
     /// designs pay for each simulation once).
-    pub fn oracle(&self) -> &CachedOracle<GroundTruth> {
+    pub fn oracle(&self) -> &CachedOracle<SimOracle> {
         &self.oracle
     }
 
     /// The underlying simulation oracle (trace access, warmup length).
     pub fn sim_oracle(&self) -> &SimOracle {
-        self.oracle.inner().sim()
+        self.oracle.inner()
     }
 
     /// The study configuration.

@@ -4,20 +4,11 @@
 //! [`show`] renders one manifest for humans; [`diff`] compares two runs
 //! (wall time, metrics, model quality) against configurable tolerances
 //! and reports regressions — the CI gate behind `scripts/bench.sh`;
-//! [`merge`] aggregates the per-process manifests of one sharded run
-//! into a single document `diff` can gate; [`trace_from_manifest`] turns
-//! a manifest's span totals into a Perfetto-loadable Chrome
-//! `trace_event` document; [`report`] combines a manifest with the
-//! telemetry sidecars of a sharded run into one "what did this run do
-//! and where did the time go" summary, including per-shard throughput
-//! skew and straggler warnings; [`per_worker_summary`] breaks a merged
-//! multi-process trace down by pid lane.
-
-use std::path::PathBuf;
-use std::time::Duration;
+//! [`trace_from_manifest`] turns a manifest's span totals into a
+//! Perfetto-loadable Chrome `trace_event` document, and
+//! [`folded_from_manifest`] into flamegraph folded stacks.
 
 use udse_obs::manifest::ParsedManifest;
-use udse_obs::sidecar::SidecarDoc;
 use udse_obs::{trace, Json};
 
 /// Thresholds for [`diff`]. Wall time and model quality gate hard;
@@ -399,25 +390,6 @@ fn pct_change(old: f64, new: f64) -> f64 {
     }
 }
 
-/// Merges the per-process manifests of one sharded run (parent plus
-/// `repro worker` children, each labeled with its source path) into a
-/// single aggregate document: minimum wall time per artifact and span
-/// (concurrent processes overlap, so the minimum is the honest
-/// serial-equivalent), work counters summed across processes (shards
-/// partition the work), and quality records carried verbatim — shared
-/// keys must agree within `quality_tol` or the merge refuses. The result
-/// parses back as an ordinary manifest, so `diff` can gate a sharded run
-/// against a single-process baseline. Delegates to
-/// [`udse_obs::manifest::merge_manifests`].
-///
-/// # Errors
-///
-/// Fails on an empty input list or a quality disagreement, naming the
-/// offending record, statistic, and input label.
-pub fn merge(inputs: &[(String, ParsedManifest)], quality_tol: f64) -> Result<Json, String> {
-    udse_obs::manifest::merge_manifests(inputs, quality_tol)
-}
-
 /// Renders one manifest as a human-readable summary.
 pub fn show(m: &ParsedManifest) -> String {
     let mut out = format!(
@@ -526,254 +498,6 @@ pub fn show(m: &ParsedManifest) -> String {
         for (name, v) in &m.metrics {
             out.push_str(&format!("  {name} = {}\n", v.to_string_compact()));
         }
-    }
-    out
-}
-
-/// Per-shard aggregate of one run's telemetry sidecars: the skew table
-/// rows of [`report`].
-#[derive(Debug, Default, Clone, Copy)]
-struct ShardAggregate {
-    batches: u64,
-    jobs: u64,
-    busy_us: u64,
-    max_rss_kb: u64,
-    dropped_events: u64,
-    unclean_exits: u64,
-    // Resource totals from worker summaries. The `*_known` flags keep
-    // "measured zero" distinct from "worker didn't measure" (old
-    // sidecars, dirty exits): unknown renders as `-`, never as 0.
-    cpu_us: u64,
-    cpu_known: bool,
-    allocs: u64,
-    alloc_bytes: u64,
-    alloc_known: bool,
-    precompute_hits: u64,
-    precompute_misses: u64,
-    precompute_known: bool,
-}
-
-/// The unified run report: the manifest summary ([`show`]) followed by
-/// what the telemetry sidecars add — a per-shard wall/job-throughput
-/// skew table (aggregated over every batch a shard served), straggler
-/// warnings (heartbeat gaps longer than `stall_after`, workers that
-/// never wrote a summary), and a trace-drop note. `sidecars` comes from
-/// [`udse_obs::sidecar::collect`]; pass its problem list through too so
-/// corrupt files are reported rather than silently ignored.
-pub fn report(
-    m: &ParsedManifest,
-    sidecars: &[(PathBuf, SidecarDoc)],
-    problems: &[String],
-    stall_after: Duration,
-) -> String {
-    let mut out = show(m);
-    if sidecars.is_empty() && problems.is_empty() {
-        out.push_str("\nno telemetry sidecars (single-process run, or pass --shard-dir)\n");
-        return out;
-    }
-    let mut warnings: Vec<String> = problems.to_vec();
-    // Aggregate per shard index: one worker process per batch serves
-    // each shard, so a shard's row sums over all its batches.
-    let mut shards: Vec<(u64, ShardAggregate)> = Vec::new();
-    let stall_us = stall_after.as_micros() as u64;
-    for (path, doc) in sidecars {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("sidecar");
-        let Some(meta) = &doc.meta else {
-            warnings.push(format!("{name}: no meta record (worker died at startup?)"));
-            continue;
-        };
-        let slot = match shards.iter_mut().find(|(i, _)| *i == meta.shard_index) {
-            Some((_, agg)) => agg,
-            None => {
-                shards.push((meta.shard_index, ShardAggregate::default()));
-                &mut shards.last_mut().expect("just pushed").1
-            }
-        };
-        slot.batches += 1;
-        match &doc.summary {
-            Some(s) => {
-                slot.jobs += s.done;
-                slot.busy_us += s.wall_us;
-                slot.dropped_events += s.dropped_events;
-                if let Some(v) = s.cpu_us {
-                    slot.cpu_us += v;
-                    slot.cpu_known = true;
-                }
-                if let Some(v) = s.allocs {
-                    slot.allocs += v;
-                    slot.alloc_bytes += s.alloc_bytes.unwrap_or(0);
-                    slot.alloc_known = true;
-                }
-                slot.max_rss_kb = slot.max_rss_kb.max(s.peak_rss_kb.unwrap_or(0));
-                if let (Some(h), Some(miss)) = (s.precompute_hits, s.precompute_misses) {
-                    slot.precompute_hits += h;
-                    slot.precompute_misses += miss;
-                    slot.precompute_known = true;
-                }
-            }
-            None => {
-                slot.unclean_exits += 1;
-                // Last heartbeat is the best surviving estimate.
-                if let Some(h) = doc.heartbeats.last() {
-                    slot.jobs += h.done;
-                    slot.busy_us += h.t_us;
-                }
-                let at = doc
-                    .heartbeats
-                    .last()
-                    .and_then(|h| h.last_job)
-                    .map_or(String::new(), |j| format!(" (last job {j})"));
-                warnings.push(format!("{name}: worker did not exit cleanly{at}"));
-            }
-        }
-        slot.max_rss_kb =
-            slot.max_rss_kb.max(doc.heartbeats.iter().filter_map(|h| h.rss_kb).max().unwrap_or(0));
-        // Straggler heuristic: a silence longer than the stall
-        // threshold between consecutive heartbeats (or before the
-        // first) is exactly what the live monitor would have flagged.
-        let mut prev = 0u64;
-        for h in &doc.heartbeats {
-            if h.t_us.saturating_sub(prev) > stall_us {
-                warnings.push(format!(
-                    "{name}: {:.1}s heartbeat gap at +{:.1}s ({}/{} jobs done)",
-                    (h.t_us - prev) as f64 / 1e6,
-                    h.t_us as f64 / 1e6,
-                    h.done,
-                    h.total
-                ));
-            }
-            prev = h.t_us;
-        }
-    }
-    shards.sort_by_key(|(i, _)| *i);
-    if !shards.is_empty() {
-        let best = shards
-            .iter()
-            .map(|(_, a)| throughput(a.jobs, a.busy_us))
-            .fold(0.0f64, f64::max)
-            .max(f64::MIN_POSITIVE);
-        out.push_str(&format!(
-            "\nshard telemetry ({} sidecar(s)):\n  {:<5} {:>7} {:>8} {:>10} {:>8} {:>10} {:>9} \
-             {:>8} {:>12} {:>10} {:>10} {:>8}\n",
-            sidecars.len(),
-            "shard",
-            "batches",
-            "jobs",
-            "busy(s)",
-            "jobs/s",
-            "vs-best",
-            "rss(MB)",
-            "cpu(s)",
-            "allocs",
-            "alloc(MB)",
-            "memo-hit",
-            "resolve"
-        ));
-        for (index, agg) in &shards {
-            let rate = throughput(agg.jobs, agg.busy_us);
-            let cpu =
-                if agg.cpu_known { format!("{:.3}", agg.cpu_us as f64 / 1e6) } else { "-".into() };
-            let (allocs, alloc_mb) = if agg.alloc_known {
-                (
-                    agg.allocs.to_string(),
-                    format!("{:.1}", agg.alloc_bytes as f64 / (1 << 20) as f64),
-                )
-            } else {
-                ("-".into(), "-".into())
-            };
-            // Memoized-stream effectiveness: hit share of the shard's
-            // stream lookups, and how many streams it resolved itself.
-            let (memo_hit, resolves) = if agg.precompute_known {
-                let lookups = (agg.precompute_hits + agg.precompute_misses).max(1);
-                (
-                    format!("{:.0}%", 100.0 * agg.precompute_hits as f64 / lookups as f64),
-                    agg.precompute_misses.to_string(),
-                )
-            } else {
-                ("-".into(), "-".into())
-            };
-            out.push_str(&format!(
-                "  {:<5} {:>7} {:>8} {:>10.3} {:>8.0} {:>9.0}% {:>9.1} {:>8} {:>12} {:>10} \
-                 {:>10} {:>8}\n",
-                index,
-                agg.batches,
-                agg.jobs,
-                agg.busy_us as f64 / 1e6,
-                rate,
-                100.0 * rate / best,
-                agg.max_rss_kb as f64 / 1024.0,
-                cpu,
-                allocs,
-                alloc_mb,
-                memo_hit,
-                resolves
-            ));
-        }
-    }
-    let dropped: u64 = shards.iter().map(|(_, a)| a.dropped_events).sum();
-    if dropped > 0 {
-        out.push_str(&format!(
-            "\ntrace: {dropped} event(s) dropped by worker buffers (raise nothing — \
-             the buffer is bounded by design; shard finer to shrink per-worker spans)\n"
-        ));
-    }
-    if warnings.is_empty() {
-        out.push_str("\nno straggler/stall warnings\n");
-    } else {
-        out.push_str("\nstraggler warnings:\n");
-        for w in &warnings {
-            out.push_str(&format!("  - {w}\n"));
-        }
-    }
-    out
-}
-
-fn throughput(jobs: u64, busy_us: u64) -> f64 {
-    if busy_us == 0 {
-        0.0
-    } else {
-        jobs as f64 / (busy_us as f64 / 1e6)
-    }
-}
-
-/// Per-pid-lane breakdown of a merged multi-process Chrome trace:
-/// event count, covered wall span, and the busiest span (largest
-/// summed duration) of every lane. Each data row starts with the
-/// numeric pid, so `grep -c '^ *[0-9]'` counts lanes.
-pub fn per_worker_summary(parsed: &trace::ParsedChromeTrace) -> String {
-    let mut pids: Vec<u64> = parsed.events.iter().map(|e| e.pid).collect();
-    pids.sort_unstable();
-    pids.dedup();
-    let mut out = format!(
-        "{:>5}  {:<18} {:>8} {:>10}  {}\n",
-        "pid", "lane", "events", "wall(s)", "busiest span"
-    );
-    for pid in pids {
-        let name =
-            parsed.lanes.iter().find(|(p, _)| *p == pid).map_or("(unnamed)", |(_, n)| n.as_str());
-        let events: Vec<_> = parsed.events.iter().filter(|e| e.pid == pid).collect();
-        let start = events.iter().map(|e| e.ts_us).min().unwrap_or(0);
-        let end = events.iter().map(|e| e.ts_us + e.dur_us).max().unwrap_or(0);
-        // Busiest span: the name with the largest total duration.
-        let mut totals: Vec<(&str, u64)> = Vec::new();
-        for e in &events {
-            match totals.iter_mut().find(|(n, _)| *n == e.name.as_str()) {
-                Some((_, d)) => *d += e.dur_us,
-                None => totals.push((e.name.as_str(), e.dur_us)),
-            }
-        }
-        let busiest = totals
-            .iter()
-            .max_by_key(|(_, d)| *d)
-            .map_or_else(|| "-".to_string(), |(n, d)| format!("{n} ({:.3}s)", *d as f64 / 1e6));
-        out.push_str(&format!(
-            "{:>5}  {:<18} {:>8} {:>10.3}  {}\n",
-            pid,
-            name,
-            events.len(),
-            (end - start) as f64 / 1e6,
-            busiest
-        ));
     }
     out
 }
@@ -939,32 +663,6 @@ mod tests {
         assert_eq!(tol.quality_budget("validation.ammp.bips", "p50"), 0.02);
         assert_eq!(tol.quality_budget("depth.original.eff", "bias"), 0.02);
         assert_eq!(tol.quality_budget("heterogeneity.compromise.watts", "max"), 0.05);
-    }
-
-    #[test]
-    fn merged_shard_manifests_diff_clean_against_single_process() {
-        // A 2-shard run: the parent holds the artifact walls and quality,
-        // each worker holds its slice of the simulation counters. Merged,
-        // the counters reconstruct the single-process totals and the diff
-        // gate passes.
-        let single = manifest(
-            &[("fig1", 2.0)],
-            &[("validation.pooled.bips", 0.02, 0.06)],
-            &[("sim.instructions", 1_000)],
-        );
-        let parent = manifest(
-            &[("fig1", 2.2)],
-            &[("validation.pooled.bips", 0.02, 0.06)],
-            &[("sim.instructions", 400)],
-        );
-        let w0 = manifest(&[], &[], &[("sim.instructions", 300)]);
-        let w1 = manifest(&[], &[], &[("sim.instructions", 300)]);
-        let doc = merge(&[("parent".into(), parent), ("w0".into(), w0), ("w1".into(), w1)], 1e-9)
-            .expect("consistent manifests merge");
-        let merged = ParsedManifest::parse(&doc.to_string_pretty()).expect("merge output parses");
-        assert_eq!(merged.metric("sim.instructions").and_then(Json::as_i64), Some(1_000));
-        let report = diff(&single, &merged, &DiffTolerances::default());
-        assert!(!report.is_regression(), "report: {}", report.render());
     }
 
     #[test]
@@ -1247,126 +945,5 @@ mod tests {
         assert_eq!(arr[0].get("name").and_then(Json::as_str), Some("all"));
         assert_eq!(arr[0].get("ph").and_then(Json::as_str), Some("X"));
         assert_eq!(arr[0].get("dur").and_then(Json::as_i64), Some(1_000_000));
-    }
-
-    fn sidecar_doc(
-        shard: u64,
-        jobs: u64,
-        beats: &[(u64, u64)],             // (t_us, done)
-        summary: Option<(u64, u64, u64)>, // (done, wall_us, dropped_events)
-    ) -> (std::path::PathBuf, udse_obs::sidecar::SidecarDoc) {
-        use udse_obs::sidecar::{Heartbeat, SidecarDoc, SidecarMeta, Summary};
-        let doc = SidecarDoc {
-            meta: Some(SidecarMeta {
-                pid: 1000 + shard,
-                plan_label: "fig1".into(),
-                shard_index: shard,
-                shard_count: 2,
-                jobs,
-                anchor_unix_us: 0,
-            }),
-            heartbeats: beats
-                .iter()
-                .map(|&(t_us, done)| Heartbeat {
-                    t_us,
-                    done,
-                    total: jobs,
-                    last_job: done.checked_sub(1),
-                    rss_kb: Some(10_240),
-                })
-                .collect(),
-            spans: vec![],
-            events: vec![],
-            summary: summary.map(|(done, wall_us, dropped_events)| Summary {
-                done,
-                wall_us,
-                dropped_events,
-                cpu_us: Some(wall_us / 2),
-                allocs: Some(done * 10),
-                alloc_bytes: Some(done * 1024),
-                peak_rss_kb: Some(20_480),
-                precompute_hits: Some(done * 2),
-                precompute_misses: Some(done / 2),
-            }),
-            problems: vec![],
-        };
-        (std::path::PathBuf::from(format!("shard-{shard}.telemetry.jsonl")), doc)
-    }
-
-    #[test]
-    fn report_without_sidecars_points_at_shard_dir() {
-        let m = manifest(&[("fig1", 1.0)], &[], &[]);
-        let text = report(&m, &[], &[], std::time::Duration::from_secs(30));
-        assert!(text.contains("no telemetry sidecars"), "{text}");
-        // The manifest half of the report is still present.
-        assert!(text.contains("tool: repro"), "{text}");
-    }
-
-    #[test]
-    fn report_renders_skew_stragglers_and_unclean_exits() {
-        let m = manifest(&[("fig1", 1.0)], &[], &[]);
-        // Shard 0: clean, steady heartbeats, fast.
-        let a = sidecar_doc(0, 100, &[(0, 10), (100_000, 60)], Some((100, 1_000_000, 0)));
-        // Shard 1: a 5 s heartbeat gap against a 1 s threshold, no
-        // summary record (killed), and dropped trace events reported by
-        // its last heartbeat-derived estimate.
-        let b = sidecar_doc(1, 100, &[(0, 5), (5_000_000, 20)], None);
-        let problems = vec!["shard-1: truncated final line".to_string()];
-        let text = report(&m, &[a, b], &problems, std::time::Duration::from_secs(1));
-        assert!(text.contains("shard"), "{text}");
-        assert!(text.contains("jobs/s"), "missing throughput column:\n{text}");
-        assert!(text.contains("heartbeat gap"), "missing straggler warning:\n{text}");
-        assert!(text.contains("did not exit cleanly"), "missing unclean-exit warning:\n{text}");
-        assert!(text.contains("truncated final line"), "collector problems not surfaced:\n{text}");
-        // Resource columns: shard 0's summary reports cpu = wall/2 and
-        // 10 allocs/job; shard 1 died without a summary, so its
-        // resources are unknown and must render as `-`, never 0.
-        assert!(text.contains("cpu(s)"), "missing cpu column:\n{text}");
-        assert!(text.contains("alloc(MB)"), "missing alloc column:\n{text}");
-        let row0 = text.lines().find(|l| l.trim_start().starts_with("0 ")).unwrap();
-        assert!(row0.contains("0.500") && row0.contains("1000"), "{row0}");
-        let row1 = text.lines().find(|l| l.trim_start().starts_with("1 ")).unwrap();
-        assert!(row1.contains('-'), "unknown resources must render as -: {row1}");
-    }
-
-    #[test]
-    fn report_notes_dropped_trace_events() {
-        let m = manifest(&[("fig1", 1.0)], &[], &[]);
-        let a = sidecar_doc(0, 10, &[(0, 10)], Some((10, 500_000, 7)));
-        let text = report(&m, &[a], &[], std::time::Duration::from_secs(30));
-        assert!(text.contains("dropped"), "{text}");
-        assert!(text.contains('7'), "{text}");
-    }
-
-    #[test]
-    fn per_worker_summary_groups_events_by_pid_lane() {
-        use udse_obs::trace::{ParsedChromeTrace, Phase, TraceEvent};
-        let ev = |name: &str, pid: u64, ts_us: u64, dur_us: u64| TraceEvent {
-            name: name.into(),
-            cat: "span".into(),
-            phase: Phase::Complete,
-            ts_us,
-            dur_us,
-            pid,
-            tid: 0,
-        };
-        let parsed = ParsedChromeTrace {
-            events: vec![
-                ev("oracle", 1, 0, 2_000_000),
-                ev("fit", 1, 100, 500_000),
-                ev("worker", 2, 50, 1_000_000),
-            ],
-            lanes: vec![(1, "repro (parent)".into()), (2, "worker shard 0".into())],
-        };
-        let text = per_worker_summary(&parsed);
-        assert!(text.contains("repro (parent)"), "{text}");
-        assert!(text.contains("worker shard 0"), "{text}");
-        // Parent lane: 2 events, busiest span is `oracle`.
-        let parent_row = text.lines().find(|l| l.contains("repro (parent)")).unwrap();
-        assert!(parent_row.trim_start().starts_with('1'), "{parent_row}");
-        assert!(parent_row.contains("oracle"), "{parent_row}");
-        // An unnamed lane still renders.
-        let bare = ParsedChromeTrace { events: vec![ev("x", 9, 0, 1)], lanes: vec![] };
-        assert!(per_worker_summary(&bare).contains("(unnamed)"));
     }
 }

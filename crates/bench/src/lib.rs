@@ -30,7 +30,5 @@ pub mod figures;
 pub mod hetero_figs;
 pub mod inspect;
 pub mod plot_export;
-pub mod shard;
 
 pub use context::Context;
-pub use shard::{GroundTruth, ShardedOracle};

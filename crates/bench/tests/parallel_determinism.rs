@@ -6,11 +6,7 @@
 //! training samples, fitted coefficients, quality telemetry — may depend
 //! on the worker count.
 
-use std::path::PathBuf;
-
-use udse_bench::{GroundTruth, ShardedOracle};
 use udse_core::oracle::{CachedOracle, Metrics, Oracle, SimOracle};
-use udse_core::plan::EvalPlan;
 use udse_core::space::{DesignPoint, DesignSpace};
 use udse_core::studies::heterogeneity::BenchmarkArchitectures;
 use udse_core::studies::validation::ValidationStudy;
@@ -44,13 +40,13 @@ type PipelineOutput = (Vec<Vec<f64>>, Vec<(f64, f64)>, Vec<QualityRecord>);
 /// manifest quality section would see.
 fn run_pipeline(jobs: usize) -> PipelineOutput {
     udse_obs::pool::set_max_workers(jobs);
-    run_pipeline_on(GroundTruth::Local(SimOracle::with_trace_len(TEST_TRACE_LEN)))
+    run_pipeline_on(SimOracle::with_trace_len(TEST_TRACE_LEN))
 }
 
-/// The same pipeline pass over an arbitrary ground truth (in-process or
-/// sharded to worker processes).
-fn run_pipeline_on(ground_truth: GroundTruth) -> PipelineOutput {
-    let oracle = CachedOracle::new(ground_truth);
+/// The same pipeline pass over a given simulation oracle, memoized the
+/// way `repro` memoizes it.
+fn run_pipeline_on(sim: SimOracle) -> PipelineOutput {
+    let oracle = CachedOracle::new(sim);
     let config = test_config();
     let suite = TrainedSuite::train(&oracle, &config).expect("models fit");
     let engine = Engine::new(suite.clone(), &config);
@@ -175,100 +171,6 @@ fn chunk_parallel_sweeps_match_sequential_bitwise() {
     assert_eq!(optima_seq.optima, optima_par.optima, "per-benchmark optima diverge");
 }
 
-/// A ground truth forking the real `repro` binary, writing its plan and
-/// shard files under a process-unique temp directory.
-fn sharded_ground_truth(shards: usize, tag: &str) -> (GroundTruth, PathBuf) {
-    let dir = std::env::temp_dir().join(format!("udse_det_{tag}_{}", std::process::id()));
-    let oracle = ShardedOracle::new(
-        SimOracle::with_trace_len(TEST_TRACE_LEN),
-        shards,
-        PathBuf::from(env!("CARGO_BIN_EXE_repro")),
-        dir.clone(),
-        1,
-    );
-    (GroundTruth::Sharded(oracle), dir)
-}
-
-#[test]
-fn sharded_pipeline_is_bitwise_identical_to_in_process() {
-    // The tentpole determinism claim: `--shards 1` and `--shards 3`
-    // (multi-process, contiguous plan slices, JSON round trip) produce
-    // exactly the coefficients, medians, and quality telemetry of the
-    // in-process `--jobs` path.
-    let _guard = serialized();
-    udse_obs::pool::set_max_workers(1);
-    let (coef_jobs, med_jobs, quality_jobs) = run_pipeline(1);
-    let (gt1, dir1) = sharded_ground_truth(1, "s1");
-    let (coef_s1, med_s1, _) = run_pipeline_on(gt1);
-    let (gt3, dir3) = sharded_ground_truth(3, "s3");
-    let (coef_s3, med_s3, quality_s3) = run_pipeline_on(gt3);
-    let _ = std::fs::remove_dir_all(&dir1);
-    let _ = std::fs::remove_dir_all(&dir3);
-
-    assert_eq!(coef_jobs.len(), coef_s1.len());
-    assert_eq!(coef_jobs.len(), coef_s3.len());
-    for (i, ((j, s1), s3)) in coef_jobs.iter().zip(&coef_s1).zip(&coef_s3).enumerate() {
-        assert_eq!(j, s1, "model {i} coefficients diverge between --jobs and --shards 1");
-        assert_eq!(j, s3, "model {i} coefficients diverge between --jobs and --shards 3");
-    }
-    assert_eq!(med_jobs, med_s1);
-    assert_eq!(med_jobs, med_s3);
-    assert_eq!(quality_jobs.len(), quality_s3.len());
-    for (j, s) in quality_jobs.iter().zip(&quality_s3) {
-        assert_eq!(j.key, s.key);
-        assert_eq!(j.p50.to_bits(), s.p50.to_bits(), "key {}", j.key);
-        assert_eq!(j.p90.to_bits(), s.p90.to_bits(), "key {}", j.key);
-        assert_eq!(j.max.to_bits(), s.max.to_bits(), "key {}", j.key);
-        assert_eq!(j.bias.to_bits(), s.bias.to_bits(), "key {}", j.key);
-        assert_eq!(j.rmse.to_bits(), s.rmse.to_bits(), "key {}", j.key);
-    }
-}
-
-#[test]
-fn failed_worker_names_shard_and_retry_command() {
-    // A worker that exits non-zero without writing its shard must fail
-    // the batch with the shard named and the exact retry command.
-    let dir = std::env::temp_dir().join(format!("udse_det_fail_{}", std::process::id()));
-    let oracle = ShardedOracle::new(
-        SimOracle::with_trace_len(TEST_TRACE_LEN),
-        2,
-        PathBuf::from("/bin/false"),
-        dir.clone(),
-        1,
-    );
-    let p = DesignSpace::paper().decode(0).unwrap();
-    let plan = EvalPlan::from_jobs("t", vec![(Benchmark::Ammp, p), (Benchmark::Gcc, p)]);
-    let err = oracle.run_plan(&plan).expect_err("worker exits 1");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(err.contains("worker 0/2 exited with status 1"), "err: {err}");
-    assert!(err.contains("retry with"), "err: {err}");
-    assert!(err.contains("--shard 0/2"), "err: {err}");
-}
-
-#[cfg(unix)]
-#[test]
-fn killed_worker_is_detected_as_signal_death() {
-    // A worker killed mid-flight (here: SIGKILLing itself) leaves no
-    // shard file and no exit code; the parent must report the signal
-    // death, not a confusing missing-file error.
-    use std::os::unix::fs::PermissionsExt;
-    let dir = std::env::temp_dir().join(format!("udse_det_kill_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let script = dir.join("kill-self.sh");
-    std::fs::write(&script, "#!/bin/sh\nkill -9 $$\n").expect("write script");
-    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
-        .expect("make executable");
-    let oracle =
-        ShardedOracle::new(SimOracle::with_trace_len(TEST_TRACE_LEN), 1, script, dir.clone(), 1);
-    let p = DesignSpace::paper().decode(1).unwrap();
-    let plan = EvalPlan::from_jobs("t", vec![(Benchmark::Mcf, p)]);
-    let err = oracle.run_plan(&plan).expect_err("worker killed");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(err.contains("was killed by a signal"), "err: {err}");
-    assert!(err.contains("worker 0/1"), "err: {err}");
-    assert!(err.contains("retry with"), "err: {err}");
-}
-
 #[test]
 fn pipeline_types_are_send_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
@@ -278,5 +180,4 @@ fn pipeline_types_are_send_sync() {
     assert_send_sync::<udse_trace::Trace>();
     assert_send_sync::<udse_sim::Simulator>();
     assert_send_sync::<udse_bench::Context>();
-    assert_send_sync::<GroundTruth>();
 }

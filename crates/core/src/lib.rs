@@ -11,10 +11,8 @@
 //! - [`oracle`] — the ground-truth interface: simulate a design point for
 //!   a benchmark and obtain `(bips, watts)`; [`oracle::SimOracle`] wraps
 //!   the `udse-sim` simulator with per-benchmark trace caching.
-//! - [`plan`] — serializable evaluation plans: the batches the studies
-//!   hand to the oracle as first-class values with stable job IDs and a
-//!   canonical JSON form, so ground truth can be sharded across
-//!   processes and reassembled bitwise-identically.
+//! - [`plan`] — evaluation plans: the batches the studies hand to the
+//!   oracle as first-class values with stable job IDs.
 //! - [`model`] — the paper-standard performance and power regression
 //!   models (§3): `sqrt`/`log` response transforms, restricted cubic
 //!   splines with 4 knots on strong predictors and 3 on weak ones, and
@@ -72,6 +70,6 @@ pub mod studies;
 pub use model::PaperModels;
 pub use oracle::{CachedOracle, Metrics, Oracle, SimOracle};
 pub use pareto::ParetoFrontier;
-pub use plan::{EvalPlan, SimSpec};
+pub use plan::EvalPlan;
 pub use query::{Engine, Query, QueryResult};
 pub use space::{DesignPoint, DesignSpace};

@@ -194,8 +194,8 @@ const MAX_LANES: usize = 32;
 /// in predictor order, interaction products in model order, response
 /// back-transform — so stacked predictions are *bitwise-identical* to a
 /// single compiled model's, whatever else shares the stack; fused sweeps
-/// are interchangeable with separate ones and `--jobs`/`--shards` runs
-/// stay deterministic. Against the uncompiled [`PaperModels`] path they
+/// are interchangeable with separate ones and `--jobs` runs stay
+/// deterministic. Against the uncompiled [`PaperModels`] path they
 /// agree to ≤1e-12 relative error (proven exhaustively in the
 /// equivalence tests), not bitwise: the lowering regroups the
 /// floating-point accumulation.
@@ -360,7 +360,7 @@ impl SuiteLanes {
 /// [`CompiledModel::predict_indices`] exactly (left-to-right, one sum per
 /// axis), so every visited value is bitwise-identical to a per-point
 /// call — chunk boundaries cannot change results, which preserves the
-/// `--jobs`/`--shards` determinism contract.
+/// `--jobs` determinism contract.
 ///
 /// For `stride > 1` the walk visits [`crate::studies::strided_point`]
 /// positions and runs the stacked per-point kernel; same bitwise

@@ -65,8 +65,8 @@ pub trait Oracle: Send + Sync {
 
     /// Evaluates every job of an [`EvalPlan`], returning metrics in job-ID
     /// order. Equivalent to [`Oracle::evaluate_many`] on the plan's job
-    /// list; sharding oracles override the batch path, not this, so a
-    /// plan evaluates identically however the work is distributed.
+    /// list (oracles override the batch path, not this), plus the
+    /// `plan.jobs` counter.
     fn evaluate_plan(&self, plan: &EvalPlan) -> Vec<Metrics> {
         udse_obs::metrics::counter("plan.jobs").add(plan.len() as u64);
         self.evaluate_many(plan.jobs())
@@ -264,9 +264,7 @@ impl SimOracle {
         self.trace_len
     }
 
-    /// The configured trace seed (captured by
-    /// [`crate::plan::SimSpec::of`] so worker processes rebuild an
-    /// equivalent oracle).
+    /// The configured trace seed.
     pub fn seed(&self) -> u64 {
         self.seed
     }

@@ -1,75 +1,28 @@
-//! Serializable evaluation plans: the unit of ground-truth work.
+//! Evaluation plans: the unit of ground-truth work.
 //!
 //! Every simulation batch the studies build — training samples,
 //! validation designs, depth/heterogeneity re-simulations, frontier
 //! checks — is a list of independent `(benchmark, design point)` jobs.
 //! [`EvalPlan`] makes that list a first-class value with **stable job
-//! IDs** (a job's ID is its position in the plan) and a canonical,
-//! versioned text serialization, so a batch can be handed to another
-//! process, evaluated in deterministic contiguous slices, and
-//! reassembled bitwise-identically to an in-process run (see
-//! `repro --shards` and [`crate::oracle::Oracle::evaluate_plan`]).
-//!
-//! The serialization is hand-rolled JSON via [`udse_obs::json`]
-//! (zero-dependency rule). Design points serialize as their seven group
-//! indices plus the FO4 depth value; the depth value disambiguates the
-//! paper space from the exploration space, whose depth lists overlap but
-//! never agree at the same index.
+//! IDs** (a job's ID is its position in the plan), which
+//! [`crate::oracle::Oracle::evaluate_plan`] answers in job-ID order.
 //!
 //! # Examples
 //!
 //! ```
-//! use udse_core::plan::{EvalPlan, SimSpec};
+//! use udse_core::plan::EvalPlan;
 //! use udse_core::space::DesignSpace;
 //! use udse_trace::Benchmark;
 //!
 //! let points = DesignSpace::paper().sample_uar(4, 7);
 //! let plan = EvalPlan::cross_suite("train", &points);
 //! assert_eq!(plan.len(), 9 * 4);
-//! let sim = SimSpec { trace_len: 2_000, seed: 0x5EED };
-//! let text = plan.to_json(&sim).to_string_pretty();
-//! let (back, spec) = EvalPlan::parse(&text).unwrap();
-//! assert_eq!(back.jobs(), plan.jobs());
-//! assert_eq!(spec, sim);
+//! assert_eq!(plan.jobs()[4], (Benchmark::ALL[1], points[0]));
 //! ```
 
-use std::ops::Range;
-
-use udse_obs::Json;
 use udse_trace::Benchmark;
 
-use crate::oracle::SimOracle;
-use crate::space::{DesignPoint, DesignSpace};
-
-/// Plan document layout version, bumped on incompatible changes.
-pub const PLAN_SCHEMA_VERSION: i64 = 1;
-
-/// The simulator configuration a plan's jobs must be evaluated under.
-/// Serialized with the plan so a worker process reconstructs an oracle
-/// that is bitwise-equivalent to the one that authored the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimSpec {
-    /// Synthetic trace length in instructions.
-    pub trace_len: usize,
-    /// Trace generation seed.
-    pub seed: u64,
-}
-
-impl SimSpec {
-    /// Captures the spec of an existing oracle.
-    pub fn of(oracle: &SimOracle) -> Self {
-        SimSpec { trace_len: oracle.trace_len(), seed: oracle.seed() }
-    }
-
-    /// Builds a fresh oracle matching this spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace_len < 100` (the [`SimOracle`] floor).
-    pub fn build(&self) -> SimOracle {
-        SimOracle::with_trace_len(self.trace_len).with_seed(self.seed)
-    }
-}
+use crate::space::DesignPoint;
 
 /// An ordered batch of independent `(benchmark, design point)`
 /// evaluation jobs. A job's stable ID is its index in the plan.
@@ -104,7 +57,7 @@ impl EvalPlan {
         (self.jobs.len() - 1) as u64
     }
 
-    /// The plan's label (used in shard file names and diagnostics).
+    /// The plan's label (used in diagnostics).
     pub fn label(&self) -> &str {
         &self.label
     }
@@ -122,262 +75,5 @@ impl EvalPlan {
     /// Whether the plan has no jobs.
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
-    }
-
-    /// The deterministic contiguous job-ID slice assigned to shard
-    /// `index` of `count`. The `count` slices partition `0..len()`
-    /// exactly (no gaps, no overlap) and sizes differ by at most one.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `count == 0` or `index >= count`.
-    pub fn shard_range(&self, index: usize, count: usize) -> Range<usize> {
-        assert!(count >= 1, "shard count must be at least 1");
-        assert!(index < count, "shard index {index} out of range for {count} shards");
-        let len = self.jobs.len();
-        (len * index / count)..(len * (index + 1) / count)
-    }
-
-    /// The jobs of one shard slice, in ID order.
-    pub fn shard_jobs(&self, index: usize, count: usize) -> &[(Benchmark, DesignPoint)] {
-        &self.jobs[self.shard_range(index, count)]
-    }
-
-    /// Serializes the plan (with the simulator spec its jobs assume) to
-    /// the canonical versioned document. Serialization is deterministic:
-    /// the same plan always produces the same bytes.
-    pub fn to_json(&self, sim: &SimSpec) -> Json {
-        let jobs = self
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(id, (b, p))| {
-                let idx = [
-                    p.depth_idx,
-                    p.width_idx,
-                    p.regs_idx,
-                    p.resv_idx,
-                    p.il1_idx,
-                    p.dl1_idx,
-                    p.l2_idx,
-                ];
-                Json::obj([
-                    ("id", Json::Int(id as i64)),
-                    ("bench", Json::str(b.name())),
-                    ("idx", Json::Arr(idx.iter().map(|&i| Json::Int(i as i64)).collect())),
-                    ("fo4", Json::Int(p.fo4() as i64)),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("plan_version", Json::Int(PLAN_SCHEMA_VERSION)),
-            ("label", Json::str(self.label.as_str())),
-            (
-                "sim",
-                Json::obj([
-                    ("trace_len", Json::Int(sim.trace_len as i64)),
-                    ("seed", Json::Int(sim.seed as i64)),
-                ]),
-            ),
-            ("jobs", Json::Arr(jobs)),
-        ])
-    }
-
-    /// Parses a plan document.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed JSON, an unsupported version, an unknown
-    /// benchmark name, indices outside both design spaces, or job IDs
-    /// that are not exactly `0..n` in order (the canonical form).
-    pub fn parse(text: &str) -> Result<(Self, SimSpec), String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        Self::from_json(&doc)
-    }
-
-    /// Interprets an already-parsed document as a plan.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`EvalPlan::parse`].
-    pub fn from_json(doc: &Json) -> Result<(Self, SimSpec), String> {
-        let version = doc
-            .get("plan_version")
-            .and_then(Json::as_i64)
-            .ok_or("missing plan_version — not an evaluation plan")?;
-        if version != PLAN_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported plan_version {version} (this build reads {PLAN_SCHEMA_VERSION})"
-            ));
-        }
-        let label = doc.get("label").and_then(Json::as_str).ok_or("missing label")?.to_string();
-        let sim = doc.get("sim").ok_or("missing sim section")?;
-        let trace_len = sim
-            .get("trace_len")
-            .and_then(Json::as_i64)
-            .filter(|&v| v >= 0)
-            .ok_or("sim.trace_len missing or negative")? as usize;
-        let seed = sim.get("seed").and_then(Json::as_i64).ok_or("sim.seed missing")? as u64;
-        let rows = doc.get("jobs").and_then(Json::as_arr).ok_or("missing jobs array")?;
-        let mut jobs = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let id = row
-                .get("id")
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("job {i}: missing id"))?;
-            if id != i as i64 {
-                return Err(format!("job {i}: id {id} out of order (canonical plans number 0..n)"));
-            }
-            let name = row
-                .get("bench")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("job {i}: missing bench"))?;
-            let benchmark = benchmark_by_name(name)
-                .ok_or_else(|| format!("job {i}: unknown benchmark `{name}`"))?;
-            let idx_arr = row
-                .get("idx")
-                .and_then(Json::as_arr)
-                .filter(|a| a.len() == 7)
-                .ok_or_else(|| format!("job {i}: idx must be a 7-element array"))?;
-            let mut idx = [0u8; 7];
-            for (slot, v) in idx.iter_mut().zip(idx_arr) {
-                *slot = v
-                    .as_i64()
-                    .filter(|&v| (0..=u8::MAX as i64).contains(&v))
-                    .ok_or_else(|| format!("job {i}: non-integer group index"))?
-                    as u8;
-            }
-            let fo4 = row
-                .get("fo4")
-                .and_then(Json::as_i64)
-                .filter(|&v| v >= 0)
-                .ok_or_else(|| format!("job {i}: missing fo4"))? as u32;
-            let point = point_from_parts(idx, fo4)
-                .ok_or_else(|| format!("job {i}: indices {idx:?} with fo4 {fo4} fit no space"))?;
-            jobs.push((benchmark, point));
-        }
-        Ok((EvalPlan { label, jobs }, SimSpec { trace_len, seed }))
-    }
-}
-
-/// Looks up a benchmark by its [`Benchmark::name`].
-pub fn benchmark_by_name(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| b.name() == name)
-}
-
-/// Reconstructs a design point from its serialized group indices and FO4
-/// depth. The depth value selects the space: the paper and exploration
-/// depth lists never agree at the same index (`9 + 3i` vs `12 + 3i`), so
-/// the reconstruction is unambiguous.
-pub(crate) fn point_from_parts(indices: [u8; 7], fo4: u32) -> Option<DesignPoint> {
-    for space in [DesignSpace::paper(), DesignSpace::exploration()] {
-        if let Some(p) = space.point(indices) {
-            if p.fo4() == fo4 {
-                return Some(p);
-            }
-        }
-    }
-    None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_plan() -> EvalPlan {
-        let paper = DesignSpace::paper();
-        let explo = DesignSpace::exploration();
-        let mut plan = EvalPlan::new("mixed");
-        // Points from both spaces, including a depth the lists share.
-        assert_eq!(plan.push(Benchmark::Ammp, paper.decode(0).unwrap()), 0);
-        assert_eq!(plan.push(Benchmark::Jbb, explo.decode(0).unwrap()), 1);
-        assert_eq!(plan.push(Benchmark::Mcf, paper.decode(374_999).unwrap()), 2);
-        assert_eq!(plan.push(Benchmark::Twolf, explo.decode(262_499).unwrap()), 3);
-        plan
-    }
-
-    #[test]
-    fn round_trip_preserves_jobs_and_spec() {
-        let plan = sample_plan();
-        let sim = SimSpec { trace_len: 20_000, seed: 0x5EED };
-        let text = plan.to_json(&sim).to_string_pretty();
-        let (back, spec) = EvalPlan::parse(&text).expect("canonical plan parses");
-        assert_eq!(back, plan);
-        assert_eq!(spec, sim);
-        // Serialize → parse → serialize is byte identity.
-        assert_eq!(back.to_json(&spec).to_string_pretty(), text);
-    }
-
-    #[test]
-    fn ambiguous_depths_resolve_by_fo4() {
-        // Exploration depth_idx 0 is 12 FO4; paper depth_idx 0 is 9 FO4.
-        // Both serialize the same indices and must come back from the
-        // right space.
-        let explo_p = DesignSpace::exploration().decode(0).unwrap();
-        let paper_p = DesignSpace::paper().decode(0).unwrap();
-        assert_eq!(explo_p.depth_idx, paper_p.depth_idx);
-        let mut plan = EvalPlan::new("depths");
-        plan.push(Benchmark::Gcc, explo_p);
-        plan.push(Benchmark::Gcc, paper_p);
-        let sim = SimSpec { trace_len: 2_000, seed: 1 };
-        let (back, _) = EvalPlan::parse(&plan.to_json(&sim).to_string_pretty()).unwrap();
-        assert_eq!(back.jobs()[0].1.fo4(), 12);
-        assert_eq!(back.jobs()[1].1.fo4(), 9);
-    }
-
-    #[test]
-    fn shard_ranges_partition_exactly() {
-        for len in [0usize, 1, 2, 7, 9, 1_000] {
-            let plan = EvalPlan::from_jobs(
-                "p",
-                (0..len)
-                    .map(|i| (Benchmark::Ammp, DesignSpace::paper().decode(i as u64).unwrap()))
-                    .collect(),
-            );
-            for count in 1..=8usize {
-                let mut covered = 0usize;
-                for index in 0..count {
-                    let r = plan.shard_range(index, count);
-                    assert_eq!(r.start, covered, "gap before shard {index}/{count} at len {len}");
-                    covered = r.end;
-                    let size = r.end - r.start;
-                    assert!(
-                        size + 1 >= len / count && size <= len.div_ceil(count),
-                        "unbalanced shard {index}/{count}: {size} of {len}"
-                    );
-                }
-                assert_eq!(covered, len, "shards must cover the plan, count {count}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_index_out_of_range_panics() {
-        let _ = sample_plan().shard_range(3, 3);
-    }
-
-    #[test]
-    fn malformed_documents_error_cleanly() {
-        assert!(EvalPlan::parse("not json").is_err());
-        assert!(EvalPlan::parse("{}").is_err(), "missing version rejected");
-        let future = r#"{"plan_version": 99, "label": "x", "sim": {"trace_len": 100, "seed": 0}, "jobs": []}"#;
-        assert!(EvalPlan::parse(future).unwrap_err().contains("unsupported plan_version"));
-        let bad_bench = r#"{"plan_version": 1, "label": "x", "sim": {"trace_len": 100, "seed": 0},
-            "jobs": [{"id": 0, "bench": "nope", "idx": [0,0,0,0,0,0,0], "fo4": 9}]}"#;
-        assert!(EvalPlan::parse(bad_bench).unwrap_err().contains("unknown benchmark"));
-        let bad_id = r#"{"plan_version": 1, "label": "x", "sim": {"trace_len": 100, "seed": 0},
-            "jobs": [{"id": 1, "bench": "ammp", "idx": [0,0,0,0,0,0,0], "fo4": 9}]}"#;
-        assert!(EvalPlan::parse(bad_id).unwrap_err().contains("out of order"));
-        let bad_point = r#"{"plan_version": 1, "label": "x", "sim": {"trace_len": 100, "seed": 0},
-            "jobs": [{"id": 0, "bench": "ammp", "idx": [0,0,0,0,0,0,0], "fo4": 10}]}"#;
-        assert!(EvalPlan::parse(bad_point).unwrap_err().contains("fit no space"));
-    }
-
-    #[test]
-    fn sim_spec_builds_matching_oracle() {
-        let spec = SimSpec { trace_len: 2_000, seed: 42 };
-        let oracle = spec.build();
-        assert_eq!(SimSpec::of(&oracle), spec);
     }
 }

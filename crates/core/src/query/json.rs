@@ -1,7 +1,7 @@
 //! Canonical versioned JSON wire format for queries and results.
 //!
 //! This is the protocol the planned `udse-serve` daemon will speak, so
-//! it follows the [`crate::plan`] serialization discipline strictly:
+//! its serialization discipline is strict:
 //!
 //! - Every document carries a version field (`query_version` /
 //!   `result_version`) checked against [`QUERY_SCHEMA_VERSION`].
@@ -15,16 +15,14 @@
 //! fractionless number like `64` is accepted where a float is expected
 //! (the canonical writer always emits `64.0`).
 //!
-//! Design points serialize exactly as in evaluation plans — seven group
-//! indices plus the FO4 depth that disambiguates the paper space from
-//! the exploration space.
+//! Design points serialize as their seven group indices plus the FO4
+//! depth that disambiguates the paper space from the exploration space.
 
 use udse_obs::Json;
 use udse_trace::Benchmark;
 
 use crate::oracle::Metrics;
-use crate::plan::{benchmark_by_name, point_from_parts};
-use crate::space::DesignPoint;
+use crate::space::{DesignPoint, DesignSpace};
 
 use super::{Axis, Constraint, Objective, OptimumEntry, PredictedPoint, Query, QueryResult};
 
@@ -59,6 +57,21 @@ fn check_version(doc: &Json, field: &str) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Reconstructs a design point from its serialized group indices and FO4
+/// depth. The depth value selects the space: the paper and exploration
+/// depth lists never agree at the same index (`9 + 3i` vs `12 + 3i`), so
+/// the reconstruction is unambiguous.
+fn point_from_parts(indices: [u8; 7], fo4: u32) -> Option<DesignPoint> {
+    for space in [DesignSpace::paper(), DesignSpace::exploration()] {
+        if let Some(p) = space.point(indices) {
+            if p.fo4() == fo4 {
+                return Some(p);
+            }
+        }
+    }
+    None
 }
 
 fn point_to_json(p: &DesignPoint) -> Json {
@@ -102,15 +115,15 @@ fn bench_to_json(b: Option<Benchmark>) -> Json {
 fn bench_required(doc: &Json, ctx: &str) -> Result<Benchmark, String> {
     let name =
         doc.get("bench").and_then(Json::as_str).ok_or_else(|| format!("{ctx}: missing bench"))?;
-    benchmark_by_name(name).ok_or_else(|| format!("{ctx}: unknown benchmark `{name}`"))
+    name.parse().map_err(|_| format!("{ctx}: unknown benchmark `{name}`"))
 }
 
 fn bench_optional(doc: &Json, ctx: &str) -> Result<Option<Benchmark>, String> {
     match doc.get("bench") {
         Some(Json::Null) => Ok(None),
-        Some(Json::Str(name)) => benchmark_by_name(name)
-            .map(Some)
-            .ok_or_else(|| format!("{ctx}: unknown benchmark `{name}`")),
+        Some(Json::Str(name)) => {
+            name.parse().map(Some).map_err(|_| format!("{ctx}: unknown benchmark `{name}`"))
+        }
         _ => Err(format!("{ctx}: bench must be a benchmark name or null")),
     }
 }
@@ -630,7 +643,6 @@ impl QueryResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::DesignSpace;
 
     fn p(i: u64) -> DesignPoint {
         DesignSpace::exploration().decode(i).unwrap()
@@ -740,6 +752,22 @@ mod tests {
             "objective": "efficiency",
             "constraints": [{"axis": "l3_kb", "min": null, "max": 1.0}], "stride": 1}"#;
         assert!(Query::parse(bad_axis).unwrap_err().contains("unknown axis"));
+    }
+
+    #[test]
+    fn ambiguous_depths_resolve_by_fo4() {
+        // Exploration depth_idx 0 is 12 FO4; paper depth_idx 0 is 9 FO4.
+        // Both serialize the same indices and must come back from the
+        // right space.
+        let explo = DesignSpace::exploration().decode(0).unwrap();
+        let paper = DesignSpace::paper().decode(0).unwrap();
+        assert_eq!(explo.depth_idx, paper.depth_idx);
+        for point in [explo, paper] {
+            let back = point_from_json(&point_to_json(&point), "point").unwrap();
+            assert_eq!(back, point);
+        }
+        let bad = Json::parse(r#"{"idx": [0,0,0,0,0,0,0], "fo4": 10}"#).unwrap();
+        assert!(point_from_json(&bad, "point").unwrap_err().contains("fit no space"));
     }
 
     #[test]

@@ -135,8 +135,8 @@ impl TrainedSuite {
     /// The training-phase evaluation plan for a configuration: the
     /// benchmarks-major cross product of [`Benchmark::ALL`] with the UAR
     /// training sample, labeled `train`. [`TrainedSuite::train`] runs
-    /// exactly this plan, so `repro plan` can emit it for out-of-process
-    /// workers and the results splice back in bitwise-identically.
+    /// exactly this plan, so callers can time or replay the training
+    /// batch on its own.
     pub fn training_plan(config: &StudyConfig) -> EvalPlan {
         let samples = DesignSpace::paper().sample_uar(config.train_samples, config.seed);
         EvalPlan::cross_suite("train", &samples)

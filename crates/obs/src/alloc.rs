@@ -1,7 +1,7 @@
 //! A counting `#[global_allocator]` wrapper around [`std::alloc::System`].
 //!
-//! The pipeline's hot paths (the compiled predictor walk, the sharded
-//! oracle) are sold on their per-design cost, so "how many heap
+//! The pipeline's hot paths (the compiled predictor walk, the cycle
+//! core) are sold on their per-design cost, so "how many heap
 //! allocations did that cost" must be a measured number, not a comment.
 //! [`CountingAlloc`] counts every allocation twice — into process-wide
 //! atomics (totals, live bytes, peak) and into plain per-thread cells —

@@ -1,10 +1,9 @@
 //! Best-effort resource probes: CPU time and resident-set size.
 //!
 //! Every probe returns `Option` — `None` on an unsupported platform or a
-//! failed read, never an error and never a panic. Workers stamp their
-//! sidecar summaries with these, the parent stamps its manifest
-//! `resources` section, and [`crate::span`] samples thread CPU time at
-//! every span enter and exit.
+//! failed read, never an error and never a panic. The manifest stamps
+//! its `resources` section with these, and [`crate::span`] samples
+//! thread CPU time at every span enter and exit.
 //!
 //! CPU time comes from `clock_gettime` on the per-thread and
 //! per-process CPU clocks: one system call, with microsecond
@@ -12,9 +11,8 @@
 //! declared directly against the libc that `std` already links; on
 //! targets other than 64-bit Linux the CPU probes return `None`.
 //!
-//! Resident-set size still reads `/proc/self/status` (`VmRSS`,
-//! `VmHWM`). Those reads run only when a manifest or a sidecar summary
-//! is written, never per span.
+//! Peak resident-set size still reads `/proc/self/status` (`VmHWM`).
+//! That read runs only when a manifest is written, never per span.
 
 /// `CLOCK_PROCESS_CPUTIME_ID` and `CLOCK_THREAD_CPUTIME_ID` from
 /// `<time.h>`; the same on every Linux architecture.
@@ -73,15 +71,9 @@ pub fn process_cpu_us() -> Option<u64> {
     cpu_clock_us(PROCESS_CPUTIME)
 }
 
-/// Resident-set size of this process in KiB, read from
-/// `/proc/self/status` (`VmRSS`). `None` where `/proc` is unavailable —
-/// callers treat RSS as best-effort.
-pub fn read_rss_kb() -> Option<u64> {
-    status_kb(&std::fs::read_to_string("/proc/self/status").ok()?, "VmRSS:")
-}
-
 /// Peak resident-set size of this process in KiB (`VmHWM` — the
-/// high-water mark since exec).
+/// high-water mark since exec), read from `/proc/self/status`. `None`
+/// where `/proc` is unavailable — callers treat RSS as best-effort.
 pub fn peak_rss_kb() -> Option<u64> {
     status_kb(&std::fs::read_to_string("/proc/self/status").ok()?, "VmHWM:")
 }
@@ -113,13 +105,10 @@ pub(crate) mod tests {
 
     #[test]
     fn live_rss_probes_are_best_effort_and_sane() {
-        // On Linux these read real values; elsewhere they return None.
-        // Either way they must not panic.
-        if let Some(kb) = read_rss_kb() {
-            assert!(kb > 0, "a live process has nonzero RSS");
-        }
-        if let (Some(rss), Some(peak)) = (read_rss_kb(), peak_rss_kb()) {
-            assert!(peak >= rss, "high-water mark {peak} below current RSS {rss}");
+        // On Linux this reads a real value; elsewhere it returns None.
+        // Either way it must not panic.
+        if let Some(kb) = peak_rss_kb() {
+            assert!(kb > 0, "a live process has a nonzero RSS high-water mark");
         }
     }
 

@@ -17,9 +17,8 @@
 //!   ([`alloc::CountingAlloc`], opt-in per binary) whose process-wide
 //!   and per-thread counters feed the manifest `resources` section,
 //!   span attribution, and the [`alloc::assert_no_alloc`] test guard;
-//! - [`cputime`] — best-effort probes shared by parent and workers:
-//!   thread/process CPU time from the CPU clocks, current and peak RSS
-//!   from `/proc`;
+//! - [`cputime`] — best-effort probes: thread/process CPU time from the
+//!   CPU clocks, current and peak RSS from `/proc`;
 //! - [`pool`] — a scoped-thread work pool ([`pool::map`]) with
 //!   deterministic, input-ordered results; the oracle layer fans
 //!   simulation batches through it, sized by [`pool::set_max_workers`]
@@ -36,23 +35,12 @@
 //!   wall time, metric snapshots, span totals, model quality, seeds, and
 //!   configuration, serialized with the hand-rolled JSON writer/parser in
 //!   [`json`] (and read back by [`manifest::ParsedManifest`]);
-//! - [`sharded`] — the result-shard wire format for multi-process runs:
-//!   [`sharded::ResultShard`] writer/reader plus
-//!   [`sharded::ShardedResults`] reassembly with missing-shard detection
-//!   (and [`manifest::merge_manifests`] to aggregate the per-shard run
-//!   manifests);
 //! - [`quality`] — model-quality telemetry: per-benchmark and pooled
 //!   prediction-error quantiles, signed bias, and R² accumulated in a
 //!   global [`quality::Collector`] and persisted in the manifest;
 //! - [`trace`] — an opt-in (`UDSE_TRACE`) buffer of discrete span/instant
 //!   events exporting to Chrome `trace_event` JSON (Perfetto-loadable)
-//!   and a JSONL stream, with per-process pid lanes and clock-offset
-//!   normalization ([`trace::merge_process_traces`]) for sharded runs;
-//! - [`sidecar`] — the worker telemetry sidecar: a JSONL stream of
-//!   heartbeats, span totals, and trace events each worker writes next
-//!   to its result shard, which the parent tails live
-//!   ([`sidecar::parse_tail`]) and harvests after reassembly
-//!   ([`sidecar::collect`]).
+//!   and a JSONL stream.
 //!
 //! # Conventions
 //!
@@ -85,8 +73,6 @@ pub mod metrics;
 pub mod pool;
 pub mod progress;
 pub mod quality;
-pub mod sharded;
-pub mod sidecar;
 pub mod span;
 pub mod trace;
 
@@ -102,8 +88,7 @@ static TEST_ALLOC: CountingAlloc = CountingAlloc::new();
 pub use log::Level;
 pub use manifest::{ParsedManifest, RunManifest};
 pub use metrics::Registry;
-pub use progress::{Progress, ShardProgress};
+pub use progress::Progress;
 pub use quality::QualityRecord;
-pub use sharded::{ResultShard, ShardedResults};
 pub use span::SpanGuard;
 pub use trace::TraceEvent;

@@ -454,226 +454,6 @@ impl ParsedManifest {
     }
 }
 
-/// Aggregates several run manifests into one schema-v3 document, for
-/// flaky-machine CI (merge repeated runs and keep the best wall numbers)
-/// and for sharded runs (merge the parent manifest with the per-shard
-/// worker manifests so counters reconstruct single-process totals).
-///
-/// Rules, per section:
-///
-/// - **config**: the first manifest's entries, plus a `merged_inputs`
-///   provenance array listing every input label in order; keys sorted.
-/// - **artifacts**: union by name, keeping the *minimum* wall time
-///   (first manifest's order, unseen names appended).
-/// - **spans**: union by path, minimum `total_seconds` and
-///   `max_seconds`, maximum `count`; sorted by path. Resource columns
-///   merge conservatively: minimum `cpu_seconds` (timing, like wall),
-///   maximum `allocs`/`alloc_bytes` (deterministic, so inputs that are
-///   runs of the same experiment agree anyway).
-/// - **metrics**: union by name, sorted. Integer counters that agree
-///   across inputs pass through; disagreeing counters are *summed*
-///   (shard manifests partition the work, so their counters add up to
-///   the single-process totals). Gauges keep the maximum; structured
-///   metrics (histograms) keep the first occurrence.
-/// - **resources**: present when any input has the section. Counter
-///   fields (`allocs`, `deallocs`, `alloc_bytes`) follow the metrics
-///   rule — agree → pass through, disagree → sum (shards partition the
-///   work); `peak_bytes`/`peak_rss_kb` keep the maximum;
-///   `cpu_seconds` is summed (a sharded run's total CPU bill across
-///   processes — compare against min wall for parallel efficiency);
-///   `alloc_counting` is true only when *every* contributing input
-///   counted (a mixed merge would under-report).
-/// - **quality**: union by key, first occurrence passed through
-///   verbatim. A key present in several inputs must agree within
-///   `quality_tol` (absolute, on p50/p90/max/bias) or the merge fails —
-///   quality is deterministic, so disagreement means the inputs are not
-///   runs of the same experiment.
-/// - `created_unix_ms` is the minimum; `tool` comes from the first.
-///
-/// # Errors
-///
-/// Fails on an empty input list or a quality disagreement, naming the
-/// key, statistic, and both values.
-pub fn merge_manifests(
-    inputs: &[(String, ParsedManifest)],
-    quality_tol: f64,
-) -> Result<Json, String> {
-    let (_, first) = inputs.first().ok_or("no manifests to merge")?;
-
-    let mut config = first.config.clone();
-    config.retain(|(k, _)| k != "merged_inputs");
-    config.push((
-        "merged_inputs".to_string(),
-        Json::Arr(inputs.iter().map(|(label, _)| Json::str(label.as_str())).collect()),
-    ));
-    config.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut artifacts: Vec<ArtifactRecord> = Vec::new();
-    for (_, m) in inputs {
-        for a in &m.artifacts {
-            match artifacts.iter_mut().find(|e| e.name == a.name) {
-                Some(e) => e.wall_seconds = e.wall_seconds.min(a.wall_seconds),
-                None => artifacts.push(a.clone()),
-            }
-        }
-    }
-
-    let mut spans: Vec<(String, SpanTotal)> = Vec::new();
-    for (_, m) in inputs {
-        for (path, s) in &m.spans {
-            match spans.iter_mut().find(|(p, _)| p == path) {
-                Some((_, e)) => {
-                    e.total_seconds = e.total_seconds.min(s.total_seconds);
-                    e.max_seconds = e.max_seconds.min(s.max_seconds);
-                    e.count = e.count.max(s.count);
-                    e.cpu_seconds = e.cpu_seconds.min(s.cpu_seconds);
-                    e.allocs = e.allocs.max(s.allocs);
-                    e.alloc_bytes = e.alloc_bytes.max(s.alloc_bytes);
-                }
-                None => spans.push((path.clone(), *s)),
-            }
-        }
-    }
-    spans.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let resources = merge_resources(inputs);
-
-    let mut metrics: Vec<(String, Vec<&Json>)> = Vec::new();
-    for (_, m) in inputs {
-        for (name, value) in &m.metrics {
-            match metrics.iter_mut().find(|(n, _)| n == name) {
-                Some((_, seen)) => seen.push(value),
-                None => metrics.push((name.clone(), vec![value])),
-            }
-        }
-    }
-    metrics.sort_by(|a, b| a.0.cmp(&b.0));
-    let metrics: Vec<(String, Json)> = metrics
-        .into_iter()
-        .map(|(name, seen)| {
-            let merged = if seen.iter().all(|v| v.as_i64().is_some()) {
-                let values: Vec<i64> = seen.iter().map(|v| v.as_i64().expect("checked")).collect();
-                if values.windows(2).all(|w| w[0] == w[1]) {
-                    Json::Int(values[0])
-                } else {
-                    Json::Int(values.iter().sum())
-                }
-            } else if seen.iter().all(|v| matches!(v, Json::Float(_) | Json::Int(_))) {
-                Json::Float(
-                    seen.iter().filter_map(|v| v.as_f64()).fold(f64::NEG_INFINITY, f64::max),
-                )
-            } else {
-                seen[0].clone()
-            };
-            (name, merged)
-        })
-        .collect();
-
-    let mut quality: Vec<&QualityRecord> = Vec::new();
-    for (label, m) in inputs {
-        for rec in &m.quality {
-            match quality.iter().find(|r| r.key == rec.key) {
-                Some(kept) => {
-                    for (stat, a, b) in [
-                        ("p50", kept.p50, rec.p50),
-                        ("p90", kept.p90, rec.p90),
-                        ("max", kept.max, rec.max),
-                        ("bias", kept.bias, rec.bias),
-                    ] {
-                        let agree = (a - b).abs() <= quality_tol || (a.is_nan() && b.is_nan());
-                        if !agree {
-                            return Err(format!(
-                                "quality record `{}` disagrees between inputs on {stat}: \
-                                 {a} vs {b} (from {label}) exceeds tolerance {quality_tol}",
-                                rec.key
-                            ));
-                        }
-                    }
-                }
-                None => quality.push(rec),
-            }
-        }
-    }
-    quality.sort_by(|a, b| a.key.cmp(&b.key));
-
-    Ok(Json::obj([
-        ("schema_version", Json::Int(SCHEMA_VERSION)),
-        ("tool", Json::str(first.tool.as_str())),
-        (
-            "created_unix_ms",
-            Json::Int(inputs.iter().map(|(_, m)| m.created_unix_ms).min().unwrap_or(0)),
-        ),
-        ("config", Json::Obj(config)),
-        (
-            "artifacts",
-            Json::Arr(
-                artifacts
-                    .iter()
-                    .map(|a| {
-                        Json::obj([
-                            ("name", Json::str(a.name.as_str())),
-                            ("wall_seconds", Json::Float(a.wall_seconds)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("metrics", Json::Obj(metrics)),
-        (
-            "spans",
-            Json::Obj(
-                spans
-                    .into_iter()
-                    .map(|(path, s)| {
-                        (
-                            path,
-                            Json::obj([
-                                ("count", Json::Int(s.count as i64)),
-                                ("total_seconds", Json::Float(s.total_seconds)),
-                                ("max_seconds", Json::Float(s.max_seconds)),
-                                ("cpu_seconds", Json::Float(s.cpu_seconds)),
-                                ("allocs", Json::Int(s.allocs as i64)),
-                                ("alloc_bytes", Json::Int(s.alloc_bytes as i64)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        ("quality", Json::Obj(quality.into_iter().map(|r| (r.key.clone(), r.to_json())).collect())),
-        ("resources", resources.map_or(Json::Null, |r| r.to_json())),
-    ]))
-}
-
-/// Folds the inputs' `resources` sections per the rules documented on
-/// [`merge_manifests`]; `None` when no input has the section.
-fn merge_resources(inputs: &[(String, ParsedManifest)]) -> Option<ResourceTotals> {
-    let seen: Vec<ResourceTotals> = inputs.iter().filter_map(|(_, m)| m.resources).collect();
-    if seen.is_empty() {
-        return None;
-    }
-    let counter = |field: fn(&ResourceTotals) -> u64| -> u64 {
-        let values: Vec<u64> = seen.iter().map(field).collect();
-        if values.windows(2).all(|w| w[0] == w[1]) {
-            values[0]
-        } else {
-            values.iter().sum()
-        }
-    };
-    Some(ResourceTotals {
-        alloc_counting: seen.iter().all(|r| r.alloc_counting),
-        allocs: counter(|r| r.allocs),
-        deallocs: counter(|r| r.deallocs),
-        alloc_bytes: counter(|r| r.alloc_bytes),
-        peak_bytes: seen.iter().map(|r| r.peak_bytes).max().unwrap_or(0),
-        peak_rss_kb: seen.iter().filter_map(|r| r.peak_rss_kb).max(),
-        cpu_seconds: seen
-            .iter()
-            .filter_map(|r| r.cpu_seconds)
-            .fold(None, |acc, v| Some(acc.unwrap_or(0.0) + v)),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,67 +581,6 @@ mod tests {
         }
     }
 
-    fn merge_fixture(wall: f64, counter: i64, p50: f64) -> ParsedManifest {
-        let text = format!(
-            r#"{{
-            "schema_version": 2,
-            "tool": "repro",
-            "created_unix_ms": {ms},
-            "config": {{"quick": true, "seed": 2007}},
-            "artifacts": [{{"name": "fig1", "wall_seconds": {wall}}}],
-            "metrics": {{"pool.jobs": {counter}, "sweep.designs_per_sec": {rate}}},
-            "spans": {{"fig1": {{"count": 1, "total_seconds": {wall}, "max_seconds": {wall}}}}},
-            "quality": {{"validation.pooled.bips": {{"n": 25, "p50": {p50}, "p90": 0.2,
-                "max": 0.3, "bias": 0.0, "rmse": 0.1, "r_squared": null}}}}
-        }}"#,
-            ms = (wall * 1000.0) as i64 + 1000,
-            rate = 100.0 * wall + 0.5,
-        );
-        ParsedManifest::parse(&text).expect("fixture parses")
-    }
-
-    #[test]
-    fn merge_keeps_min_wall_sums_counters_and_checks_quality() {
-        let a = merge_fixture(2.0, 100, 0.07);
-        let b = merge_fixture(1.5, 40, 0.07);
-        let doc =
-            merge_manifests(&[("a.json".to_string(), a.clone()), ("b.json".to_string(), b)], 0.02)
-                .expect("merge succeeds");
-        let merged = ParsedManifest::from_json(&doc).expect("merged doc is a valid manifest");
-        assert_eq!(merged.schema_version, SCHEMA_VERSION);
-        assert_eq!(merged.artifact_wall_seconds("fig1"), Some(1.5), "min wall per artifact");
-        assert_eq!(merged.spans[0].1.total_seconds, 1.5, "min wall per span");
-        // Disagreeing counters sum (shards partition the work)...
-        assert_eq!(merged.metric("pool.jobs").and_then(Json::as_i64), Some(140));
-        // ...gauges keep the best observed value.
-        assert_eq!(merged.metric("sweep.designs_per_sec").and_then(Json::as_f64), Some(200.5));
-        // Quality passes through verbatim; provenance lists the inputs.
-        assert_eq!(merged.quality_record("validation.pooled.bips").map(|r| r.p50), Some(0.07));
-        let inputs = doc.get("config").and_then(|c| c.get("merged_inputs")).expect("provenance");
-        assert_eq!(inputs.as_arr().map(<[Json]>::len), Some(2));
-        assert_eq!(merged.created_unix_ms, 2500, "earliest creation time");
-
-        // Agreeing counters pass through unsummed.
-        let doc =
-            merge_manifests(&[("a".to_string(), a.clone()), ("a2".to_string(), a.clone())], 0.02)
-                .expect("identical runs merge");
-        assert_eq!(
-            ParsedManifest::from_json(&doc).unwrap().metric("pool.jobs").and_then(Json::as_i64),
-            Some(100)
-        );
-    }
-
-    #[test]
-    fn merge_rejects_quality_disagreement_and_empty_input() {
-        let a = merge_fixture(2.0, 100, 0.07);
-        let b = merge_fixture(2.0, 100, 0.20);
-        let err = merge_manifests(&[("a".to_string(), a), ("b".to_string(), b)], 0.02)
-            .expect_err("quality drift");
-        assert!(err.contains("validation.pooled.bips"), "names the key: {err}");
-        assert!(err.contains("p50"), "names the stat: {err}");
-        assert!(merge_manifests(&[], 0.02).is_err(), "empty input rejected");
-    }
-
     #[test]
     fn manifest_v3_carries_resources_and_span_resource_columns() {
         {
@@ -919,45 +638,6 @@ mod tests {
             assert_eq!(back, r, "round trip of {text}");
         }
         assert_eq!(ResourceTotals::from_json(&Json::Null), None, "pre-v3: no section");
-    }
-
-    #[test]
-    fn merge_folds_resources_per_documented_rules() {
-        let with_resources = |allocs: i64, peak_rss: i64, cpu: f64| -> ParsedManifest {
-            let text = format!(
-                r#"{{
-                "schema_version": 3, "tool": "repro", "created_unix_ms": 1,
-                "config": {{}}, "artifacts": [], "metrics": {{}}, "spans": {{}},
-                "quality": {{}},
-                "resources": {{"alloc_counting": true, "allocs": {allocs},
-                    "deallocs": {allocs}, "alloc_bytes": {b}, "peak_bytes": 10,
-                    "peak_rss_kb": {peak_rss}, "cpu_seconds": {cpu}}}
-            }}"#,
-                b = allocs * 100,
-            );
-            ParsedManifest::parse(&text).expect("fixture parses")
-        };
-        let a = with_resources(50, 9_000, 1.5);
-        let b = with_resources(70, 11_000, 2.5);
-        let doc = merge_manifests(&[("a".to_string(), a.clone()), ("b".to_string(), b)], 0.02)
-            .expect("merges");
-        let merged = ParsedManifest::from_json(&doc).expect("valid").resources.expect("resources");
-        assert_eq!(merged.allocs, 120, "disagreeing counters sum");
-        assert_eq!(merged.alloc_bytes, 12_000);
-        assert_eq!(merged.peak_rss_kb, Some(11_000), "peaks keep the max");
-        assert_eq!(merged.cpu_seconds, Some(4.0), "CPU sums across processes");
-        assert!(merged.alloc_counting);
-
-        // Identical inputs pass counters through unsummed.
-        let doc = merge_manifests(&[("a".to_string(), a.clone()), ("a2".to_string(), a)], 0.02)
-            .expect("merges");
-        let merged = ParsedManifest::from_json(&doc).expect("valid").resources.expect("resources");
-        assert_eq!(merged.allocs, 50);
-
-        // Pre-v3 inputs merge with no resources section.
-        let doc = merge_manifests(&[("old".to_string(), merge_fixture(1.0, 10, 0.07))], 0.02)
-            .expect("merges");
-        assert!(ParsedManifest::from_json(&doc).expect("valid").resources.is_none());
     }
 
     #[test]

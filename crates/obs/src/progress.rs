@@ -7,15 +7,6 @@
 //! position without flooding the terminal or slowing the loop.
 //! [`Progress::finish`] clears the line and returns the overall rate in
 //! items per second.
-//!
-//! [`ShardProgress`] is the multi-process sibling: the parent of a
-//! sharded run feeds it the heartbeats it tails from worker telemetry
-//! sidecars, and it repaints one line with a per-shard completion cell
-//! (`[ 45% 100% 12% ]`) under the same tty/level/rate gating. Because
-//! it tracks when each shard last reported, it is also the stall
-//! detector: [`ShardProgress::stalled`] returns the shards that have
-//! gone silent past a threshold, with their last-known job for the
-//! operator's benefit.
 
 use std::io::{IsTerminal, Write};
 use std::time::{Duration, Instant};
@@ -105,164 +96,6 @@ impl Progress {
     }
 }
 
-/// Live view of one shard's worker, fed from its sidecar heartbeats.
-#[derive(Debug, Clone, Copy)]
-struct ShardState {
-    done: u64,
-    total: u64,
-    last_beat: Option<Instant>,
-    last_job: Option<u64>,
-    finished: bool,
-}
-
-/// One silent shard, as reported by [`ShardProgress::stalled`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallInfo {
-    /// Shard index of the silent worker.
-    pub shard: usize,
-    /// Whether the worker ever sent a heartbeat (a worker that never
-    /// reported may have died before its telemetry started).
-    pub ever_beat: bool,
-    /// Plan-global id of the last job it reported completing.
-    pub last_job: Option<u64>,
-    /// Jobs it had completed at its last report.
-    pub done: u64,
-    /// Jobs in its range.
-    pub total: u64,
-}
-
-/// Aggregate progress meter over the shards of a multi-process run.
-#[derive(Debug)]
-pub struct ShardProgress {
-    label: String,
-    shards: Vec<ShardState>,
-    start: Instant,
-    last_draw: Option<Instant>,
-    drew_anything: bool,
-    stderr_is_tty: bool,
-}
-
-impl ShardProgress {
-    /// Starts a meter for shards with the given per-shard job totals.
-    pub fn new(label: &str, shard_totals: &[u64]) -> Self {
-        ShardProgress {
-            label: label.to_string(),
-            shards: shard_totals
-                .iter()
-                .map(|&total| ShardState {
-                    done: 0,
-                    total,
-                    last_beat: None,
-                    last_job: None,
-                    finished: false,
-                })
-                .collect(),
-            start: Instant::now(),
-            last_draw: None,
-            drew_anything: false,
-            stderr_is_tty: std::io::stderr().is_terminal(),
-        }
-    }
-
-    /// Records a heartbeat from `shard`: jobs done in its range and the
-    /// last plan-global job id it completed. Repaints if due.
-    pub fn heartbeat(&mut self, shard: usize, done: u64, last_job: Option<u64>) {
-        if let Some(state) = self.shards.get_mut(shard) {
-            state.done = done.min(state.total);
-            state.last_beat = Some(Instant::now());
-            if last_job.is_some() {
-                state.last_job = last_job;
-            }
-        }
-        self.maybe_draw();
-    }
-
-    /// Marks `shard` complete (its worker exited and was reaped); it no
-    /// longer participates in stall detection.
-    pub fn mark_finished(&mut self, shard: usize) {
-        if let Some(state) = self.shards.get_mut(shard) {
-            state.finished = true;
-            state.done = state.total;
-        }
-        self.maybe_draw();
-    }
-
-    /// Shards that are unfinished and have been silent for at least
-    /// `threshold` — never having reported counts as silent since the
-    /// meter started. The caller decides whether a silent shard is a
-    /// straggler (process still alive) or dead (process gone but
-    /// unreaped); this only observes the telemetry going quiet.
-    pub fn stalled(&self, threshold: Duration) -> Vec<StallInfo> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.finished)
-            .filter(|(_, s)| s.last_beat.unwrap_or(self.start).elapsed() >= threshold)
-            .map(|(i, s)| StallInfo {
-                shard: i,
-                ever_beat: s.last_beat.is_some(),
-                last_job: s.last_job,
-                done: s.done,
-                total: s.total,
-            })
-            .collect()
-    }
-
-    /// Jobs reported done across all shards.
-    pub fn done(&self) -> u64 {
-        self.shards.iter().map(|s| s.done).sum()
-    }
-
-    fn maybe_draw(&mut self) {
-        if !self.stderr_is_tty || !enabled(Level::Info) {
-            return;
-        }
-        let due = match self.last_draw {
-            None => true,
-            Some(t) => t.elapsed() >= REFRESH,
-        };
-        if due {
-            self.draw();
-            self.last_draw = Some(Instant::now());
-        }
-    }
-
-    fn draw(&mut self) {
-        let done = self.done();
-        let total: u64 = self.shards.iter().map(|s| s.total).sum();
-        let pct = if total > 0 { 100.0 * done as f64 / total as f64 } else { 0.0 };
-        let elapsed = self.start.elapsed().as_secs_f64();
-        let rate = if elapsed > 0.0 { done as f64 / elapsed } else { 0.0 };
-        let mut cells = String::new();
-        for s in &self.shards {
-            let cell = if s.total > 0 { 100.0 * s.done as f64 / s.total as f64 } else { 100.0 };
-            cells.push_str(&format!(" {cell:.0}%"));
-        }
-        let mut err = std::io::stderr().lock();
-        let _ = write!(err, "\r{}: [{} ] {:.1}% {:.0}/s   ", self.label, cells, pct, rate);
-        let _ = err.flush();
-        self.drew_anything = true;
-    }
-
-    /// Clears the progress line and returns the overall rate in jobs
-    /// per second over the meter's lifetime.
-    pub fn finish(mut self) -> f64 {
-        let elapsed = self.start.elapsed().as_secs_f64();
-        if self.drew_anything {
-            let width = self.label.len() + 6 * self.shards.len() + 40;
-            let mut err = std::io::stderr().lock();
-            let _ = write!(err, "\r{:width$}\r", "");
-            let _ = err.flush();
-            self.drew_anything = false;
-        }
-        if elapsed > 0.0 {
-            self.done() as f64 / elapsed
-        } else {
-            0.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,45 +120,5 @@ mod tests {
         p.advance(0);
         let rate = p.finish();
         assert!(rate.is_finite());
-    }
-
-    #[test]
-    fn shard_meter_aggregates_heartbeats() {
-        let mut p = ShardProgress::new("shards", &[10, 10, 20]);
-        p.heartbeat(0, 5, Some(4));
-        p.heartbeat(2, 20, Some(39));
-        // Out-of-range shard indices and over-counts are clamped.
-        p.heartbeat(9, 100, None);
-        p.heartbeat(1, 99, Some(19));
-        assert_eq!(p.done(), 5 + 10 + 20);
-        p.mark_finished(0);
-        assert_eq!(p.done(), 40);
-        let rate = p.finish();
-        assert!(rate.is_finite() && rate >= 0.0);
-    }
-
-    #[test]
-    fn stall_detection_distinguishes_silent_shards() {
-        let mut p = ShardProgress::new("stall", &[10, 10]);
-        // Shard 0 beats freshly; shard 1 never reports.
-        std::thread::sleep(Duration::from_millis(15));
-        p.heartbeat(0, 3, Some(2));
-        let stalls = p.stalled(Duration::from_millis(10));
-        assert_eq!(stalls.len(), 1, "only the silent shard stalls: {stalls:?}");
-        assert_eq!(stalls[0].shard, 1);
-        assert!(!stalls[0].ever_beat);
-        assert_eq!(stalls[0].last_job, None);
-        // A fresh heartbeat clears it; a finished shard never stalls.
-        p.heartbeat(1, 1, Some(5));
-        assert!(p.stalled(Duration::from_millis(10)).is_empty());
-        std::thread::sleep(Duration::from_millis(15));
-        let again = p.stalled(Duration::from_millis(10));
-        assert_eq!(again.len(), 2, "both silent again");
-        assert!(again[1].ever_beat);
-        assert_eq!(again[1].last_job, Some(5));
-        p.mark_finished(0);
-        p.mark_finished(1);
-        assert!(p.stalled(Duration::from_millis(0)).is_empty());
-        let _ = p.finish();
     }
 }

@@ -18,18 +18,6 @@
 //! [`synthesize_from_spans`] lays the per-path span totals out as nested
 //! complete events.
 //!
-//! # Multi-process traces
-//!
-//! A sharded run produces one event buffer per process. Each process
-//! timestamps events against its own monotonic epoch, so the buffers
-//! cannot be concatenated directly; instead every process also records
-//! the wall-clock instant of that epoch ([`anchor_unix_us`]), and
-//! [`merge_process_traces`] shifts worker timestamps by the anchor
-//! difference onto the parent's timeline. Workers get stable `pid`
-//! lanes ([`worker_pid`] of their shard index; the parent is
-//! [`PARENT_PID`]), and [`chrome_trace_json_named`] emits the
-//! `process_name` metadata events that label the lanes in Perfetto.
-//!
 //! # Examples
 //!
 //! ```
@@ -48,21 +36,13 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 use crate::json::Json;
 
-/// Chrome `pid` lane of the coordinating (parent) process in a merged
-/// trace. Real OS pids are meaningless after a run ends, so merged
-/// traces use small stable ordinals instead.
-pub const PARENT_PID: u64 = 1;
-
-/// Chrome `pid` lane for the worker holding shard `lane` (its shard
-/// index). Stable across batches of the same run: shard 0 is always
-/// lane 2, shard 1 lane 3, and so on.
-pub const fn worker_pid(lane: u64) -> u64 {
-    lane + 2
-}
+/// The Chrome `pid` every event is written with. Real OS pids are
+/// meaningless after a run ends, and a trace holds one process.
+const PID: i64 = 1;
 
 /// Hard cap on buffered events; beyond it events are counted as dropped
 /// rather than grown without bound (a paper-scale sweep can open
@@ -108,9 +88,6 @@ pub struct TraceEvent {
     pub ts_us: u64,
     /// Duration in microseconds (0 for instants).
     pub dur_us: u64,
-    /// Process lane: [`PARENT_PID`] for events recorded in this
-    /// process, [`worker_pid`] of the shard index after a merge.
-    pub pid: u64,
     /// Recording thread, as a small stable per-process ordinal.
     pub tid: u64,
 }
@@ -129,7 +106,7 @@ impl TraceEvent {
             // Chrome instants require a scope; `t` = thread.
             Phase::Instant => fields.push(("s", Json::str("t"))),
         }
-        fields.push(("pid", Json::Int(self.pid as i64)));
+        fields.push(("pid", Json::Int(PID)));
         fields.push(("tid", Json::Int(self.tid as i64)));
         Json::obj(fields)
     }
@@ -143,7 +120,6 @@ impl TraceEvent {
             phase,
             ts_us: doc.get("ts")?.as_i64()?.max(0) as u64,
             dur_us: doc.get("dur").and_then(Json::as_i64).unwrap_or(0).max(0) as u64,
-            pid: doc.get("pid").and_then(Json::as_i64).unwrap_or(PARENT_PID as i64).max(0) as u64,
             tid: doc.get("tid").and_then(Json::as_i64).unwrap_or(0).max(0) as u64,
         })
     }
@@ -196,7 +172,7 @@ static ENV_CHECKED: AtomicBool = AtomicBool::new(false);
 /// Turns on discrete event recording (idempotent) and pins the trace
 /// epoch.
 pub fn enable() {
-    let _ = anchor();
+    let _ = epoch();
     ENABLED.store(true, Ordering::Relaxed);
 }
 
@@ -214,39 +190,15 @@ pub fn enabled() -> bool {
 }
 
 /// The trace epoch: the monotonic instant all event timestamps are
-/// measured from, paired with its wall-clock reading so other
-/// processes' epochs can be aligned to it.
-struct Anchor {
-    start: Instant,
-    unix_us: i64,
+/// measured from.
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
 }
 
-fn anchor() -> &'static Anchor {
-    static ANCHOR: OnceLock<Anchor> = OnceLock::new();
-    ANCHOR.get_or_init(|| {
-        // Read both clocks back to back: the skew between them is what
-        // merge accuracy rests on, and at this adjacency it is far
-        // below span resolution.
-        let start = Instant::now();
-        let unix_us = SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map(|d| d.as_micros() as i64)
-            .unwrap_or(0);
-        Anchor { start, unix_us }
-    })
-}
-
-/// Wall-clock reading (microseconds since the Unix epoch) taken at this
-/// process's trace epoch. Workers persist this in their telemetry
-/// sidecars so [`merge_process_traces`] can shift their event
-/// timestamps onto the parent's timeline.
-pub fn anchor_unix_us() -> i64 {
-    anchor().unix_us
-}
-
-/// Microseconds elapsed since this process's trace epoch.
-pub fn since_anchor_us() -> u64 {
-    anchor().start.elapsed().as_micros() as u64
+/// Microseconds elapsed since the trace epoch.
+fn since_epoch_us() -> u64 {
+    epoch().elapsed().as_micros() as u64
 }
 
 /// A small stable ordinal for the current thread (Chrome `tid`).
@@ -264,7 +216,7 @@ pub fn record_complete(path: &str, elapsed: Duration) {
     if !enabled() {
         return;
     }
-    let end_us = since_anchor_us();
+    let end_us = since_epoch_us();
     let dur_us = elapsed.as_micros() as u64;
     global().push(TraceEvent {
         name: path.to_string(),
@@ -272,7 +224,6 @@ pub fn record_complete(path: &str, elapsed: Duration) {
         phase: Phase::Complete,
         ts_us: end_us.saturating_sub(dur_us),
         dur_us,
-        pid: PARENT_PID,
         tid: current_tid(),
     });
 }
@@ -286,9 +237,8 @@ pub fn instant(name: &str) {
         name: name.to_string(),
         cat: "instant".to_string(),
         phase: Phase::Instant,
-        ts_us: since_anchor_us(),
+        ts_us: since_epoch_us(),
         dur_us: 0,
-        pid: PARENT_PID,
         tid: current_tid(),
     });
 }
@@ -299,115 +249,30 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {
     Json::Arr(events.iter().map(TraceEvent::to_json).collect())
 }
 
-/// Like [`chrome_trace_json`], with `process_name` metadata events
-/// prepended so each `(pid, name)` lane is labeled in Perfetto.
-pub fn chrome_trace_json_named(events: &[TraceEvent], lanes: &[(u64, String)]) -> Json {
-    let mut items: Vec<Json> = lanes
-        .iter()
-        .map(|(pid, name)| {
-            Json::obj(vec![
-                ("name", Json::str("process_name")),
-                ("ph", Json::str("M")),
-                ("pid", Json::Int(*pid as i64)),
-                ("tid", Json::Int(0)),
-                ("args", Json::obj(vec![("name", Json::str(name.as_str()))])),
-            ])
-        })
-        .collect();
-    items.extend(events.iter().map(TraceEvent::to_json));
-    Json::Arr(items)
-}
-
-/// One process's contribution to a merged trace: the events its buffer
-/// held, the wall-clock reading of its trace epoch, and the shard index
-/// that names its lane.
-#[derive(Debug, Clone)]
-pub struct WorkerTrace {
-    /// Shard index; the merged lane is [`worker_pid`]`(lane)`.
-    pub lane: u64,
-    /// The worker's [`anchor_unix_us`] reading.
-    pub anchor_unix_us: i64,
-    /// The worker's event buffer, timestamped against its own epoch.
-    pub events: Vec<TraceEvent>,
-}
-
-/// Merges per-process event buffers into one timeline on the parent's
-/// clock. Parent events keep their timestamps and get [`PARENT_PID`];
-/// each worker's events are shifted by the difference between its
-/// wall-clock anchor and the parent's (clamping at zero if a worker's
-/// clock reads earlier than the parent's epoch) and assigned the
-/// [`worker_pid`] lane of its shard index. Output order is parent
-/// events first, then workers sorted by lane — deterministic given
-/// deterministic inputs.
-pub fn merge_process_traces(
-    parent_events: &[TraceEvent],
-    parent_anchor_unix_us: i64,
-    workers: &[WorkerTrace],
-) -> Vec<TraceEvent> {
-    let mut merged: Vec<TraceEvent> =
-        parent_events.iter().map(|e| TraceEvent { pid: PARENT_PID, ..e.clone() }).collect();
-    let mut sorted: Vec<&WorkerTrace> = workers.iter().collect();
-    sorted.sort_by_key(|w| w.lane);
-    for worker in sorted {
-        let offset_us = worker.anchor_unix_us - parent_anchor_unix_us;
-        for event in &worker.events {
-            let ts = event.ts_us as i64 + offset_us;
-            merged.push(TraceEvent {
-                ts_us: ts.max(0) as u64,
-                pid: worker_pid(worker.lane),
-                ..event.clone()
-            });
-        }
-    }
-    merged
-}
-
-/// A Chrome `trace_event` document read back: the events plus the
-/// `(pid, name)` lane labels its `process_name` metadata carried.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ParsedChromeTrace {
-    /// All non-metadata events, in document order.
-    pub events: Vec<TraceEvent>,
-    /// `(pid, name)` pairs from `process_name` metadata events.
-    pub lanes: Vec<(u64, String)>,
-}
-
-/// Parses a Chrome `trace_event` JSON array back into events plus the
-/// `(pid, name)` lane labels carried by `process_name` metadata.
-/// Metadata events other than `process_name` are skipped.
+/// Parses a Chrome `trace_event` JSON array back into events.
+/// Metadata (`ph: "M"`) events are skipped.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed element (or a non-array
 /// document).
-pub fn parse_chrome_trace(text: &str) -> Result<ParsedChromeTrace, String> {
+pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
     let doc = Json::parse(text).map_err(|e| format!("trace document: {e}"))?;
     let arr = doc.as_arr().ok_or("trace document is not a JSON array")?;
     let mut events = Vec::new();
-    let mut lanes = Vec::new();
     for (i, item) in arr.iter().enumerate() {
         let ph = item
             .get("ph")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing ph"))?;
         if ph == "M" {
-            if item.get("name").and_then(Json::as_str) == Some("process_name") {
-                let pid = item.get("pid").and_then(Json::as_i64).unwrap_or(0).max(0) as u64;
-                let name = item
-                    .get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string();
-                lanes.push((pid, name));
-            }
             continue;
         }
         let event = TraceEvent::from_json(item)
             .ok_or_else(|| format!("event {i}: not a trace event object"))?;
         events.push(event);
     }
-    Ok(ParsedChromeTrace { events, lanes })
+    Ok(events)
 }
 
 /// One compact JSON object per line — the streaming form of the buffer.
@@ -478,7 +343,6 @@ pub fn synthesize_from_spans(span_totals: &[(String, f64)]) -> Vec<TraceEvent> {
             phase: Phase::Complete,
             ts_us: start,
             dur_us,
-            pid: PARENT_PID,
             tid: 1,
         });
     }
@@ -496,7 +360,6 @@ mod tests {
             phase: Phase::Complete,
             ts_us: ts,
             dur_us: dur,
-            pid: PARENT_PID,
             tid: 1,
         }
     }
@@ -511,7 +374,6 @@ mod tests {
                 phase: Phase::Instant,
                 ts_us: 5,
                 dur_us: 0,
-                pid: PARENT_PID,
                 tid: 2,
             },
         ];
@@ -585,66 +447,23 @@ mod tests {
     }
 
     #[test]
-    fn merge_shifts_worker_clocks_and_assigns_lanes() {
-        let parent = vec![ev("parent_work", 100, 50)];
-        let workers = vec![
-            // Worker 1's epoch is 300µs after the parent's.
-            WorkerTrace { lane: 1, anchor_unix_us: 1_000_300, events: vec![ev("w1_work", 10, 5)] },
-            // Worker 0's clock reads *before* the parent's epoch: the
-            // shifted timestamp would be negative and must clamp to 0.
-            WorkerTrace {
-                lane: 0,
-                anchor_unix_us: 999_950,
-                events: vec![ev("w0_work", 20, 5), ev("w0_early", 10, 2)],
-            },
-        ];
-        let merged = merge_process_traces(&parent, 1_000_000, &workers);
-        assert_eq!(merged.len(), 4);
-        // Parent first, then workers by lane regardless of input order.
-        assert_eq!(merged[0].name, "parent_work");
-        assert_eq!(merged[0].pid, PARENT_PID);
-        assert_eq!(merged[0].ts_us, 100, "parent timestamps are unchanged");
-        assert_eq!(merged[1].name, "w0_work");
-        assert_eq!(merged[1].pid, worker_pid(0));
-        // 20 - 50 < 0 → clamp.
-        assert_eq!(merged[1].ts_us, 0);
-        assert_eq!(merged[2].ts_us, 0, "10 - 50 also clamps");
-        assert_eq!(merged[3].name, "w1_work");
-        assert_eq!(merged[3].pid, worker_pid(1));
-        assert_eq!(merged[3].ts_us, 310, "10 + 300 offset");
-        // pid survives the JSON round trip.
-        let back = TraceEvent::from_json(&merged[3].to_json()).expect("round trips");
-        assert_eq!(back.pid, worker_pid(1));
-    }
-
-    #[test]
-    fn named_trace_round_trips_through_chrome_parser() {
-        let events = vec![ev("a", 0, 10), TraceEvent { pid: worker_pid(0), ..ev("b", 5, 3) }];
-        let lanes =
-            vec![(PARENT_PID, "parent".to_string()), (worker_pid(0), "worker 0".to_string())];
-        let doc = chrome_trace_json_named(&events, &lanes);
-        let text = doc.to_string_pretty();
-        let back = parse_chrome_trace(&text).expect("parses");
-        assert_eq!(back.events, events);
-        assert_eq!(back.lanes, lanes);
-        // Metadata events carry the fields Perfetto expects.
-        let arr = doc.as_arr().unwrap();
-        assert_eq!(arr[0].get("ph").and_then(Json::as_str), Some("M"));
-        assert_eq!(
-            arr[0].get("args").and_then(|a| a.get("name")).and_then(Json::as_str),
-            Some("parent")
-        );
+    fn chrome_trace_round_trips_through_parser() {
+        let events = vec![ev("a", 0, 10), ev("a/b", 5, 3)];
+        let text = chrome_trace_json(&events).to_string_pretty();
+        assert_eq!(parse_chrome_trace(&text).expect("parses"), events);
+        // Metadata events are skipped, not rejected.
+        let with_meta = "[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1}]";
+        assert!(parse_chrome_trace(with_meta).expect("parses").is_empty());
         // Non-array and malformed documents are rejected.
         assert!(parse_chrome_trace("{}").is_err());
         assert!(parse_chrome_trace("[{\"name\":\"x\"}]").is_err());
     }
 
     #[test]
-    fn anchor_is_stable_and_consistent() {
-        let a = anchor_unix_us();
+    fn epoch_is_pinned_once() {
+        let a = since_epoch_us();
         std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(anchor_unix_us(), a, "anchor is pinned once");
-        assert!(since_anchor_us() >= 2_000, "elapsed time accumulates");
+        assert!(since_epoch_us() >= a + 2_000, "elapsed time accumulates");
     }
 
     #[test]

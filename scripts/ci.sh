@@ -25,82 +25,17 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-# Shard smoke: run the same quick figure single-process and across two
-# worker processes. The determinism contract says the figure output must
-# be byte-identical; merging the sharded run's per-process manifests
-# (the parent's plus every worker's) must then pass the same diff
-# budgets as any other run. Quality gates hard — sharding may never
-# change a number — while wall time and counters stay warn-only.
-echo "==> shard smoke: repro --quick --shards 2 vs single process"
-rm -rf target/shard-smoke
-mkdir -p target/shard-smoke
-./target/release/repro --quick --manifest target/shard-smoke/single.json fig1 fig2 \
-    > target/shard-smoke/single.out
-./target/release/repro --quick --shards 2 --shard-dir target/shard-smoke/shards \
-    --trace target/shard-smoke/trace.json \
-    --manifest target/shard-smoke/sharded.json fig1 fig2 > target/shard-smoke/sharded.out
-diff target/shard-smoke/single.out target/shard-smoke/sharded.out
-./target/release/udse-inspect merge target/shard-smoke/sharded.json \
-    target/shard-smoke/shards/*.manifest.json -o target/shard-smoke/merged.json
-echo "==> udse-inspect diff single-process vs merged sharded manifest"
-./target/release/udse-inspect diff target/shard-smoke/single.json \
-    target/shard-smoke/merged.json --warn-wall
-# The fused-sweep instrumentation must survive sharding: the merged
-# manifest has to carry both the throughput gauge and the per-design
-# allocation ratio, or the floor gate below would silently stop
-# guarding multi-process runs. Same for the oracle's memoization
-# counters: each worker resolves cache/branch streams in its own
-# process, so `sim.precompute.*` reaches the merged manifest only via
-# the per-worker manifests — losing them there would blind the memo
-# effectiveness columns in `udse-inspect report`.
-for key in '"sweep.designs_per_sec"' '"sweep.allocs_per_design"' \
-        '"sim.precompute.hits"' '"sim.precompute.misses"'; do
-    if ! grep -qF "${key}" target/shard-smoke/merged.json; then
-        echo "==> merged sharded manifest is missing ${key}" >&2
-        exit 1
-    fi
-done
-
-# Multi-process trace: the sharded run above also wrote a merged Chrome
-# trace. It must parse back through udse-inspect, and the per-worker
-# summary must show at least three pid lanes (the parent plus both
-# workers) — proving worker events actually crossed the process
-# boundary via the telemetry sidecars.
-echo "==> udse-inspect trace --per-worker on the merged multi-process trace"
-./target/release/udse-inspect trace target/shard-smoke/trace.json --per-worker \
-    | tee target/shard-smoke/per-worker.txt
-lanes=$(grep -c '^ *[0-9]' target/shard-smoke/per-worker.txt)
-if [ "${lanes}" -lt 3 ]; then
-    echo "==> merged trace has ${lanes} pid lane(s), expected >= 3" >&2
-    exit 1
-fi
-
-# Unified run report over the merged manifest plus the worker telemetry
-# sidecars: per-shard throughput skew, straggler warnings, dropped-event
-# accounting — and, since manifest v3, per-shard resource columns. The
-# counting allocator is compiled into every workspace binary and the
-# workers report CPU time in their exit summaries, so for a 2-shard run
-# the cpu(s)/allocs/alloc(MB) columns must render with real numbers, not
-# the "-" placeholder a resource-blind sidecar would produce.
-echo "==> udse-inspect report on the merged manifest + sidecars"
-./target/release/udse-inspect report target/shard-smoke/merged.json \
-    --shard-dir target/shard-smoke/shards | tee target/shard-smoke/report.txt
-for col in 'cpu(s)' 'allocs' 'alloc(MB)'; do
-    if ! grep -qF "${col}" target/shard-smoke/report.txt; then
-        echo "==> report is missing the '${col}' resource column" >&2
-        exit 1
-    fi
-done
-if grep -E '^ *[0-9]+ ' target/shard-smoke/report.txt | grep -q ' - '; then
-    echo "==> report shows unmeasured ('-') resources for a live worker shard" >&2
-    exit 1
-fi
-# Memo effectiveness columns: the workers' exit summaries carry their
-# sim.precompute.* counters, and the report turns them into a per-shard
-# hit-rate column. Both shards run live here, so the column must be
-# present (the '-' check above already proves it holds real numbers).
-if ! grep -qF 'memo-hit' target/shard-smoke/report.txt; then
-    echo "==> report is missing the 'memo-hit' memoization column" >&2
+# Trace smoke: a quick figure run with --trace and --manifest must exit
+# 0, and the Chrome trace it writes must parse back through
+# udse-inspect.
+echo "==> trace smoke: repro --quick --trace --manifest fig1"
+rm -rf target/trace-smoke
+mkdir -p target/trace-smoke
+./target/release/repro --quick --trace target/trace-smoke/trace.json \
+    --manifest target/trace-smoke/manifest.json fig1 > target/trace-smoke/fig1.out
+./target/release/udse-inspect trace target/trace-smoke/trace.json > target/trace-smoke/reexport.json
+if ! grep -qF '"ph": "X"' target/trace-smoke/reexport.json; then
+    echo "==> the fig1 trace holds no span events" >&2
     exit 1
 fi
 
@@ -109,7 +44,7 @@ fi
 # stdout (two runs of the same query diff clean — the canonical wire
 # format has no timestamps or machine-dependent fields). The manifest
 # written alongside must carry the engine's counters, and
-# `udse-inspect report` must render them as the query-engine section.
+# `udse-inspect show` must render them as the query-engine section.
 echo "==> query smoke: repro query (constrained optimum, stride-1 box scans, what-if delta)"
 rm -rf target/query-smoke
 mkdir -p target/query-smoke
@@ -139,8 +74,8 @@ for key in '"query.executed"' '"query.cache.misses"' '"query.designs_per_sec"'; 
         exit 1
     fi
 done
-echo "==> udse-inspect report renders the query-engine section"
-./target/release/udse-inspect report target/query-smoke/opt.manifest.json \
+echo "==> udse-inspect show renders the query-engine section"
+./target/release/udse-inspect show target/query-smoke/opt.manifest.json \
     | grep -qF 'query engine:'
 
 # Regression gate: re-run the fixed-seed benchmark and diff against the

@@ -95,23 +95,42 @@ fn main() -> ExitCode {
         "-o",
     ];
     let mut positional: Vec<&String> = Vec::new();
+    let mut flags: Vec<&str> = Vec::new();
     let mut skip_next = false;
     for a in &args {
         if skip_next {
             skip_next = false;
             continue;
         }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with('-') {
+        if a.starts_with('-') {
+            flags.push(a);
+            skip_next = VALUE_FLAGS.contains(&a.as_str());
+        } else {
             positional.push(a);
         }
     }
-    if args.iter().any(|a| a == "--help" || a == "-h") || positional.is_empty() {
+    if flags.iter().any(|&f| f == "--help" || f == "-h") || positional.is_empty() {
         eprintln!("{USAGE}");
         return if positional.is_empty() { ExitCode::from(2) } else { ExitCode::SUCCESS };
+    }
+    // Every flag must belong to the command, so a misspelt tolerance
+    // fails instead of silently gating with the default.
+    let known: &[&str] = match positional[0].as_str() {
+        "diff" => &[
+            "--tol-wall",
+            "--tol-quality",
+            "--tol-quality-pooled",
+            "--tol-quality-max",
+            "--tol-gauge",
+            "--min-gauge",
+            "--tol-resource",
+            "--warn-wall",
+        ],
+        "trace" => &["--folded", "-o"],
+        _ => &[],
+    };
+    if let Some(flag) = flags.iter().find(|f| !known.contains(f)) {
+        return fail(&format!("unknown option `{flag}` for `{}`\n{USAGE}", positional[0]));
     }
     let flag_value = |flag: &str| -> Option<&String> {
         args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))

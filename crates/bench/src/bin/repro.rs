@@ -227,46 +227,30 @@ const QUERY_USAGE: &str =
 /// 0 on success, 1 for usage/IO problems, 2 when the query itself is
 /// rejected (parse error or engine validation).
 fn query_main(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let opts = match QueryOptions::parse(args) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("repro query: {e}\n{QUERY_USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if opts.help {
         eprintln!("{QUERY_USAGE}");
         return ExitCode::SUCCESS;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let value = |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1));
-    if let Some(v) = value("--jobs") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => udse_obs::pool::set_max_workers(n),
-            _ => {
-                eprintln!("--jobs expects a positive integer\n{QUERY_USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(n) = opts.jobs {
+        udse_obs::pool::set_max_workers(n);
     }
     // The query text is either the one positional argument or --file.
-    let mut skip_next = false;
-    let mut positional: Vec<&String> = Vec::new();
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--jobs" || a == "--manifest" || a == "--file" {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with('-') {
-            positional.push(a);
-        }
-    }
-    let text = match (value("--file"), positional.as_slice()) {
+    let text = match (&opts.file, opts.inline.as_slice()) {
         (Some(path), []) => match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
-                udse_obs::error!("query", "cannot read {path}: {e}");
+                udse_obs::error!("query", "cannot read {}: {e}", path.display());
                 return ExitCode::FAILURE;
             }
         },
-        (None, [inline]) => (*inline).clone(),
+        (None, [inline]) => inline.clone(),
         _ => {
             eprintln!("expected exactly one query: inline JSON or --file <path>\n{QUERY_USAGE}");
             return ExitCode::FAILURE;
@@ -279,6 +263,7 @@ fn query_main(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let quick = opts.quick;
     let ctx = Context::new(quick);
     let started = std::time::Instant::now();
     let engine = ctx.engine();
@@ -292,13 +277,13 @@ fn query_main(args: &[String]) -> ExitCode {
     // Pretty output already ends in a newline; `print!` avoids a blank
     // trailing line so stdout is byte-stable for smoke-test diffs.
     print!("{}", result.to_json().to_string_pretty());
-    if let Some(mpath) = value("--manifest") {
+    if let Some(mpath) = &opts.manifest {
         let mut manifest = RunManifest::new("repro-query");
         manifest.set("quick", Json::Bool(quick));
         manifest.set("seed", Json::Int(ctx.config().seed as i64));
         manifest.set("eval_stride", Json::Int(ctx.config().eval_stride as i64));
         manifest.record_artifact("query", started.elapsed().as_secs_f64());
-        if let Err(e) = manifest.write_to_path(std::path::Path::new(mpath.as_str())) {
+        if let Err(e) = manifest.write_to_path(mpath) {
             udse_obs::error!("query", "cannot write manifest: {e}");
             return ExitCode::FAILURE;
         }
@@ -337,10 +322,7 @@ impl Options {
                 "--csv" => opts.csv = Some(value()?),
                 "--manifest" => opts.manifest = Some(value()?),
                 "--trace" => opts.trace = Some(value()?),
-                "--jobs" => {
-                    let n = value()?.to_string_lossy().parse::<usize>().ok().filter(|&n| n >= 1);
-                    opts.jobs = Some(n.ok_or("--jobs expects a positive integer")?);
-                }
+                "--jobs" => opts.jobs = Some(parse_jobs(&value()?)?),
                 flag if flag.starts_with('-') => return Err(format!("unknown option `{flag}`")),
                 name if name == "all" || ALL.contains(&name) => {
                     opts.artifacts.push(name.to_string())
@@ -353,6 +335,47 @@ impl Options {
         }
         Ok(opts)
     }
+}
+
+/// The `repro query` command line, validated like [`Options`]: every
+/// option must be known, so a misspelt `--quick` fails here instead of
+/// training at paper scale.
+#[derive(Debug, Default)]
+struct QueryOptions {
+    quick: bool,
+    help: bool,
+    jobs: Option<usize>,
+    manifest: Option<PathBuf>,
+    file: Option<PathBuf>,
+    /// Positional arguments: the inline query, when there is exactly one.
+    inline: Vec<String>,
+}
+
+impl QueryOptions {
+    fn parse(args: &[String]) -> Result<QueryOptions, String> {
+        let mut opts = QueryOptions::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let mut value =
+                || args.next().map(PathBuf::from).ok_or_else(|| format!("{arg} expects a value"));
+            match arg.as_str() {
+                "--quick" => opts.quick = true,
+                "--help" | "-h" => opts.help = true,
+                "--manifest" => opts.manifest = Some(value()?),
+                "--file" => opts.file = Some(value()?),
+                "--jobs" => opts.jobs = Some(parse_jobs(&value()?)?),
+                flag if flag.starts_with('-') => return Err(format!("unknown option `{flag}`")),
+                text => opts.inline.push(text.to_string()),
+            }
+        }
+        Ok(opts)
+    }
+}
+
+/// The value of `--jobs`: a positive worker count.
+fn parse_jobs(value: &std::path::Path) -> Result<usize, String> {
+    let n = value.to_string_lossy().parse::<usize>().ok().filter(|&n| n >= 1);
+    n.ok_or_else(|| "--jobs expects a positive integer".to_string())
 }
 
 fn main() -> ExitCode {

@@ -196,3 +196,28 @@ fn usage_errors_exit_2() {
     assert_eq!(inspect(&["diff", "only-one.json"]).status.code(), Some(2));
     assert_eq!(inspect(&["diff", "a", "b", "--tol-wall", "not-a-number"]).status.code(), Some(2));
 }
+
+#[test]
+fn unknown_flags_are_usage_errors_before_any_output() {
+    let base = write_fixture("flags_base.json", &manifest_text(3.0, 0.016));
+    let new = write_fixture("flags_new.json", &manifest_text(9.0, 0.09));
+    let (b, n) = (base.to_str().unwrap(), new.to_str().unwrap());
+    for args in [
+        // A misspelt tolerance must not gate with the default band.
+        vec!["diff", b, n, "--tol-wal", "500"],
+        vec!["diff", b, n, "--warn-walls"],
+        // Flags of another command are unknown too.
+        vec!["show", b, "--folded"],
+        vec!["trace", b, "--warn-wall"],
+        vec!["show", b, "-o", "out.json"],
+    ] {
+        let out = inspect(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout: {out:?}");
+        assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: udse-inspect"), "{args:?}: no usage text:\n{stderr}");
+    }
+    let _ = std::fs::remove_file(base);
+    let _ = std::fs::remove_file(new);
+}

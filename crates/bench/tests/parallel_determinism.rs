@@ -161,8 +161,8 @@ fn chunk_parallel_sweeps_match_sequential_bitwise() {
     let optima_par = BenchmarkArchitectures::find(&engine_par);
     udse_obs::pool::set_max_workers(1);
 
-    assert_eq!(char_seq.designs.len(), char_par.designs.len());
-    for (s, p) in char_seq.designs.iter().zip(&char_par.designs) {
+    assert_eq!(char_seq.designs().len(), char_par.designs().len());
+    for (s, p) in char_seq.designs().iter().zip(char_par.designs()) {
         assert_eq!(s.point, p.point, "sweep order diverges between worker counts");
         assert_eq!(s.predicted.bips.to_bits(), p.predicted.bips.to_bits());
         assert_eq!(s.predicted.watts.to_bits(), p.predicted.watts.to_bits());

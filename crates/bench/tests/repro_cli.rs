@@ -31,6 +31,25 @@ fn unknown_flags_are_rejected_before_anything_runs() {
 }
 
 #[test]
+fn query_rejects_unknown_flags_before_training() {
+    let query = r#"{"query_version":1,"type":"what_if","bench":"mcf","base":{"idx":[2,1,1,0,4,3,0],"fo4":18},"alternative":{"idx":[2,2,1,1,0,1,0],"fo4":18}}"#;
+    // A misspelt --quick must not train the suite at paper scale.
+    for (args, needle) in [
+        (vec!["query", "--quik", query], "unknown option `--quik`"),
+        (vec!["query", "--quick", "--threads", "2", query], "unknown option `--threads`"),
+        (vec!["query", "--quick", query, "--jobs"], "--jobs expects a value"),
+        (vec!["query", "--quick", "--jobs", "0", query], "--jobs expects a positive integer"),
+    ] {
+        let out = repro(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout: {out:?}");
+        assert!(stderr.contains(needle), "{args:?}: stderr lacks {needle:?}:\n{stderr}");
+        assert!(stderr.contains("usage: repro query"), "{args:?}: no usage text:\n{stderr}");
+    }
+}
+
+#[test]
 fn unknown_artifacts_are_rejected_before_earlier_ones_run() {
     // fig1 comes first and is valid; the typo behind it must still stop
     // the run before fig1 prints anything.

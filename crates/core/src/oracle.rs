@@ -117,9 +117,10 @@ pub struct SimOracle {
 pub const DEFAULT_TRACE_LEN: usize = 200_000;
 
 /// Default byte budget for memoized outcome streams. The paper-scale
-/// workload (9 traces x 125 cache sub-configs x ~0.5 bytes/instruction
-/// over 200k instructions) fits comfortably; the bound exists so
-/// enlarged spaces degrade to recomputation instead of unbounded memory.
+/// workload (9 traces x 125 cache sub-configs x ~0.1 bytes/instruction
+/// of bit-packed outcomes over 200k instructions) fits comfortably; the
+/// bound exists so enlarged spaces degrade to recomputation instead of
+/// unbounded memory.
 pub const DEFAULT_STREAM_BUDGET: usize = 256 << 20;
 
 /// Key of one memoized entry, for FIFO eviction bookkeeping.

@@ -1,6 +1,7 @@
 //! Pareto frontier analysis (paper §4, Figures 2–4, Table 2).
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use udse_stats::ErrorSummary;
 use udse_trace::Benchmark;
@@ -23,15 +24,27 @@ pub struct PredictedDesign {
 
 /// The Figure 2 artifact: the exhaustively predicted design space for one
 /// benchmark, with per-(depth, width) cluster summaries.
+///
+/// The designs are a view of the engine's memoized sweep, not a copy:
+/// the characterization holds the sweep's [`Arc`] and reads its
+/// benchmark's row, so the 262,500-point rows stay resident once however
+/// many studies slice them.
 #[derive(Debug, Clone)]
 pub struct Characterization {
     /// The benchmark characterized.
     pub benchmark: Benchmark,
-    /// Every evaluated design with predicted delay/power.
-    pub designs: Vec<PredictedDesign>,
+    /// The engine's full sweep, one row per benchmark.
+    sweep: Arc<Vec<Vec<PredictedDesign>>>,
     /// Summary per (depth, width) cluster: FO4, width, delay range,
     /// power range, count.
     pub clusters: Vec<ClusterSummary>,
+}
+
+impl Characterization {
+    /// Every evaluated design with predicted delay/power, in walk order.
+    pub fn designs(&self) -> &[PredictedDesign] {
+        &self.sweep[self.benchmark.id() as usize]
+    }
 }
 
 /// Delay/power envelope of one depth-width cluster of the space.
@@ -58,18 +71,17 @@ pub struct ClusterSummary {
 ///
 /// The underlying fused walk runs once per engine (see
 /// [`Engine::full_sweep`]) and fans out across the work pool in
-/// contiguous chunks; chunk results concatenate in range order, so
-/// `designs` is identical to a sequential walk regardless of worker
-/// count.
+/// contiguous chunks, each writing its own range of the rows, so
+/// `designs()` is identical to a sequential walk regardless of worker
+/// count. Only the cluster summaries are allocated here.
 pub fn characterize(engine: &Engine, benchmark: Benchmark) -> Characterization {
     let sweep = engine.full_sweep();
-    let designs = sweep[benchmark.id() as usize].clone();
-    let clusters = build_clusters(&designs);
-    Characterization { benchmark, designs, clusters }
+    let clusters = build_clusters(&sweep[benchmark.id() as usize]);
+    Characterization { benchmark, sweep, clusters }
 }
 
 /// Characterizes the space for *all nine benchmarks* from the engine's
-/// one fused grid walk. Per benchmark, `designs` is bitwise-identical to
+/// one fused grid walk. Per benchmark, `designs()` is bitwise-identical to
 /// a separate single-model sweep — only the walk overhead is amortized
 /// (the `compiled_predict_sweep` criterion group measures the speedup).
 pub fn characterize_all(engine: &Engine) -> Vec<Characterization> {
@@ -83,40 +95,56 @@ const MIN_PARALLEL_POINTS: u64 = 2048;
 
 /// The shared fused-sweep inner loop: walks the strided space once and
 /// materializes every visited point's predicted metrics for every stacked
-/// pair, chunk-parallel through [`udse_obs::pool::map_chunks`]. Chunk
-/// results concatenate in range order, so each pair's `Vec` is identical
-/// to a sequential walk regardless of worker count.
+/// pair, chunk-parallel over [`udse_obs::pool::chunk_ranges`]. The rows
+/// are allocated once at their final size and each chunk writes its
+/// range of every row in place, so each row is identical to a sequential
+/// walk regardless of worker count and no chunk buffer is ever copied.
 pub(crate) fn sweep_designs(lanes: &SuiteLanes, stride: usize) -> Vec<Vec<PredictedDesign>> {
     let total = strided_count(lanes.space(), stride);
-    let pairs = lanes.pairs();
-    let walk_chunk = |range: std::ops::Range<u64>| {
-        let _chunk = udse_obs::span::enter("chunk");
-        let chunk_len = (range.end - range.start) as usize;
-        let mut per_pair: Vec<Vec<PredictedDesign>> =
-            (0..pairs).map(|_| Vec::with_capacity(chunk_len)).collect();
-        let mut walker = lanes.walker(stride);
-        walker.walk(range, |point, metrics| {
-            for (out, m) in per_pair.iter_mut().zip(metrics) {
-                out.push(PredictedDesign { point, predicted: *m });
-            }
-        });
-        per_pair
+    let unset = PredictedDesign {
+        point: lanes.space().decode(0).expect("a design space has a first point"),
+        predicted: Metrics { bips: 0.0, watts: 0.0 },
     };
-    let chunks = if total < MIN_PARALLEL_POINTS {
-        vec![walk_chunk(0..total)]
+    let mut rows: Vec<Vec<PredictedDesign>> =
+        (0..lanes.pairs()).map(|_| vec![unset; total as usize]).collect();
+    // A single chunk runs on the calling thread (`pool::map` spawns no
+    // worker for one job).
+    let ranges = if total < MIN_PARALLEL_POINTS {
+        std::iter::once(0..total).collect()
     } else {
-        udse_obs::pool::map_chunks(total, walk_chunk)
+        udse_obs::pool::chunk_ranges(total)
     };
-    // Concatenate each pair's chunk slices in range order.
-    let mut designs: Vec<Vec<PredictedDesign>> =
-        (0..pairs).map(|_| Vec::with_capacity(total as usize)).collect();
-    for chunk in chunks {
-        for (out, part) in designs.iter_mut().zip(chunk) {
-            out.extend(part);
+    // One job per chunk, holding that chunk's disjoint sub-slice of every
+    // row. The lock is never contended: each job runs exactly once.
+    let mut jobs: Vec<SweepChunk> =
+        ranges.into_iter().map(|r| (r, Vec::with_capacity(rows.len()))).collect();
+    for row in &mut rows {
+        let mut rest = row.as_mut_slice();
+        for (range, slices) in &mut jobs {
+            let (chunk, tail) = rest.split_at_mut((range.end - range.start) as usize);
+            slices.push(chunk);
+            rest = tail;
         }
     }
-    designs
+    let jobs: Vec<Mutex<SweepChunk>> = jobs.into_iter().map(Mutex::new).collect();
+    let walk_chunk = |job: &Mutex<SweepChunk>| {
+        let _chunk = udse_obs::span::enter("chunk");
+        let (range, slices) = &mut *job.lock().expect("sweep chunk lock");
+        let mut walker = lanes.walker(stride);
+        let mut at = 0;
+        walker.walk(range.clone(), |point, metrics| {
+            for (slice, m) in slices.iter_mut().zip(metrics) {
+                slice[at] = PredictedDesign { point, predicted: *m };
+            }
+            at += 1;
+        });
+    };
+    udse_obs::pool::map(&jobs, walk_chunk);
+    rows
 }
+
+/// One sweep chunk's grid range and its sub-slice of every output row.
+type SweepChunk<'a> = (std::ops::Range<u64>, Vec<&'a mut [PredictedDesign]>);
 
 /// Cluster summaries keyed by (depth, width): one hash lookup per design
 /// instead of a linear scan over the cluster list, sorted at the end.
@@ -275,7 +303,7 @@ mod tests {
         // 7 depths x 3 widths = 21 clusters.
         assert_eq!(ch.clusters.len(), 21);
         let total: usize = ch.clusters.iter().map(|c| c.count).sum();
-        assert_eq!(total, ch.designs.len());
+        assert_eq!(total, ch.designs().len());
         for c in &ch.clusters {
             assert!(c.delay_min <= c.delay_max);
             assert!(c.power_min <= c.power_max);
@@ -296,8 +324,8 @@ mod tests {
                 SuiteLanes::compile(std::slice::from_ref(engine.suite().models(*b)), &space);
             let mut per_pair = sweep_designs(&lanes, config.eval_stride);
             let separate = per_pair.pop().expect("one pair");
-            assert_eq!(ch.designs.len(), separate.len());
-            for (f, s) in ch.designs.iter().zip(&separate) {
+            assert_eq!(ch.designs().len(), separate.len());
+            for (f, s) in ch.designs().iter().zip(&separate) {
                 assert_eq!(f.point, s.point);
                 assert_eq!(f.predicted.bips.to_bits(), s.predicted.bips.to_bits());
                 assert_eq!(f.predicted.watts.to_bits(), s.predicted.watts.to_bits());

@@ -3,7 +3,7 @@
 //! The paper's argument is that regression models replace opaque,
 //! hours-long simulation with fast prediction; this crate makes the
 //! pipeline itself transparent so that claim is measurable. It has zero
-//! external dependencies (the build must work offline) and provides four
+//! external dependencies (the build must work offline) and provides these
 //! facilities:
 //!
 //! - [`span`] — hierarchical RAII wall-clock timers feeding a
@@ -21,7 +21,8 @@
 //!   CPU clocks, current and peak RSS from `/proc`;
 //! - [`pool`] — a scoped-thread work pool ([`pool::map`]) with
 //!   deterministic, input-ordered results; the oracle layer fans
-//!   simulation batches through it, sized by [`pool::set_max_workers`]
+//!   simulation batches through it and the fused sweep its
+//!   [`pool::chunk_ranges`], sized by [`pool::set_max_workers`]
 //!   (`repro --jobs N`);
 //! - [`metrics`] — a registry of atomic [`metrics::Counter`]s,
 //!   [`metrics::Gauge`]s, and fixed-bucket [`metrics::Histogram`]s
@@ -29,8 +30,7 @@
 //!   fallbacks, sweep throughput, …);
 //! - [`log`] — leveled structured logging to stderr, gated by the
 //!   `UDSE_LOG` environment variable (`off`, `error`, `warn`, `info`,
-//!   `debug`, `trace`), with a rate-limited [`progress::Progress`] meter
-//!   for long sweeps;
+//!   `debug`, `trace`);
 //! - [`manifest`] — a [`manifest::RunManifest`] capturing per-artifact
 //!   wall time, metric snapshots, span totals, model quality, seeds, and
 //!   configuration, serialized with the hand-rolled JSON writer/parser in
@@ -71,7 +71,6 @@ pub mod log;
 pub mod manifest;
 pub mod metrics;
 pub mod pool;
-pub mod progress;
 pub mod quality;
 pub mod span;
 pub mod trace;
@@ -88,7 +87,6 @@ static TEST_ALLOC: CountingAlloc = CountingAlloc::new();
 pub use log::Level;
 pub use manifest::{ParsedManifest, RunManifest};
 pub use metrics::Registry;
-pub use progress::Progress;
 pub use quality::QualityRecord;
 pub use span::SpanGuard;
 pub use trace::TraceEvent;

@@ -108,11 +108,13 @@ where
     slots.into_iter().map(|r| r.expect("every job produced a result")).collect()
 }
 
-/// Splits the half-open range `0..total` into contiguous chunks (about
-/// four per worker, so uneven chunk costs still balance), applies `f` to
-/// each chunk in parallel through [`map`], and returns the per-chunk
-/// results **in range order**. Concatenating the results reproduces a
-/// sequential left-to-right pass over `0..total` exactly.
+/// Splits the half-open range `0..total` into contiguous chunks, about
+/// four per worker so uneven chunk costs still balance, **in range
+/// order**: concatenated, they are exactly `0..total`. A caller fans the
+/// chunks out through [`map`] and either concatenates per-chunk results
+/// or, as the fused sweep does, hands each chunk its own disjoint
+/// sub-slice of preallocated output, so the result equals a sequential
+/// left-to-right pass.
 ///
 /// Chunk *boundaries* depend on the worker cap, so a reduction that is
 /// sensitive to association order (e.g. "last maximal element wins")
@@ -126,24 +128,16 @@ where
 /// ```
 /// use udse_obs::pool;
 ///
-/// let partials = pool::map_chunks(10, |r| r.sum::<u64>());
+/// let partials = pool::map(&pool::chunk_ranges(10), |r| r.clone().sum::<u64>());
 /// assert_eq!(partials.iter().sum::<u64>(), 45);
 /// ```
-pub fn map_chunks<R, F>(total: u64, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(std::ops::Range<u64>) -> R + Sync,
-{
+pub fn chunk_ranges(total: u64) -> Vec<std::ops::Range<u64>> {
     if total == 0 {
         return Vec::new();
     }
     let chunks = ((max_workers() as u64) * 4).clamp(1, total);
     let per = total.div_ceil(chunks);
-    let ranges: Vec<std::ops::Range<u64>> = (0..chunks)
-        .map(|c| (c * per)..((c + 1) * per).min(total))
-        .filter(|r| !r.is_empty())
-        .collect();
-    map(&ranges, |r| f(r.clone()))
+    (0..chunks).map(|c| (c * per)..((c + 1) * per).min(total)).filter(|r| !r.is_empty()).collect()
 }
 
 #[cfg(test)]
@@ -242,27 +236,20 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_concatenates_to_sequential_order() {
+    fn chunk_ranges_concatenate_to_sequential_order() {
         for workers in [1, 3, 4, 13] {
             let collected: Vec<u64> =
-                with_workers(workers, || map_chunks(1_000, |r| r.collect::<Vec<u64>>()))
-                    .into_iter()
-                    .flatten()
-                    .collect();
+                with_workers(workers, || chunk_ranges(1_000)).into_iter().flatten().collect();
             let expected: Vec<u64> = (0..1_000).collect();
             assert_eq!(collected, expected, "workers={workers}");
         }
     }
 
     #[test]
-    fn map_chunks_covers_small_and_empty_totals() {
-        let none = with_workers(4, || map_chunks(0, |r| r.count()));
-        assert!(none.is_empty());
+    fn chunk_ranges_cover_small_and_empty_totals() {
+        assert!(with_workers(4, || chunk_ranges(0)).is_empty());
         // Fewer indices than chunk slots: every index appears exactly once.
-        let tiny: Vec<u64> = with_workers(8, || map_chunks(3, |r| r.collect::<Vec<u64>>()))
-            .into_iter()
-            .flatten()
-            .collect();
+        let tiny: Vec<u64> = with_workers(8, || chunk_ranges(3)).into_iter().flatten().collect();
         assert_eq!(tiny, vec![0, 1, 2]);
     }
 

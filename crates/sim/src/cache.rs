@@ -76,9 +76,8 @@ impl SetAssocCache {
         self.access_hashed(block, mix(block))
     }
 
-    /// [`SetAssocCache::access`] with the caller supplying `mix(block)`
-    /// — the stream resolver precomputes the design-invariant hashes
-    /// once per trace instead of once per replay.
+    /// [`SetAssocCache::access`] with the caller supplying `mix(block)`,
+    /// so a data access hashes its block once for both cache levels.
     pub(crate) fn access_hashed(&mut self, block: u64, hash: u64) -> bool {
         self.accesses += 1;
         let hit = self.install(block, hash);
@@ -190,14 +189,11 @@ impl CacheHierarchy {
         }
     }
 
-    /// Looks up a data block, touching D-L1 and (on miss) L2.
+    /// Looks up a data block, touching D-L1 and (on miss) L2. Data
+    /// blocks use the same key, and so the same set-index hash, at both
+    /// levels.
     pub fn access_data(&mut self, block: u64) -> AccessOutcome {
-        self.access_data_hashed(block, mix(block))
-    }
-
-    /// [`CacheHierarchy::access_data`] with a precomputed `mix(block)`
-    /// (data blocks use the same key at both levels).
-    pub(crate) fn access_data_hashed(&mut self, block: u64, hash: u64) -> AccessOutcome {
+        let hash = mix(block);
         if self.dl1.access_hashed(block, hash) {
             AccessOutcome::L1
         } else if self.l2.access_hashed(block, hash) {
@@ -207,22 +203,12 @@ impl CacheHierarchy {
         }
     }
 
-    /// Looks up an instruction block, touching I-L1 and (on miss) L2.
+    /// Looks up an instruction block, touching I-L1 and (on miss) L2,
+    /// where the block is keyed as `block | CODE_SPACE`.
     pub fn access_code(&mut self, block: u64) -> AccessOutcome {
-        self.access_code_hashed(block, mix(block), mix(block | CODE_SPACE))
-    }
-
-    /// [`CacheHierarchy::access_code`] with precomputed hashes of the
-    /// I-L1 key (`block`) and the unified-L2 key (`block | CODE_SPACE`).
-    pub(crate) fn access_code_hashed(
-        &mut self,
-        block: u64,
-        l1_hash: u64,
-        l2_hash: u64,
-    ) -> AccessOutcome {
-        if self.il1.access_hashed(block, l1_hash) {
+        if self.il1.access(block) {
             AccessOutcome::L1
-        } else if self.l2.access_hashed(block | CODE_SPACE, l2_hash) {
+        } else if self.l2.access(block | CODE_SPACE) {
             AccessOutcome::L2
         } else {
             AccessOutcome::Memory

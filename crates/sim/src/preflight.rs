@@ -26,26 +26,29 @@
 //! `Simulator::run` performs all three steps for a single design; the
 //! simulation oracle memoizes the first two across designs.
 //!
-//! Outcome streams are *event-indexed*, not instruction-indexed: one
-//! byte per code-block boundary, per memory op, per branch. The
-//! preflight's boundary/op columns tell the engine when to advance each
-//! cursor, and the sparse encoding keeps a memoized stream store (125
-//! cache geometries x 9 traces in the paper's Table 1 space) a few
-//! hundred kilobytes per entry instead of megabytes.
+//! Outcome streams are *event-indexed*, not instruction-indexed, and
+//! bit-packed into `u64` words: two bits per code-block boundary and per
+//! memory op (L1 / L2 / memory), one bit per branch (predicted
+//! correctly or not). The preflight's packed words tell the engine when
+//! to advance each cursor, and the lane loop unpacks an outcome with a
+//! shift and a mask. At 200k instructions a cache stream pair takes
+//! 18–25 KB (74–99 KB at a byte per outcome) and a branch stream
+//! 1–6 KB, so the ~1,100 streams a paper-scale `repro all` resolves
+//! take roughly 23 MB instead of 95 MB.
 
 use std::sync::Arc;
 
 use udse_trace::{OpClass, Trace};
 
-use crate::cache::{mix, AccessOutcome, CacheHierarchy, StridePrefetcher, CODE_SPACE};
+use crate::cache::{AccessOutcome, CacheHierarchy, StridePrefetcher};
 use crate::config::MachineConfig;
 use crate::predictor::BhtPredictor;
 
-/// Outcome byte for a cache access event: hit in the queried L1.
+/// Outcome code for a cache access event: hit in the queried L1.
 pub const OUTCOME_L1: u8 = 0;
-/// Outcome byte for a cache access event: missed L1, hit the L2.
+/// Outcome code for a cache access event: missed L1, hit the L2.
 pub const OUTCOME_L2: u8 = 1;
-/// Outcome byte for a cache access event: served from main memory.
+/// Outcome code for a cache access event: served from main memory.
 pub const OUTCOME_MEMORY: u8 = 2;
 
 fn encode(outcome: AccessOutcome) -> u8 {
@@ -54,6 +57,54 @@ fn encode(outcome: AccessOutcome) -> u8 {
         AccessOutcome::L2 => OUTCOME_L2,
         AccessOutcome::Memory => OUTCOME_MEMORY,
     }
+}
+
+/// A column of `BITS`-wide codes packed into `u64` words, lowest bits
+/// first: code `k` sits in word `k / (64 / BITS)` at bit
+/// `k % (64 / BITS) * BITS`. The words are allocated zeroed at the
+/// column's final length, so the resident size is
+/// `8 * ceil(len * BITS / 64)` bytes and a push is one OR into place.
+#[derive(Debug, Clone)]
+struct Packed<const BITS: usize> {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl<const BITS: usize> Packed<BITS> {
+    const PER_WORD: usize = 64 / BITS;
+
+    /// An empty column with room for exactly `capacity` codes.
+    fn with_capacity(capacity: usize) -> Self {
+        Packed { words: vec![0; capacity.div_ceil(Self::PER_WORD)], len: 0 }
+    }
+
+    /// Appends `code`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the column already holds its capacity (rounded up to
+    /// whole words).
+    fn push(&mut self, code: u8) {
+        self.words[self.len / Self::PER_WORD] |=
+            (code as u64) << (self.len % Self::PER_WORD * BITS);
+        self.len += 1;
+    }
+
+    fn get(&self, k: usize) -> usize {
+        unpack::<BITS>(&self.words, k)
+    }
+
+    fn bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<u64>()
+    }
+}
+
+/// Code `k` of a `BITS`-wide packed column (see [`Packed`]): the lane
+/// loop's one shift and mask per event.
+#[inline(always)]
+pub(crate) fn unpack<const BITS: usize>(words: &[u64], k: usize) -> usize {
+    let per_word = 64 / BITS;
+    (words[k / per_word] >> (k % per_word * BITS)) as usize & ((1 << BITS) - 1)
 }
 
 /// A trace decoded once into design-invariant columns.
@@ -90,16 +141,11 @@ pub struct TracePreflight {
     /// Interleaved cache access events in trace order, packed as
     /// `block << 1 | is_data`. Stream resolution replays the hierarchy
     /// over exactly these (the interleaving matters: the unified L2
-    /// sees both streams), skipping the non-event instructions.
+    /// sees both streams), skipping the non-event instructions. The
+    /// set-index hashes are recomputed per replay rather than stored:
+    /// two hash columns would add 16 bytes per event to save about
+    /// 0.1 ms of mixing per 200k-instruction resolve.
     cache_events: Vec<u64>,
-    /// Per-event set-index hash of the L1 key (`mix(block)`), aligned
-    /// with `cache_events`: the mixer is design-invariant, so replaying
-    /// it once per sub-config would recompute the same values hundreds
-    /// of times.
-    event_l1_hash: Vec<u64>,
-    /// Per-event set-index hash of the unified-L2 key: for code events
-    /// `mix(block | CODE_SPACE)`, for data events equal to the L1 hash.
-    event_l2_hash: Vec<u64>,
     code_events: usize,
     data_events: usize,
 }
@@ -112,8 +158,6 @@ impl TracePreflight {
             packed: Vec::with_capacity(insts.len()),
             branches: Vec::new(),
             cache_events: Vec::new(),
-            event_l1_hash: Vec::new(),
-            event_l2_hash: Vec::new(),
             code_events: 0,
             data_events: 0,
         };
@@ -130,19 +174,12 @@ impl TracePreflight {
             );
             pre.code_events += new_code as usize;
             if new_code {
-                let block = inst.code_block as u64;
-                pre.cache_events.push(block << 1);
-                pre.event_l1_hash.push(mix(block));
-                pre.event_l2_hash.push(mix(block | CODE_SPACE));
+                pre.cache_events.push((inst.code_block as u64) << 1);
             }
             match inst.op {
                 OpClass::Load | OpClass::Store => {
                     pre.data_events += 1;
-                    let block = inst.data_block as u64;
-                    pre.cache_events.push(block << 1 | 1);
-                    let h = mix(block);
-                    pre.event_l1_hash.push(h);
-                    pre.event_l2_hash.push(h);
+                    pre.cache_events.push((inst.data_block as u64) << 1 | 1);
                 }
                 OpClass::Branch => pre.branches.push((inst.branch_site, inst.taken)),
                 _ => {}
@@ -250,14 +287,14 @@ impl BhtSubConfig {
 /// resolved once and replayed by every design point sharing the
 /// sub-config.
 ///
-/// Event-indexed: `code[k]` is the outcome of the k-th code-block
-/// boundary in trace order, `data[k]` the outcome of the k-th load or
-/// store. Each byte is one of [`OUTCOME_L1`] / [`OUTCOME_L2`] /
-/// [`OUTCOME_MEMORY`].
+/// Event-indexed: code outcome `k` is that of the k-th code-block
+/// boundary in trace order, data outcome `k` that of the k-th load or
+/// store. Each is one of [`OUTCOME_L1`] / [`OUTCOME_L2`] /
+/// [`OUTCOME_MEMORY`], stored in two bits.
 #[derive(Debug, Clone)]
 pub struct CacheStreams {
-    code: Vec<u8>,
-    data: Vec<u8>,
+    code: Packed<2>,
+    data: Packed<2>,
 }
 
 impl CacheStreams {
@@ -273,16 +310,15 @@ impl CacheStreams {
             (sub.l2_kb, sub.l2_assoc),
         );
         let mut prefetcher = StridePrefetcher::new();
-        let mut code = Vec::with_capacity(pre.code_events());
-        let mut data = Vec::with_capacity(pre.data_events());
+        let mut code = Packed::with_capacity(pre.code_events());
+        let mut data = Packed::with_capacity(pre.data_events());
         // Walk the merged event column instead of every instruction: the
         // interleaving (which the unified L2 observes) is preserved, the
         // ~35% of instructions that touch no cache are skipped.
-        for (k, &e) in pre.cache_events.iter().enumerate() {
+        for &e in &pre.cache_events {
             let block = e >> 1;
-            let (h1, h2) = (pre.event_l1_hash[k], pre.event_l2_hash[k]);
             if e & 1 == 0 {
-                code.push(encode(caches.access_code_hashed(block, h1, h2)));
+                code.push(encode(caches.access_code(block)));
                 if sub.il1_next_line_prefetch {
                     caches.prefetch_code(block + 1);
                 }
@@ -290,34 +326,58 @@ impl CacheStreams {
                 if sub.dl1_stride_prefetch {
                     prefetcher.observe(&mut caches, block as i64);
                 }
-                data.push(encode(caches.access_data_hashed(block, h1)));
+                data.push(encode(caches.access_data(block)));
             }
         }
         CacheStreams { code, data }
     }
 
-    /// Code-boundary outcome bytes, in trace order.
-    pub fn code(&self) -> &[u8] {
-        &self.code
+    /// Number of code-boundary outcomes (the preflight's code events).
+    pub fn code_events(&self) -> usize {
+        self.code.len
     }
 
-    /// Load/store outcome bytes, in trace order.
-    pub fn data(&self) -> &[u8] {
-        &self.data
+    /// Number of load/store outcomes (the preflight's data events).
+    pub fn data_events(&self) -> usize {
+        self.data.len
     }
 
-    /// Approximate resident size, for bounded-store accounting.
+    /// Outcome code of the k-th code-block boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is past the last packed word.
+    pub fn code_outcome(&self, k: usize) -> u8 {
+        self.code.get(k) as u8
+    }
+
+    /// Outcome code of the k-th load or store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is past the last packed word.
+    pub fn data_outcome(&self, k: usize) -> u8 {
+        self.data.get(k) as u8
+    }
+
+    /// The packed code and data words, for the lane loop.
+    pub(crate) fn words(&self) -> (&[u64], &[u64]) {
+        (&self.code.words, &self.data.words)
+    }
+
+    /// Resident size of the packed outcomes, for bounded-store
+    /// accounting.
     pub fn bytes(&self) -> usize {
-        self.code.len() + self.data.len()
+        self.code.bytes() + self.data.bytes()
     }
 }
 
-/// Branch predictor outcomes for one `(trace, BHT sub-config)` pair:
-/// `correct[k]` is whether the k-th branch in trace order was predicted
+/// Branch predictor outcomes for one `(trace, BHT sub-config)` pair, one
+/// bit per branch in trace order: set when the branch was predicted
 /// correctly.
 #[derive(Debug, Clone)]
 pub struct BranchStream {
-    correct: Vec<bool>,
+    correct: Packed<1>,
 }
 
 impl BranchStream {
@@ -330,22 +390,41 @@ impl BranchStream {
     /// [`BhtPredictor::with_counter_bits`].
     pub fn resolve(pre: &TracePreflight, sub: &BhtSubConfig) -> Self {
         let mut bht = BhtPredictor::with_counter_bits(sub.entries, sub.counter_bits);
-        let correct = pre
-            .branches
-            .iter()
-            .map(|&(site, taken)| bht.predict_and_update(site as u64, taken))
-            .collect();
+        let mut correct = Packed::with_capacity(pre.branch_events());
+        for &(site, taken) in &pre.branches {
+            correct.push(bht.predict_and_update(site as u64, taken) as u8);
+        }
         BranchStream { correct }
     }
 
-    /// Per-branch correctness flags, in trace order.
-    pub fn correct(&self) -> &[bool] {
-        &self.correct
+    /// Number of branch outcomes (the preflight's branch events).
+    pub fn len(&self) -> usize {
+        self.correct.len
     }
 
-    /// Approximate resident size, for bounded-store accounting.
+    /// True when the trace has no branches.
+    pub fn is_empty(&self) -> bool {
+        self.correct.len == 0
+    }
+
+    /// Whether the k-th branch was predicted correctly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is past the last packed word.
+    pub fn correct(&self, k: usize) -> bool {
+        self.correct.get(k) != 0
+    }
+
+    /// The packed correctness words, for the lane loop.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.correct.words
+    }
+
+    /// Resident size of the packed outcomes, for bounded-store
+    /// accounting.
     pub fn bytes(&self) -> usize {
-        self.correct.len()
+        self.correct.bytes()
     }
 }
 
@@ -361,6 +440,23 @@ mod tests {
     /// Decodes the code-block boundary bit of a packed word.
     fn new_code(word: u64) -> bool {
         word & 8 != 0
+    }
+
+    #[test]
+    fn packed_columns_round_trip_across_word_boundaries() {
+        let codes: Vec<u8> = (0..131).map(|k| (k * 7 % 5 % 3) as u8).collect();
+        let mut two = Packed::<2>::with_capacity(codes.len());
+        let mut one = Packed::<1>::with_capacity(codes.len());
+        for &c in &codes {
+            two.push(c);
+            one.push(c & 1);
+        }
+        for (k, &c) in codes.iter().enumerate() {
+            assert_eq!(two.get(k), c as usize, "2-bit code {k}");
+            assert_eq!(one.get(k), (c & 1) as usize, "1-bit code {k}");
+        }
+        assert_eq!(two.bytes(), 8 * 131usize.div_ceil(32));
+        assert_eq!(one.bytes(), 8 * 131usize.div_ceil(64));
     }
 
     #[test]
@@ -407,8 +503,8 @@ mod tests {
         let cfg = MachineConfig::power4_baseline();
         let sub = CacheSubConfig::of(&cfg);
         let streams = CacheStreams::resolve(&pre, &sub);
-        assert_eq!(streams.code().len(), pre.code_events());
-        assert_eq!(streams.data().len(), pre.data_events());
+        assert_eq!(streams.code_events(), pre.code_events());
+        assert_eq!(streams.data_events(), pre.data_events());
 
         // Replay by hand against a fresh hierarchy: outcomes must agree
         // event by event.
@@ -417,12 +513,12 @@ mod tests {
         for (i, inst) in t.instructions().iter().enumerate() {
             if new_code(pre.packed()[i]) {
                 let out = encode(caches.access_code(inst.code_block as u64));
-                assert_eq!(streams.code()[cc], out, "code event {cc}");
+                assert_eq!(streams.code_outcome(cc), out, "code event {cc}");
                 cc += 1;
             }
             if matches!(inst.op, OpClass::Load | OpClass::Store) {
                 let out = encode(caches.access_data(inst.data_block as u64));
-                assert_eq!(streams.data()[dc], out, "data event {dc}");
+                assert_eq!(streams.data_outcome(dc), out, "data event {dc}");
                 dc += 1;
             }
         }
@@ -434,17 +530,18 @@ mod tests {
         let pre = TracePreflight::of(&t);
         let sub = BhtSubConfig { entries: 1024, counter_bits: 2 };
         let stream = BranchStream::resolve(&pre, &sub);
-        assert_eq!(stream.correct().len(), pre.branch_events());
+        assert_eq!(stream.len(), pre.branch_events());
         let mut bht = BhtPredictor::with_counter_bits(sub.entries, sub.counter_bits);
         let mut k = 0usize;
         for inst in t.instructions() {
             if inst.op == OpClass::Branch {
                 let correct = bht.predict_and_update(inst.branch_site as u64, inst.taken);
-                assert_eq!(stream.correct()[k], correct, "branch event {k}");
+                assert_eq!(stream.correct(k), correct, "branch event {k}");
                 k += 1;
             }
         }
-        assert_eq!(bht.mispredicts(), stream.correct().iter().filter(|c| !**c).count() as u64);
+        let mispredicts = (0..stream.len()).filter(|&k| !stream.correct(k)).count();
+        assert_eq!(bht.mispredicts(), mispredicts as u64);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 use crate::config::MachineConfig;
 use crate::engine::Simulator;
 use crate::power::PowerModel;
-use crate::preflight::{BranchStream, CacheStreams, TracePreflight, OUTCOME_L1};
+use crate::preflight::{unpack, BranchStream, CacheStreams, TracePreflight, OUTCOME_L1};
 use crate::result::{ActivityCounts, SimResult, StallBreakdown};
 
 /// Dependency window: matches the trace generator's maximum dependency
@@ -250,13 +250,16 @@ pub type LaneJob<'a> = (&'a Simulator, &'a CacheStreams, &'a BranchStream);
 struct Lane<'a> {
     cfg: &'a MachineConfig,
     scratch: &'a mut StreamScratch,
-    code_events: &'a [u8],
-    data_events: &'a [u8],
-    branch_events: &'a [bool],
+    /// The cache streams' packed 2-bit code and data outcomes and the
+    /// branch stream's packed correctness bits.
+    code_events: &'a [u64],
+    data_events: &'a [u64],
+    branch_events: &'a [u64],
     /// Outcome-indexed latency tables replacing a per-access match on
-    /// `AccessOutcome`.
-    code_penalty: [u64; 3],
-    load_latency: [u64; 3],
+    /// `AccessOutcome`. The fourth entry is never read; it lets a 2-bit
+    /// outcome index the table without a bounds check.
+    code_penalty: [u64; 4],
+    load_latency: [u64; 4],
     front_stages: u64,
     fx_latency: u64,
     fp_latency: u64,
@@ -290,27 +293,26 @@ impl<'a> Lane<'a> {
         pre: &TracePreflight,
         scratch: &'a mut StreamScratch,
     ) -> Self {
-        assert_eq!(cache.code().len(), pre.code_events(), "cache stream mismatches preflight");
-        assert_eq!(cache.data().len(), pre.data_events(), "cache stream mismatches preflight");
-        assert_eq!(
-            branches.correct().len(),
-            pre.branch_events(),
-            "branch stream mismatches preflight"
-        );
+        assert_eq!(cache.code_events(), pre.code_events(), "cache stream mismatches preflight");
+        assert_eq!(cache.data_events(), pre.data_events(), "cache stream mismatches preflight");
+        assert_eq!(branches.len(), pre.branch_events(), "branch stream mismatches preflight");
         let cfg = sim.config();
         let t = cfg.timing();
         scratch.reset(cfg);
+        let (code_events, data_events) = cache.words();
+        let memory = t.l2_latency + t.memory_latency;
         Lane {
             cfg,
             scratch,
-            code_events: cache.code(),
-            data_events: cache.data(),
-            branch_events: branches.correct(),
-            code_penalty: [0, t.l2_latency, t.l2_latency + t.memory_latency],
+            code_events,
+            data_events,
+            branch_events: branches.words(),
+            code_penalty: [0, t.l2_latency, memory, memory],
             load_latency: [
                 t.dl1_latency,
                 t.dl1_latency + t.l2_latency,
-                t.dl1_latency + t.l2_latency + t.memory_latency,
+                t.dl1_latency + memory,
+                t.dl1_latency + memory,
             ],
             front_stages: t.front_stages,
             fx_latency: t.fx_latency,
@@ -356,7 +358,7 @@ impl<'a> Lane<'a> {
         let mut fetched = if redirect_delta > 0 { 0 } else { self.fetched_this_cycle };
         let mut fc = fc0;
         if meta & 8 != 0 {
-            let ev = self.code_events[cc] as usize;
+            let ev = unpack::<2>(self.code_events, cc);
             self.acts.il1_accesses += 1;
             // Branchless: a hit has penalty 0 and adds nothing.
             let missed = (ev != OUTCOME_L1 as usize) as u64;
@@ -500,7 +502,7 @@ impl<'a> Lane<'a> {
     /// Counts data event `dc` and returns its outcome.
     #[inline(always)]
     fn data_access(&mut self, dc: usize) -> usize {
-        let ev = self.data_events[dc] as usize;
+        let ev = unpack::<2>(self.data_events, dc);
         self.acts.dl1_accesses += 1;
         // Branchless event accounting: a hit adds zero to the miss
         // counters rather than branching around them.
@@ -525,7 +527,7 @@ impl<'a> Lane<'a> {
     #[inline(always)]
     fn resolve_branch(&mut self, meta: u64, bc: usize, complete: u64) {
         self.acts.bht_lookups += 1;
-        if !self.branch_events[bc] {
+        if unpack::<1>(self.branch_events, bc) == 0 {
             self.acts.mispredicts += 1;
             // Redirect: fetch resumes after the branch resolves.
             self.redirect_ready = self.redirect_ready.max(complete + 1);

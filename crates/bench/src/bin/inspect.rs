@@ -10,7 +10,7 @@
 //!                                    [--tol-gauge <name>:<pct> ...]
 //!                                    [--min-gauge <name>:<value> ...]
 //!                                    [--tol-resource <name>:<pct>[:<floor>] ...]
-//! udse-inspect trace <manifest | events.jsonl | trace.json> [--folded] [-o <out>]
+//! udse-inspect trace <manifest> [--folded] [-o <out>]
 //! ```
 //!
 //! `show` prints a human-readable summary (artifacts, model quality,
@@ -36,13 +36,11 @@
 //! `--tol-resource sweep.allocs_per_design:100:0.05` keeps the compiled
 //! sweep allocation-free; `resources.`-prefixed names read the manifest
 //! `resources` section (`resources.alloc_bytes`, `resources.peak_rss_kb`,
-//! …). `trace` emits Chrome `trace_event` JSON (open in Perfetto or
-//! `chrome://tracing`) from a JSONL event stream recorded with
-//! `UDSE_TRACE=1`, an existing Chrome trace array (e.g. the one
-//! `repro --trace` writes), or synthesized from a manifest's span
-//! totals; `trace <manifest> --folded` instead emits folded stacks
-//! (`path;to;span self_us` lines) consumable by `flamegraph.pl` and
-//! inferno.
+//! …). `trace` synthesizes a Chrome `trace_event` timeline (open in
+//! Perfetto or `chrome://tracing`) from a manifest's span totals, for
+//! runs that were not recorded with `repro --trace`; `trace --folded`
+//! instead emits folded stacks (`path;to;span self_us` lines)
+//! consumable by `flamegraph.pl` and inferno.
 //!
 //! Exit codes: 0 success / within tolerance, 1 regression detected,
 //! 2 usage or I/O error.
@@ -52,7 +50,6 @@ use std::process::ExitCode;
 
 use udse_bench::inspect::{self, DiffTolerances};
 use udse_obs::manifest::{write_with_parents, ParsedManifest};
-use udse_obs::trace;
 
 // Same counting allocator the `repro` binary installs: `udse-inspect`
 // produces no manifests, but keeping every workspace binary under the
@@ -66,9 +63,7 @@ const USAGE: &str = "usage: udse-inspect <command>\n\
         [--tol-quality-pooled <abs>] [--tol-quality-max <abs>] [--warn-wall]\n\
         [--tol-gauge <name>:<pct> ...] [--min-gauge <name>:<value> ...]\n\
         [--tol-resource <name>:<pct>[:<floor>] ...] gate a run against a baseline\n\
-  trace <manifest | events.jsonl | trace.json> [--folded] [-o <path>]\n\
-                                                   export Chrome trace_event JSON\n\
-                                                   or folded flamegraph stacks";
+  trace <manifest> [--folded] [-o <path>]          timeline or folded stacks from span totals";
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("udse-inspect: {message}");
@@ -252,60 +247,17 @@ fn main() -> ExitCode {
         }
         "trace" => {
             let [_, input] = positional[..] else {
-                return fail("trace expects exactly one input path");
+                return fail("trace expects exactly one manifest path");
             };
-            if args.iter().any(|a| a == "--folded") {
-                if input.ends_with(".jsonl") {
-                    return fail("--folded reads manifest span totals, not a JSONL event stream");
-                }
-                let folded = match load(input) {
-                    Ok(m) => inspect::folded_from_manifest(&m),
-                    Err(e) => return fail(&e),
-                };
-                match flag_value("-o") {
-                    Some(out) => {
-                        let out = PathBuf::from(out);
-                        if let Err(e) = write_with_parents(&out, &folded) {
-                            return fail(&e.to_string());
-                        }
-                        eprintln!("udse-inspect: wrote {}", out.display());
-                    }
-                    None => print!("{folded}"),
-                }
-                return ExitCode::SUCCESS;
-            }
-            // Accept three input shapes: a JSONL event stream, an
-            // already-assembled Chrome trace array (e.g. from
-            // `repro --trace`), or a manifest whose span totals we
-            // synthesize events from.
-            let events = if input.ends_with(".jsonl") {
-                let text = match std::fs::read_to_string(input.as_str()) {
-                    Ok(t) => t,
-                    Err(e) => return fail(&format!("reading events {input}: {e}")),
-                };
-                match trace::parse_jsonl(&text) {
-                    Ok(events) => events,
-                    Err(e) => return fail(&format!("events {input}: {e}")),
-                }
+            let m = match load(input) {
+                Ok(m) => m,
+                Err(e) => return fail(&e),
+            };
+            let text = if args.iter().any(|a| a == "--folded") {
+                inspect::folded_from_manifest(&m)
             } else {
-                let text = match std::fs::read_to_string(input.as_str()) {
-                    Ok(t) => t,
-                    Err(e) => return fail(&format!("reading {input}: {e}")),
-                };
-                if text.trim_start().starts_with('[') {
-                    match trace::parse_chrome_trace(&text) {
-                        Ok(events) => events,
-                        Err(e) => return fail(&format!("trace {input}: {e}")),
-                    }
-                } else {
-                    match ParsedManifest::parse(&text) {
-                        Ok(m) => inspect::manifest_trace_events(&m),
-                        Err(e) => return fail(&format!("{input}: {e}")),
-                    }
-                }
+                inspect::trace_from_manifest(&m).to_string_pretty()
             };
-            let doc = trace::chrome_trace_json(&events);
-            let text = doc.to_string_pretty();
             match flag_value("-o") {
                 Some(out) => {
                     let out = PathBuf::from(out);

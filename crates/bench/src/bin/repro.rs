@@ -49,8 +49,8 @@
 //! with per-artifact wall times, metric snapshots (simulated
 //! instructions, oracle cache hits/misses, sweep throughput, …), span
 //! totals, and model-quality records (`udse-inspect` consumes these).
-//! `--trace <path>` records discrete span events (like `UDSE_TRACE=1`)
-//! and writes them as Chrome `trace_event` JSON loadable in Perfetto.
+//! `--trace <path>` records discrete span events and writes them as
+//! Chrome `trace_event` JSON loadable in Perfetto.
 //! Only the paper's tables and figures go to stdout.
 //!
 //! Unknown options and unknown artifact names are rejected up front,
@@ -461,7 +461,7 @@ fn main() -> ExitCode {
     // Surface trace-buffer overflow as a counter so the manifest (and
     // the diff gate reading it) records it, not just a stderr warning.
     let dropped = trace::global().dropped();
-    if trace::enabled() {
+    if opts.trace.is_some() {
         udse_obs::metrics::counter("trace.dropped_events").add(dropped);
     }
     // Allocation totals as counters so `udse-inspect diff

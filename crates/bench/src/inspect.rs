@@ -274,7 +274,7 @@ fn diff_counters(
 ) {
     for (name, old_v) in &old.metrics {
         let (Some(o), Some(n)) = (old_v.as_i64(), new.metric(name).and_then(Json::as_i64)) else {
-            continue; // gauges/histograms: timing-dependent, not diffed
+            continue; // gauges: timing-dependent, not diffed
         };
         if o == n {
             continue;
@@ -338,15 +338,18 @@ fn diff_min_gauges(new: &ParsedManifest, tol: &DiffTolerances, report: &mut Diff
 
 /// Resolves a resource-gate name: `resources.<field>` reads the v3
 /// `resources` section, anything else reads the metrics section
-/// (counters and gauges both answer `as_f64`).
+/// (counters and gauges both answer `as_f64`). A field the producing
+/// run did not measure (allocation fields without the counting
+/// allocator, `null` probes) resolves to `None`, never to zero.
 fn resource_value(m: &ParsedManifest, name: &str) -> Option<f64> {
     if let Some(field) = name.strip_prefix("resources.") {
-        let r = m.resources?;
+        let r = &m.resources;
+        let counted = |v: u64| r.alloc_counting.then_some(v as f64);
         return match field {
-            "allocs" => Some(r.allocs as f64),
-            "deallocs" => Some(r.deallocs as f64),
-            "alloc_bytes" => Some(r.alloc_bytes as f64),
-            "peak_bytes" => Some(r.peak_bytes as f64),
+            "allocs" => counted(r.allocs),
+            "deallocs" => counted(r.deallocs),
+            "alloc_bytes" => counted(r.alloc_bytes),
+            "peak_bytes" => counted(r.peak_bytes),
             "peak_rss_kb" => r.peak_rss_kb.map(|v| v as f64),
             "cpu_seconds" => r.cpu_seconds,
             _ => None,
@@ -450,25 +453,24 @@ pub fn show(m: &ParsedManifest) -> String {
             out.push('\n');
         }
     }
-    if let Some(r) = m.resources {
-        out.push_str("\nresources:\n");
-        if let Some(cpu) = r.cpu_seconds {
-            out.push_str(&format!("  cpu time: {cpu:.3}s\n"));
-        }
-        if let Some(rss) = r.peak_rss_kb {
-            out.push_str(&format!("  peak rss: {:.1} MB\n", rss as f64 / 1024.0));
-        }
-        if r.alloc_counting {
-            out.push_str(&format!(
-                "  heap: {} allocs / {} frees, {} allocated, peak live {}\n",
-                r.allocs,
-                r.deallocs,
-                udse_obs::span::fmt_bytes(r.alloc_bytes),
-                udse_obs::span::fmt_bytes(r.peak_bytes)
-            ));
-        } else {
-            out.push_str("  heap: not measured (producing binary had no counting allocator)\n");
-        }
+    let r = &m.resources;
+    out.push_str("\nresources:\n");
+    if let Some(cpu) = r.cpu_seconds {
+        out.push_str(&format!("  cpu time: {cpu:.3}s\n"));
+    }
+    if let Some(rss) = r.peak_rss_kb {
+        out.push_str(&format!("  peak rss: {:.1} MB\n", rss as f64 / 1024.0));
+    }
+    if r.alloc_counting {
+        out.push_str(&format!(
+            "  heap: {} allocs / {} frees, {} allocated, peak live {}\n",
+            r.allocs,
+            r.deallocs,
+            udse_obs::span::fmt_bytes(r.alloc_bytes),
+            udse_obs::span::fmt_bytes(r.peak_bytes)
+        ));
+    } else {
+        out.push_str("  heap: not measured (producing binary had no counting allocator)\n");
     }
     // Query-engine counters get their own digest, but only when the run
     // actually executed queries — most manifests carry none, and an
@@ -502,18 +504,12 @@ pub fn show(m: &ParsedManifest) -> String {
     out
 }
 
-/// Synthesizes trace events from a manifest's span totals (see
-/// [`trace::synthesize_from_spans`] for the layout rules).
-pub fn manifest_trace_events(m: &ParsedManifest) -> Vec<trace::TraceEvent> {
-    let totals: Vec<(String, f64)> =
-        m.spans.iter().map(|(path, s)| (path.clone(), s.total_seconds)).collect();
-    trace::synthesize_from_spans(&totals)
-}
-
 /// Synthesizes a Chrome `trace_event` document from a manifest's span
 /// totals (see [`trace::synthesize_from_spans`] for the layout rules).
 pub fn trace_from_manifest(m: &ParsedManifest) -> Json {
-    trace::chrome_trace_json(&manifest_trace_events(m))
+    let totals: Vec<(String, f64)> =
+        m.spans.iter().map(|(path, s)| (path.clone(), s.total_seconds)).collect();
+    trace::chrome_trace_json(&trace::synthesize_from_spans(&totals))
 }
 
 /// Renders a manifest's span totals as folded stacks (`a;b;c self_us`
@@ -545,7 +541,7 @@ pub fn folded_from_manifest(m: &ParsedManifest) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use udse_obs::manifest::{ArtifactRecord, SpanTotal};
+    use udse_obs::manifest::{ArtifactRecord, ResourceTotals, SpanTotal};
     use udse_obs::QualityRecord;
 
     fn manifest(
@@ -554,7 +550,7 @@ mod tests {
         counters: &[(&str, i64)],
     ) -> ParsedManifest {
         ParsedManifest {
-            schema_version: 2,
+            schema_version: 3,
             tool: "repro".into(),
             created_unix_ms: 1,
             config: vec![],
@@ -585,7 +581,7 @@ mod tests {
                     r_squared: 0.99,
                 })
                 .collect(),
-            resources: None,
+            resources: ResourceTotals::default(),
         }
     }
 
@@ -824,10 +820,9 @@ mod tests {
 
     #[test]
     fn resource_gate_reads_the_resources_section_with_prefix() {
-        use udse_obs::manifest::ResourceTotals;
         let with = |alloc_bytes: u64| {
             let mut m = manifest(&[("fig1", 1.0)], &[], &[]);
-            m.resources = Some(ResourceTotals {
+            m.resources = ResourceTotals {
                 alloc_counting: true,
                 allocs: 10,
                 deallocs: 10,
@@ -835,7 +830,7 @@ mod tests {
                 peak_bytes: alloc_bytes,
                 peak_rss_kb: Some(10_000),
                 cpu_seconds: Some(1.0),
-            });
+            };
             m
         };
         let tol = DiffTolerances {
@@ -844,7 +839,8 @@ mod tests {
         };
         assert!(diff(&with(1_000), &with(2_000), &tol).is_regression());
         assert!(!diff(&with(1_000), &with(1_000), &tol).is_regression());
-        // Pre-v3 manifests (no resources section) warn, not crash/gate.
+        // A run without the counting allocator measured nothing: its
+        // zero allocation fields warn as missing instead of gating.
         let pre = manifest(&[("fig1", 1.0)], &[], &[]);
         let report = diff(&pre, &with(1_000), &tol);
         assert!(!report.is_regression());
@@ -905,14 +901,14 @@ mod tests {
 
     #[test]
     fn show_renders_resources_and_span_resource_columns() {
-        use udse_obs::manifest::ResourceTotals;
         let mut m = manifest(&[("fig1", 1.0)], &[], &[]);
-        // Pre-v3: no resources section, no span resource columns — an
-        // all-zero allocs column would read as an allocation-free claim.
+        // Nothing measured: no span resource columns (an all-zero allocs
+        // column would read as an allocation-free claim) and a heap line
+        // that says so instead of claiming zero heap usage.
         let text = show(&m);
-        assert!(!text.contains("resources:"), "{text}");
         assert!(!text.contains("cpu"), "{text}");
-        m.resources = Some(ResourceTotals {
+        assert!(text.contains("not measured"), "{text}");
+        m.resources = ResourceTotals {
             alloc_counting: true,
             allocs: 1_000,
             deallocs: 990,
@@ -920,7 +916,7 @@ mod tests {
             peak_bytes: 1 << 20,
             peak_rss_kb: Some(51_200),
             cpu_seconds: Some(2.5),
-        });
+        };
         m.spans[0].1.cpu_seconds = 0.75;
         m.spans[0].1.allocs = 42;
         m.spans[0].1.alloc_bytes = 2048;
@@ -930,10 +926,7 @@ mod tests {
         assert!(text.contains("1000 allocs / 990 frees"), "{text}");
         assert!(text.contains("42 allocs"), "missing span alloc column:\n{text}");
         assert!(text.contains("2.0 KiB"), "span alloc bytes not humanized:\n{text}");
-        // A manifest whose producer had no counting allocator says so
-        // instead of claiming zero heap usage.
-        m.resources = Some(ResourceTotals { alloc_counting: false, ..m.resources.unwrap() });
-        assert!(show(&m).contains("not measured"), "{}", show(&m));
+        assert!(!text.contains("not measured"), "{text}");
     }
 
     #[test]

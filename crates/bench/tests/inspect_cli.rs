@@ -1,15 +1,15 @@
 //! End-to-end tests of the `udse-inspect` binary: regression gating exit
-//! codes and Chrome-trace schema validity.
+//! codes, strict manifest reading, and Chrome-trace schema validity.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use udse_obs::Json;
+use udse_obs::{Json, ParsedManifest};
 
 fn manifest_text(wall: f64, p50: f64) -> String {
     format!(
         r#"{{
-  "schema_version": 2,
+  "schema_version": 3,
   "tool": "repro",
   "created_unix_ms": 1,
   "command": ["repro", "--quick", "fig1"],
@@ -17,14 +17,20 @@ fn manifest_text(wall: f64, p50: f64) -> String {
   "artifacts": [{{"name": "fig1", "wall_seconds": {wall}}}],
   "metrics": {{"sim.instructions": 40500000}},
   "spans": {{
-    "fig1": {{"count": 1, "total_seconds": {wall}, "max_seconds": {wall}}},
-    "fig1/train": {{"count": 1, "total_seconds": 2.0, "max_seconds": 2.0}}
+    "fig1": {{"count": 1, "total_seconds": {wall}, "max_seconds": {wall},
+              "cpu_seconds": 0.0, "allocs": 0, "alloc_bytes": 0}},
+    "fig1/train": {{"count": 1, "total_seconds": 2.0, "max_seconds": 2.0,
+                    "cpu_seconds": 0.0, "allocs": 0, "alloc_bytes": 0}}
   }},
   "quality": {{
     "validation.pooled.bips": {{
       "n": 225, "p50": {p50}, "p90": 0.0525, "max": 0.12,
       "bias": 0.0016, "rmse": 0.03, "r_squared": null
     }}
+  }},
+  "resources": {{
+    "alloc_counting": false, "allocs": 0, "deallocs": 0, "alloc_bytes": 0,
+    "peak_bytes": 0, "peak_rss_kb": null, "cpu_seconds": null
   }}
 }}
 "#
@@ -163,30 +169,91 @@ fn trace_folded_emits_flamegraph_stacks() {
     let written = std::fs::read_to_string(&out_path).expect("folded file written");
     assert_eq!(written, "fig1 1000000\nfig1;train 2000000\n");
 
-    // --folded is a manifest-only view.
-    let jsonl = write_fixture("folded_events.jsonl", "{}\n");
-    let out = inspect(&["trace", jsonl.to_str().unwrap(), "--folded"]);
-    assert_eq!(out.status.code(), Some(2), "--folded rejects JSONL input");
-
     let _ = std::fs::remove_dir_all(out_path.parent().unwrap());
     let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_file(jsonl);
 }
 
 #[test]
-fn trace_round_trips_a_jsonl_event_stream() {
-    let jsonl = "{\"name\":\"fit\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":10,\"dur\":90,\"pid\":1,\"tid\":1}\n\
-                 {\"name\":\"mark\",\"cat\":\"instant\",\"ph\":\"i\",\"ts\":50,\"s\":\"t\",\"pid\":1,\"tid\":1}\n";
-    let path =
-        std::env::temp_dir().join(format!("udse_inspect_cli_{}_events.jsonl", std::process::id()));
-    std::fs::write(&path, jsonl).expect("fixture");
-    let out = inspect(&["trace", path.to_str().unwrap()]);
+fn trace_reads_manifests_only() {
+    // A Chrome trace array (what `repro --trace` writes) is not a
+    // manifest: both views reject it as an input error.
+    let array = write_fixture(
+        "trace_array.json",
+        r#"[{"name":"fit","cat":"span","ph":"X","ts":10,"dur":90,"pid":1,"tid":1}]"#,
+    );
+    for args in
+        [vec!["trace", array.to_str().unwrap()], vec!["trace", array.to_str().unwrap(), "--folded"]]
+    {
+        let out = inspect(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+    }
+    let _ = std::fs::remove_file(array);
+}
+
+/// The repository root, where the committed `BENCH_*.json` baselines
+/// live.
+fn repo_root() -> &'static Path {
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+}
+
+#[test]
+fn every_committed_baseline_reads_as_schema_v3() {
+    let mut baselines: Vec<PathBuf> = std::fs::read_dir(repo_root())
+        .expect("repository root lists")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.starts_with("BENCH_") && name.ends_with(".json")
+        })
+        .collect();
+    baselines.sort();
+    assert!(!baselines.is_empty(), "no BENCH_*.json baselines found");
+    for path in &baselines {
+        let m = ParsedManifest::read_from_path(path).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(m.schema_version, 3, "{}", path.display());
+        assert!(!m.quality.is_empty(), "{} carries no quality records", path.display());
+    }
+}
+
+#[test]
+fn diff_fails_on_a_garbled_quality_record() {
+    let baseline = repo_root().join("BENCH_2c9a099.json");
+    let doc = Json::parse(&std::fs::read_to_string(&baseline).expect("baseline reads"))
+        .expect("baseline is JSON");
+    // Rewrites one statistic of the pooled bips record: `None` deletes
+    // it, `Some(v)` replaces its value.
+    let garble = |stat: &str, value: Option<Json>| -> String {
+        let mut doc = doc.clone();
+        let Json::Obj(top) = &mut doc else { panic!("manifest is an object") };
+        let quality = &mut top.iter_mut().find(|(k, _)| k == "quality").expect("quality").1;
+        let Json::Obj(records) = quality else { panic!("quality is an object") };
+        let record =
+            &mut records.iter_mut().find(|(k, _)| k == "validation.pooled.bips").expect("record").1;
+        let Json::Obj(fields) = record else { panic!("record is an object") };
+        let slot = fields.iter().position(|(k, _)| k == stat).expect("stat present");
+        match value {
+            Some(v) => fields[slot].1 = v,
+            None => drop(fields.remove(slot)),
+        }
+        doc.to_string_pretty()
+    };
+    let base = baseline.to_str().unwrap();
+    for stat in ["p50", "p90", "max", "bias"] {
+        for (how, value) in
+            [("missing", None), ("null", Some(Json::Null)), ("garbled", Some(Json::str("garbled")))]
+        {
+            let bad = write_fixture(&format!("garbled_{stat}_{how}.json"), &garble(stat, value));
+            let out = inspect(&["diff", base, bad.to_str().unwrap(), "--warn-wall"]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{stat} {how} must fail: {out:?}");
+            assert!(stderr.contains(stat), "{stat} {how}: error does not name the field: {stderr}");
+            let _ = std::fs::remove_file(bad);
+        }
+    }
+    // The untouched baseline still diffs clean against itself.
+    let out = inspect(&["diff", base, base, "--warn-wall"]);
     assert!(out.status.success(), "{out:?}");
-    let doc = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
-    let arr = doc.as_arr().expect("array");
-    assert_eq!(arr.len(), 2);
-    assert_eq!(arr[1].get("ph").and_then(Json::as_str), Some("i"));
-    let _ = std::fs::remove_file(path);
 }
 
 #[test]

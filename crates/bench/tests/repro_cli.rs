@@ -1,8 +1,11 @@
 //! End-to-end tests of the `repro` command line: a bad option or
 //! artifact name must fail before any artifact runs, so nothing reaches
-//! stdout and the exit code is non-zero.
+//! stdout and the exit code is non-zero; `--trace` writes a Chrome
+//! `trace_event` array of span events.
 
 use std::process::{Command, Output};
+
+use udse_obs::Json;
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("repro runs")
@@ -66,4 +69,26 @@ fn help_succeeds_and_no_artifact_fails_with_usage() {
     let out = repro(&["--quick"]);
     assert!(!out.status.success(), "{out:?}");
     assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn trace_writes_chrome_span_events() {
+    let path = std::env::temp_dir()
+        .join(format!("udse_repro_cli_{}", std::process::id()))
+        .join("trace.json");
+    let out = repro(&["--quick", "--trace", path.to_str().unwrap(), "fig1"]);
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&path).expect("trace written");
+    let doc = Json::parse(&text).expect("trace is JSON");
+    let events = doc.as_arr().expect("trace_event documents are arrays");
+    assert!(!events.is_empty(), "fig1 recorded no span events");
+    for e in events {
+        assert!(e.get("name").and_then(Json::as_str).is_some(), "{e:?}");
+        assert!(e.get("cat").and_then(Json::as_str).is_some(), "{e:?}");
+        assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"), "{e:?}");
+        for field in ["ts", "dur", "pid", "tid"] {
+            assert!(e.get(field).and_then(Json::as_i64).is_some(), "{field} in {e:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }

@@ -325,45 +325,6 @@ impl SimOracle {
         }
     }
 
-    /// The memoized cache-outcome streams for one sub-config, resolving
-    /// and inserting on first use.
-    fn cache_streams(
-        &self,
-        benchmark: Benchmark,
-        pre: &TracePreflight,
-        sub: CacheSubConfig,
-    ) -> Arc<CacheStreams> {
-        let key = (benchmark, sub);
-        if let Some(s) = self.streams.read().expect("stream store poisoned").cache.get(&key) {
-            self.record(1, 0);
-            return Arc::clone(s);
-        }
-        self.record(0, 1);
-        let resolved = Arc::new(CacheStreams::resolve(pre, &sub));
-        let mut store = self.streams.write().expect("stream store poisoned");
-        store.insert_cache(key, Arc::clone(&resolved));
-        resolved
-    }
-
-    /// The memoized branch-outcome stream for one BHT sub-config.
-    fn branch_stream(
-        &self,
-        benchmark: Benchmark,
-        pre: &TracePreflight,
-        sub: BhtSubConfig,
-    ) -> Arc<BranchStream> {
-        let key = (benchmark, sub);
-        if let Some(s) = self.streams.read().expect("stream store poisoned").branch.get(&key) {
-            self.record(1, 0);
-            return Arc::clone(s);
-        }
-        self.record(0, 1);
-        let resolved = Arc::new(BranchStream::resolve(pre, &sub));
-        let mut store = self.streams.write().expect("stream store poisoned");
-        store.insert_branch(key, Arc::clone(&resolved));
-        resolved
-    }
-
     /// Steps `K <= LANES` simulations of one trace through the cycle
     /// core together, with the calling thread's reusable scratch.
     fn run_lanes<const K: usize>(&self, pre: &TracePreflight, runs: [Run<'_>; K]) -> [Metrics; K] {
@@ -386,12 +347,7 @@ impl Default for SimOracle {
 
 impl Oracle for SimOracle {
     fn evaluate(&self, benchmark: Benchmark, point: &DesignPoint) -> Metrics {
-        let cfg = point.to_machine_config();
-        let pre = self.preflight(benchmark);
-        let cache = self.cache_streams(benchmark, &pre, CacheSubConfig::of(&cfg));
-        let bht = self.branch_stream(benchmark, &pre, BhtSubConfig::of(&cfg));
-        let [m] = self.run_lanes(&pre, [(Simulator::new(cfg), &cache, &bht)]);
-        m
+        self.evaluate_many(&[(benchmark, *point)])[0]
     }
 
     /// Batched evaluation with deterministic memo accounting: a
@@ -570,17 +526,7 @@ impl<O: Oracle> CachedOracle<O> {
 
 impl<O: Oracle> Oracle for CachedOracle<O> {
     fn evaluate(&self, benchmark: Benchmark, point: &DesignPoint) -> Metrics {
-        let key = (benchmark, *point);
-        if let Some(m) = self.cache.read().expect("oracle cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            udse_obs::metrics::counter("oracle.cache.hits").inc();
-            return *m;
-        }
-        let m = self.inner.evaluate(benchmark, point);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        udse_obs::metrics::counter("oracle.cache.misses").inc();
-        self.cache.write().expect("oracle cache poisoned").insert(key, m);
-        m
+        self.evaluate_many(&[(benchmark, *point)])[0]
     }
 
     /// Batched lookup: cached pairs are served immediately, the distinct
@@ -710,6 +656,8 @@ mod tests {
             .map(|i| (Benchmark::ALL[i % 9], space.decode(i as u64 * 1_000).unwrap()))
             .collect();
         let batched = oracle.evaluate_many(&jobs);
+        // `evaluate` is a one-job batch: N of them must equal one N-job
+        // batch, lane bundling and all.
         let sequential: Vec<Metrics> = jobs.iter().map(|(b, p)| oracle.evaluate(*b, p)).collect();
         assert_eq!(batched, sequential);
     }

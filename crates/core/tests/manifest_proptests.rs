@@ -3,9 +3,9 @@
 //! `udse-inspect diff` gates CI on manifests read back from disk, so a
 //! torn or corrupted file must come back from [`ParsedManifest::parse`]
 //! as `Err`, never as a panic. The canonical document here is a small
-//! real v3 manifest written by [`RunManifest`]: every truncation of it
-//! and random single-byte mutations are fed back in, along with
-//! arbitrary bytes.
+//! real v3 manifest written by [`RunManifest`]: every truncation of it,
+//! every copy with one required field deleted, and random single-byte
+//! mutations are fed back in, along with arbitrary bytes.
 
 mod common;
 
@@ -19,14 +19,14 @@ use udse_obs::manifest::SCHEMA_VERSION;
 use udse_obs::{metrics, quality, span, Json, ParsedManifest, QualityRecord, RunManifest};
 
 /// A small manifest from the real writer, with every section populated:
-/// config, artifacts, a counter, a gauge, a histogram, a span, a quality
-/// record, and (under any allocator) the resources section.
+/// config, artifacts, a counter, two gauges, a span, a quality record,
+/// and (under any allocator) the resources section.
 fn small_manifest() -> &'static str {
     static DOC: OnceLock<String> = OnceLock::new();
     DOC.get_or_init(|| {
         metrics::counter("hostile.sim.instructions").add(40_500);
         metrics::gauge("hostile.sweep.designs_per_sec").set(1.25e7);
-        metrics::histogram("hostile.fit.seconds", &[0.1, 1.0]).observe(0.5);
+        metrics::gauge("hostile.fit.seconds").set(0.5);
         {
             let _g = span::enter("hostile_fit");
         }
@@ -52,7 +52,66 @@ fn the_canonical_document_is_a_v3_manifest() {
     assert_eq!(parsed.schema_version, SCHEMA_VERSION);
     assert_eq!(parsed.artifact_wall_seconds("fig1"), Some(0.125));
     assert!(parsed.quality_record("hostile.pooled.bips").is_some());
-    assert!(parsed.resources.is_some(), "v3 carries the resources section");
+    assert_eq!(parsed.metric("hostile.fit.seconds").and_then(Json::as_f64), Some(0.5));
+}
+
+/// Every copy of `doc` with one object field deleted, at any depth,
+/// paired with the path of the deleted field.
+fn deletions(doc: &Json) -> Vec<(Vec<String>, Json)> {
+    let mut out = Vec::new();
+    match doc {
+        Json::Obj(pairs) => {
+            for (i, (key, value)) in pairs.iter().enumerate() {
+                let mut without = pairs.clone();
+                without.remove(i);
+                out.push((vec![key.clone()], Json::Obj(without)));
+                for (mut path, inner) in deletions(value) {
+                    let mut with = pairs.clone();
+                    with[i].1 = inner;
+                    path.insert(0, key.clone());
+                    out.push((path, Json::Obj(with)));
+                }
+            }
+        }
+        Json::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                for (mut path, inner) in deletions(item) {
+                    let mut with = items.clone();
+                    with[i] = inner;
+                    path.insert(0, format!("[{i}]"));
+                    out.push((path, Json::Arr(with)));
+                }
+            }
+        }
+        _ => {}
+    }
+    out
+}
+
+#[test]
+fn deleting_any_required_field_is_rejected() {
+    let doc = Json::parse(small_manifest()).expect("canonical manifest is JSON");
+    let mut required = 0;
+    for (path, text) in deletions(&doc).into_iter().map(|(p, d)| (p, d.to_string_pretty())) {
+        // Config and metric entries are free-form, and spans and quality
+        // records are keyed maps whose entries may come and go; every
+        // other field the writer emits (the sections, and the fields of
+        // artifacts, spans, quality records and resources) is required.
+        let free_form = match path[0].as_str() {
+            "config" | "metrics" => path.len() > 1,
+            "spans" | "quality" => path.len() == 2,
+            _ => false,
+        };
+        match parse_or_report(&text) {
+            Ok(_) if free_form => {}
+            Ok(_) => panic!("deleting {} was accepted", path.join(".")),
+            Err(e) if free_form => panic!("deleting free-form {} failed: {e}", path.join(".")),
+            Err(_) => required += 1,
+        }
+    }
+    // Ten sections, two artifact fields, six per span, seven per quality
+    // record, seven resources fields: the walk covered all of them.
+    assert!(required >= 10 + 2 + 6 + 7 + 7, "only {required} required fields deleted");
 }
 
 #[test]

@@ -24,10 +24,9 @@
 //!   simulation batches through it and the fused sweep its
 //!   [`pool::chunk_ranges`], sized by [`pool::set_max_workers`]
 //!   (`repro --jobs N`);
-//! - [`metrics`] — a registry of atomic [`metrics::Counter`]s,
-//!   [`metrics::Gauge`]s, and fixed-bucket [`metrics::Histogram`]s
-//!   (simulated instructions, oracle cache hits/misses, Cholesky→QR
-//!   fallbacks, sweep throughput, …);
+//! - [`metrics`] — a registry of atomic [`metrics::Counter`]s and
+//!   [`metrics::Gauge`]s (simulated instructions, oracle cache
+//!   hits/misses, Cholesky→QR fallbacks, sweep throughput, …);
 //! - [`log`] — leveled structured logging to stderr, gated by the
 //!   `UDSE_LOG` environment variable (`off`, `error`, `warn`, `info`,
 //!   `debug`, `trace`);
@@ -38,9 +37,9 @@
 //! - [`quality`] — model-quality telemetry: per-benchmark and pooled
 //!   prediction-error quantiles, signed bias, and R² accumulated in a
 //!   global [`quality::Collector`] and persisted in the manifest;
-//! - [`trace`] — an opt-in (`UDSE_TRACE`) buffer of discrete span/instant
-//!   events exporting to Chrome `trace_event` JSON (Perfetto-loadable)
-//!   and a JSONL stream.
+//! - [`trace`] — an opt-in ([`trace::enable`], `repro --trace`) buffer
+//!   of discrete span events, written as Chrome `trace_event` JSON
+//!   (Perfetto-loadable).
 //!
 //! # Conventions
 //!

@@ -29,12 +29,10 @@ use crate::{metrics, quality, span};
 /// Manifest JSON layout version, bumped on incompatible changes.
 ///
 /// v2 added the `quality` section (model-quality records, see
-/// [`crate::quality`]) and p50/p90/p99 quantile fields on histogram
-/// metrics. v3 (this version) adds the `resources` section (process
-/// allocation totals, peak RSS, CPU time — see [`ResourceTotals`]) and
-/// per-span `cpu_seconds`/`allocs`/`alloc_bytes` columns.
-/// [`ParsedManifest`] still reads v1 and v2 documents, treating the
-/// additions as absent (no resources section, zero span resources).
+/// [`crate::quality`]); v3 (this version) adds the `resources` section
+/// (process allocation totals, peak RSS, CPU time — see
+/// [`ResourceTotals`]) and per-span `cpu_seconds`/`allocs`/`alloc_bytes`
+/// columns. [`ParsedManifest`] reads v3 only.
 pub const SCHEMA_VERSION: i64 = 3;
 
 /// One produced artifact and how long it took.
@@ -47,8 +45,10 @@ pub struct ArtifactRecord {
 }
 
 /// Whole-process resource totals, captured at manifest-write time and
-/// stored in the v3 `resources` section.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// stored in the v3 `resources` section. The default is "nothing
+/// measured": no counting allocator, zero allocation fields, and no
+/// RSS or CPU probe.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResourceTotals {
     /// Whether the counting allocator served this process; the four
     /// allocation fields are meaningful only when `true` (they read
@@ -96,21 +96,21 @@ impl ResourceTotals {
         ])
     }
 
-    /// Reads a `resources` section; `None` when `doc` is not an object
-    /// (v1/v2 manifests have no such section).
-    pub fn from_json(doc: &Json) -> Option<Self> {
-        if !matches!(doc, Json::Obj(_)) {
-            return None;
-        }
-        let uint = |key: &str| doc.get(key).and_then(Json::as_i64).map(|v| v.max(0) as u64);
-        Some(ResourceTotals {
-            alloc_counting: doc.get("alloc_counting").and_then(Json::as_bool).unwrap_or(false),
-            allocs: uint("allocs").unwrap_or(0),
-            deallocs: uint("deallocs").unwrap_or(0),
-            alloc_bytes: uint("alloc_bytes").unwrap_or(0),
-            peak_bytes: uint("peak_bytes").unwrap_or(0),
-            peak_rss_kb: uint("peak_rss_kb"),
-            cpu_seconds: doc.get("cpu_seconds").and_then(Json::as_f64),
+    /// Reads a `resources` section.
+    ///
+    /// # Errors
+    ///
+    /// Names the first missing or mistyped field.
+    pub fn from_json(doc: &Json) -> Result<Self, String> {
+        let f = Fields::of(doc, "resources")?;
+        Ok(ResourceTotals {
+            alloc_counting: f.bool("alloc_counting")?,
+            allocs: f.u64("allocs")?,
+            deallocs: f.u64("deallocs")?,
+            alloc_bytes: f.u64("alloc_bytes")?,
+            peak_bytes: f.u64("peak_bytes")?,
+            peak_rss_kb: f.nullable("peak_rss_kb", Fields::u64)?,
+            cpu_seconds: f.nullable("cpu_seconds", Fields::f64)?,
         })
     }
 }
@@ -263,34 +263,77 @@ fn metric_to_json(value: &MetricValue) -> Json {
     match value {
         MetricValue::Counter(v) => Json::Int(*v as i64),
         MetricValue::Gauge(v) => Json::Float(*v),
-        MetricValue::Histogram { count, sum, buckets } => Json::obj([
-            ("count", Json::Int(*count as i64)),
-            ("sum", Json::Float(*sum)),
-            ("p50", value.histogram_quantile(0.5).map(Json::Float).unwrap_or(Json::Null)),
-            ("p90", value.histogram_quantile(0.9).map(Json::Float).unwrap_or(Json::Null)),
-            ("p99", value.histogram_quantile(0.99).map(Json::Float).unwrap_or(Json::Null)),
-            (
-                "buckets",
-                Json::Arr(
-                    buckets
-                        .iter()
-                        .map(|(le, n)| {
-                            Json::obj([
-                                (
-                                    "le",
-                                    if le.is_finite() {
-                                        Json::Float(*le)
-                                    } else {
-                                        Json::str("+inf")
-                                    },
-                                ),
-                                ("count", Json::Int(*n as i64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
+    }
+}
+
+/// Required-field access to one object of a manifest document: every
+/// accessor fails, naming the object and field, when the field is
+/// missing or has the wrong type.
+pub(crate) struct Fields<'a> {
+    doc: &'a Json,
+    ctx: &'a str,
+}
+
+impl<'a> Fields<'a> {
+    /// Wraps `doc`, which must be an object; `ctx` names it in errors.
+    pub(crate) fn of(doc: &'a Json, ctx: &'a str) -> Result<Self, String> {
+        match doc {
+            Json::Obj(_) => Ok(Fields { doc, ctx }),
+            _ => Err(format!("{ctx}: expected an object")),
+        }
+    }
+
+    fn get(&self, key: &str) -> Result<&'a Json, String> {
+        self.doc.get(key).ok_or_else(|| format!("{}: missing {key}", self.ctx))
+    }
+
+    fn typed<T>(
+        &self,
+        key: &str,
+        what: &str,
+        f: impl Fn(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        f(self.get(key)?).ok_or_else(|| format!("{}.{key}: expected {what}", self.ctx))
+    }
+
+    pub(crate) fn f64(&self, key: &str) -> Result<f64, String> {
+        self.typed(key, "a number", Json::as_f64)
+    }
+
+    pub(crate) fn u64(&self, key: &str) -> Result<u64, String> {
+        self.typed(key, "a non-negative integer", |v| v.as_i64().filter(|&n| n >= 0))
+            .map(|n| n as u64)
+    }
+
+    fn bool(&self, key: &str) -> Result<bool, String> {
+        self.typed(key, "a boolean", Json::as_bool)
+    }
+
+    fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.typed(key, "a string", Json::as_str)
+    }
+
+    fn arr(&self, key: &str) -> Result<&'a [Json], String> {
+        self.typed(key, "an array", Json::as_arr)
+    }
+
+    fn obj(&self, key: &str) -> Result<&'a [(String, Json)], String> {
+        self.typed(key, "an object", |v| match v {
+            Json::Obj(pairs) => Some(pairs.as_slice()),
+            _ => None,
+        })
+    }
+
+    /// A field that must be present but may be `null` ("not measured").
+    pub(crate) fn nullable<T>(
+        &self,
+        key: &str,
+        read: fn(&Self, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key)? {
+            Json::Null => Ok(None),
+            _ => read(self, key).map(Some),
+        }
     }
 }
 
@@ -303,20 +346,20 @@ pub struct SpanTotal {
     pub total_seconds: f64,
     /// Longest single execution, seconds.
     pub max_seconds: f64,
-    /// Total executing-thread CPU time, seconds (0 in pre-v3 docs and
-    /// where the thread CPU clock is unavailable).
+    /// Total executing-thread CPU time, seconds (0 where the thread CPU
+    /// clock is unavailable).
     pub cpu_seconds: f64,
-    /// Heap allocations on the executing thread (0 in pre-v3 docs and
-    /// without the counting allocator).
+    /// Heap allocations on the executing thread (0 without the counting
+    /// allocator).
     pub allocs: u64,
     /// Heap bytes allocated on the executing thread.
     pub alloc_bytes: u64,
 }
 
-/// A manifest read back from disk, accepting any schema version this
-/// build understands (1 through 3): v1 documents simply have no quality
-/// records and no histogram quantile fields, and pre-v3 documents have
-/// no `resources` section and zero span resource columns.
+/// A manifest read back from disk. Only the layout this build writes
+/// ([`SCHEMA_VERSION`]) is accepted, and every field the writer emits
+/// is required: a missing or mistyped field is an error, never a
+/// default.
 #[derive(Debug, Clone)]
 pub struct ParsedManifest {
     /// The document's declared layout version.
@@ -325,19 +368,20 @@ pub struct ParsedManifest {
     pub tool: String,
     /// Creation time, milliseconds since the Unix epoch.
     pub created_unix_ms: i64,
-    /// Configuration entries (seeds, flags), sorted by key in v2 docs.
+    /// Configuration entries (seeds, flags), sorted by key.
     pub config: Vec<(String, Json)>,
     /// Artifacts in execution order.
     pub artifacts: Vec<ArtifactRecord>,
     /// Metric snapshots by name; values keep their raw JSON form
-    /// (`Int` counters, `Float` gauges, objects for histograms).
+    /// (`Int` counters, `Float` gauges; older baselines also hold
+    /// histogram objects).
     pub metrics: Vec<(String, Json)>,
     /// Span totals by path.
     pub spans: Vec<(String, SpanTotal)>,
-    /// Model-quality records, sorted by key (empty for v1 documents).
+    /// Model-quality records, sorted by key.
     pub quality: Vec<QualityRecord>,
-    /// Whole-process resource totals (`None` for pre-v3 documents).
-    pub resources: Option<ResourceTotals>,
+    /// Whole-process resource totals.
+    pub resources: ResourceTotals,
 }
 
 impl ParsedManifest {
@@ -357,8 +401,8 @@ impl ParsedManifest {
     ///
     /// # Errors
     ///
-    /// Fails on malformed JSON, a missing or non-object layout, or a
-    /// schema version newer than this build writes.
+    /// Fails on malformed JSON, a schema version other than
+    /// [`SCHEMA_VERSION`], or a missing or mistyped field.
     pub fn parse(text: &str) -> Result<Self, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json(&doc)
@@ -374,62 +418,60 @@ impl ParsedManifest {
             .get("schema_version")
             .and_then(Json::as_i64)
             .ok_or("missing schema_version — not a run manifest")?;
-        if !(1..=SCHEMA_VERSION).contains(&version) {
+        if version != SCHEMA_VERSION {
             return Err(format!(
-                "unsupported schema_version {version} (this build reads 1..={SCHEMA_VERSION})"
+                "unsupported schema_version {version} (this build reads {SCHEMA_VERSION})"
             ));
         }
-        let obj_entries = |key: &str| -> Vec<(String, Json)> {
-            match doc.get(key) {
-                Some(Json::Obj(pairs)) => pairs.clone(),
-                _ => Vec::new(),
-            }
-        };
-        let artifacts = doc
-            .get("artifacts")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
+        let f = Fields::of(doc, "manifest")?;
+        for (i, arg) in f.arr("command")?.iter().enumerate() {
+            arg.as_str().ok_or_else(|| format!("command[{i}]: expected a string"))?;
+        }
+        let artifacts = f
+            .arr("artifacts")?
             .iter()
-            .filter_map(|a| {
-                Some(ArtifactRecord {
-                    name: a.get("name")?.as_str()?.to_string(),
-                    wall_seconds: a.get("wall_seconds")?.as_f64()?,
+            .enumerate()
+            .map(|(i, a)| {
+                let ctx = format!("artifacts[{i}]");
+                let a = Fields::of(a, &ctx)?;
+                Ok(ArtifactRecord {
+                    name: a.str("name")?.to_string(),
+                    wall_seconds: a.f64("wall_seconds")?,
                 })
             })
-            .collect();
-        let spans = obj_entries("spans")
-            .into_iter()
-            .filter_map(|(path, s)| {
-                Some((
-                    path,
-                    SpanTotal {
-                        count: s.get("count")?.as_i64()?.max(0) as u64,
-                        total_seconds: s.get("total_seconds")?.as_f64()?,
-                        max_seconds: s.get("max_seconds")?.as_f64()?,
-                        // Resource columns are v3 additions: absent in
-                        // older documents, defaulting to zero.
-                        cpu_seconds: s.get("cpu_seconds").and_then(Json::as_f64).unwrap_or(0.0),
-                        allocs: s.get("allocs").and_then(Json::as_i64).unwrap_or(0).max(0) as u64,
-                        alloc_bytes: s.get("alloc_bytes").and_then(Json::as_i64).unwrap_or(0).max(0)
-                            as u64,
-                    },
-                ))
+            .collect::<Result<_, String>>()?;
+        let spans = f
+            .obj("spans")?
+            .iter()
+            .map(|(path, s)| {
+                let ctx = format!("spans.{path}");
+                let s = Fields::of(s, &ctx)?;
+                let total = SpanTotal {
+                    count: s.u64("count")?,
+                    total_seconds: s.f64("total_seconds")?,
+                    max_seconds: s.f64("max_seconds")?,
+                    cpu_seconds: s.f64("cpu_seconds")?,
+                    allocs: s.u64("allocs")?,
+                    alloc_bytes: s.u64("alloc_bytes")?,
+                };
+                Ok((path.clone(), total))
             })
-            .collect();
-        let quality = obj_entries("quality")
-            .into_iter()
-            .filter_map(|(key, rec)| QualityRecord::from_json(&key, &rec))
-            .collect();
+            .collect::<Result<_, String>>()?;
+        let quality = f
+            .obj("quality")?
+            .iter()
+            .map(|(key, rec)| QualityRecord::from_json(key, rec))
+            .collect::<Result<_, String>>()?;
         Ok(ParsedManifest {
             schema_version: version,
-            tool: doc.get("tool").and_then(Json::as_str).unwrap_or("").to_string(),
-            created_unix_ms: doc.get("created_unix_ms").and_then(Json::as_i64).unwrap_or(0),
-            config: obj_entries("config"),
+            tool: f.str("tool")?.to_string(),
+            created_unix_ms: f.typed("created_unix_ms", "an integer", Json::as_i64)?,
+            config: f.obj("config")?.to_vec(),
             artifacts,
-            metrics: obj_entries("metrics"),
+            metrics: f.obj("metrics")?.to_vec(),
             spans,
             quality,
-            resources: doc.get("resources").and_then(ResourceTotals::from_json),
+            resources: ResourceTotals::from_json(f.get("resources")?)?,
         })
     }
 
@@ -560,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn manifest_v2_carries_quality_and_histogram_quantiles() {
+    fn manifest_carries_quality_records() {
         quality::record(
             crate::quality::QualityRecord::from_signed_errors(
                 "manifest.test.bips",
@@ -568,17 +610,12 @@ mod tests {
             )
             .with_r_squared(0.99),
         );
-        metrics::histogram("manifest.test.hist", &[0.1, 1.0, 10.0]).observe(0.5);
         let doc = RunManifest::new("q").to_json();
         assert_eq!(doc.get("schema_version").and_then(Json::as_i64), Some(SCHEMA_VERSION));
         let q = doc.get("quality").expect("quality section");
         let rec = q.get("manifest.test.bips").expect("recorded key");
         assert_eq!(rec.get("n").and_then(Json::as_i64), Some(3));
         assert!(rec.get("p50").and_then(Json::as_f64).expect("p50") > 0.0);
-        let hist = doc.get("metrics").and_then(|m| m.get("manifest.test.hist")).expect("hist");
-        for field in ["p50", "p90", "p99"] {
-            assert!(hist.get(field).and_then(Json::as_f64).is_some(), "missing {field}");
-        }
     }
 
     #[test]
@@ -602,7 +639,7 @@ mod tests {
 
         // And the whole thing reads back.
         let parsed = ParsedManifest::parse(&doc.to_string_pretty()).expect("parses");
-        let back = parsed.resources.expect("parsed resources");
+        let back = parsed.resources;
         assert!(back.alloc_counting);
         assert!(back.allocs > 0);
         let (_, s) =
@@ -637,47 +674,87 @@ mod tests {
             let back = ResourceTotals::from_json(&Json::parse(&text).unwrap()).expect("parses");
             assert_eq!(back, r, "round trip of {text}");
         }
-        assert_eq!(ResourceTotals::from_json(&Json::Null), None, "pre-v3: no section");
+        assert!(ResourceTotals::from_json(&Json::Null).is_err(), "the section is required");
     }
 
     #[test]
-    fn parsed_manifest_reads_v1_through_v3_but_rejects_future() {
-        let v1 = r#"{
-            "schema_version": 1,
-            "tool": "repro",
-            "created_unix_ms": 5,
-            "command": ["repro"],
-            "config": {"seed": 2007},
-            "artifacts": [{"name": "fig1", "wall_seconds": 2.0}],
-            "metrics": {"sim.instructions": 100},
-            "spans": {"fig1": {"count": 1, "total_seconds": 2.0, "max_seconds": 2.0}}
-        }"#;
-        let m = ParsedManifest::parse(v1).expect("v1 parses");
-        assert_eq!(m.schema_version, 1);
-        assert_eq!(m.tool, "repro");
-        assert!(m.quality.is_empty(), "v1 has no quality section");
-        assert!(m.resources.is_none(), "v1 has no resources section");
-        assert_eq!(m.spans[0].1.allocs, 0, "pre-v3 span resources default to zero");
-        assert_eq!(m.artifact_wall_seconds("fig1"), Some(2.0));
-        assert_eq!(m.total_wall_seconds(), 2.0);
-        assert_eq!(m.metric("sim.instructions").and_then(Json::as_i64), Some(100));
-        assert_eq!(m.spans[0].1.count, 1);
-
+    fn parsed_manifest_reads_v3_and_rejects_every_other_version() {
         quality::record(crate::quality::QualityRecord::from_signed_errors(
             "parse.test.watts",
             &[0.02],
         ));
-        let mut native = RunManifest::new("v2");
+        let mut native = RunManifest::new("v3");
         native.record_artifact("a", 1.0);
-        let m = ParsedManifest::parse(&native.to_json().to_string_pretty()).expect("v3 parses");
+        let text = native.to_json().to_string_pretty();
+        let m = ParsedManifest::parse(&text).expect("v3 parses");
         assert_eq!(m.schema_version, SCHEMA_VERSION);
         assert!(m.quality_record("parse.test.watts").is_some());
-        assert!(m.resources.is_some(), "native manifests carry resources");
+        assert_eq!(m.artifact_wall_seconds("a"), Some(1.0));
+        assert_eq!(m.total_wall_seconds(), 1.0);
 
-        let future = r#"{"schema_version": 99, "tool": "x"}"#;
-        let err = ParsedManifest::parse(future).expect_err("future version rejected");
-        assert!(err.contains("unsupported schema_version 99"), "err: {err}");
+        for version in [1, 2, 99] {
+            let old = text.replacen(
+                "\"schema_version\": 3",
+                &format!("\"schema_version\": {version}"),
+                1,
+            );
+            let err = ParsedManifest::parse(&old).expect_err("other versions rejected");
+            assert!(err.contains(&format!("unsupported schema_version {version}")), "err: {err}");
+        }
         assert!(ParsedManifest::parse("{}").is_err(), "missing version rejected");
         assert!(ParsedManifest::parse("not json").is_err());
+    }
+
+    #[test]
+    fn malformed_entries_are_errors_not_defaults() {
+        quality::record(crate::quality::QualityRecord::from_signed_errors(
+            "strict.test.bips",
+            &[0.02, -0.04],
+        ));
+        {
+            let _g = span::enter("strict_test_span");
+        }
+        let mut m = RunManifest::new("strict");
+        m.record_artifact("fig1", 1.0);
+        let text = m.to_json().to_string_pretty();
+        let doc = Json::parse(&text).unwrap();
+        let edit = |section: &str, entry: Option<&str>, field: &str, value: Option<Json>| {
+            let mut doc = doc.clone();
+            let Json::Obj(top) = &mut doc else { unreachable!() };
+            let mut target = &mut top.iter_mut().find(|(k, _)| k == section).unwrap().1;
+            if let Some(entry) = entry {
+                let Json::Obj(pairs) = target else { unreachable!() };
+                target = &mut pairs.iter_mut().find(|(k, _)| k == entry).unwrap().1;
+            }
+            if let Json::Arr(items) = target {
+                target = &mut items[0];
+            }
+            let Json::Obj(pairs) = target else { unreachable!() };
+            let slot = pairs.iter().position(|(k, _)| k == field).unwrap();
+            match value {
+                Some(v) => pairs[slot].1 = v,
+                None => drop(pairs.remove(slot)),
+            }
+            ParsedManifest::from_json(&doc)
+        };
+        let garbled = || Some(Json::str("garbled"));
+        for (section, entry, field) in [
+            ("quality", Some("strict.test.bips"), "p50"),
+            ("quality", Some("strict.test.bips"), "bias"),
+            ("spans", Some("strict_test_span"), "cpu_seconds"),
+            ("artifacts", None, "wall_seconds"),
+            ("resources", None, "allocs"),
+        ] {
+            for value in [None, Some(Json::Null), garbled()] {
+                let err = edit(section, entry, field, value.clone()).expect_err("rejected");
+                assert!(err.contains(field), "{section}/{field} = {value:?}: {err}");
+            }
+        }
+        // `null` is the "not measured" encoding where the writer uses it.
+        let m = edit("quality", Some("strict.test.bips"), "r_squared", Some(Json::Null)).unwrap();
+        assert!(m.quality_record("strict.test.bips").unwrap().r_squared.is_nan());
+        let m = edit("resources", None, "peak_rss_kb", Some(Json::Null)).unwrap();
+        assert_eq!(m.resources.peak_rss_kb, None);
+        assert!(edit("resources", None, "peak_rss_kb", None).is_err(), "present even if null");
     }
 }

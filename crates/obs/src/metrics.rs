@@ -1,5 +1,4 @@
-//! Metrics registry: named atomic counters, gauges, and fixed-bucket
-//! histograms.
+//! Metrics registry: named atomic counters and gauges.
 //!
 //! The hot paths touch only atomics; registration (name lookup) takes a
 //! mutex and should be done once per stage, not per event. A process-wide
@@ -14,10 +13,8 @@
 //! let r = Registry::new();
 //! r.counter("oracle.cache.hits").add(3);
 //! r.gauge("sweep.designs_per_sec").set(125_000.0);
-//! let h = r.histogram("fit.seconds", &[0.01, 0.1, 1.0, 10.0]);
-//! h.observe(0.25);
 //! assert_eq!(r.counter("oracle.cache.hits").get(), 3);
-//! assert!(h.quantile(0.5) > 0.1);
+//! assert_eq!(r.gauge("sweep.designs_per_sec").get(), 125_000.0);
 //! ```
 
 use std::collections::HashMap;
@@ -65,120 +62,6 @@ impl Gauge {
     }
 }
 
-/// A histogram with fixed, ascending upper bucket bounds plus an
-/// implicit overflow bucket.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    /// One count per bound, plus the overflow bucket at the end.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-}
-
-impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bucket bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, v: f64) {
-        let idx = self.bounds.partition_point(|&b| b < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        // Atomic f64 accumulation via CAS on the bit pattern.
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// The configured upper bounds (without the overflow bucket).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts, overflow bucket last.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Estimates the `q`-quantile (`0 <= q <= 1`) by linear interpolation
-    /// inside the bucket containing the target rank. Observations beyond
-    /// the last bound are attributed to the last bound (the usual
-    /// Prometheus convention), so the estimate saturates there.
-    ///
-    /// Returns `f64::NAN` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        let total = self.count();
-        if total == 0 {
-            return f64::NAN;
-        }
-        let target = q * total as f64;
-        let mut cumulative = 0u64;
-        let counts = self.bucket_counts();
-        for (i, &c) in counts.iter().enumerate() {
-            let next = cumulative + c;
-            if (next as f64) >= target && c > 0 {
-                let hi = if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    return *self.bounds.last().expect("non-empty bounds");
-                };
-                let lo = if i == 0 { 0.0f64.min(hi) } else { self.bounds[i - 1] };
-                let frac = (target - cumulative as f64) / c as f64;
-                return lo + frac.clamp(0.0, 1.0) * (hi - lo);
-            }
-            cumulative = next;
-        }
-        *self.bounds.last().expect("non-empty bounds")
-    }
-
-    /// [`Histogram::quantile`] evaluated at several points — the manifest
-    /// export path uses this for the standard p50/p90/p99 triple.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `q` is outside `[0, 1]`.
-    pub fn quantiles(&self, qs: &[f64]) -> Vec<f64> {
-        qs.iter().map(|&q| self.quantile(q)).collect()
-    }
-}
-
 /// Snapshot of one metric, for reporting and manifests.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
@@ -186,52 +69,6 @@ pub enum MetricValue {
     Counter(u64),
     /// Gauge value.
     Gauge(f64),
-    /// Histogram summary: count, sum, and `(upper_bound, count)` pairs
-    /// with the overflow bucket encoded as `f64::INFINITY`.
-    Histogram {
-        /// Observation count.
-        count: u64,
-        /// Observation sum.
-        sum: f64,
-        /// Per-bucket `(upper_bound, count)`.
-        buckets: Vec<(f64, u64)>,
-    },
-}
-
-impl MetricValue {
-    /// Estimates the `q`-quantile of a [`MetricValue::Histogram`] from
-    /// its bucket snapshot, with the same interpolation and saturation
-    /// rules as [`Histogram::quantile`]. Returns `None` for other metric
-    /// kinds and for empty histograms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn histogram_quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        let MetricValue::Histogram { count, buckets, .. } = self else {
-            return None;
-        };
-        if *count == 0 || buckets.is_empty() {
-            return None;
-        }
-        let last_finite = buckets.iter().rev().map(|&(le, _)| le).find(|le| le.is_finite())?;
-        let target = q * *count as f64;
-        let mut cumulative = 0u64;
-        for (i, &(le, c)) in buckets.iter().enumerate() {
-            let next = cumulative + c;
-            if (next as f64) >= target && c > 0 {
-                if !le.is_finite() {
-                    return Some(last_finite);
-                }
-                let lo = if i == 0 { 0.0f64.min(le) } else { buckets[i - 1].0 };
-                let frac = (target - cumulative as f64) / c as f64;
-                return Some(lo + frac.clamp(0.0, 1.0) * (le - lo));
-            }
-            cumulative = next;
-        }
-        Some(last_finite)
-    }
 }
 
 /// A named metric snapshot.
@@ -247,7 +84,6 @@ pub struct MetricSnapshot {
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
 }
 
 /// A collection of named metrics.
@@ -273,7 +109,7 @@ impl Registry {
             metrics.entry(name).or_insert_with(|| Metric::Counter(Arc::new(Counter::default())));
         match entry {
             Metric::Counter(c) => Arc::clone(c),
-            _ => panic!("metric `{name}` is not a counter"),
+            Metric::Gauge(_) => panic!("metric `{name}` is not a counter"),
         }
     }
 
@@ -288,25 +124,7 @@ impl Registry {
             metrics.entry(name).or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())));
         match entry {
             Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric `{name}` is not a gauge"),
-        }
-    }
-
-    /// Returns the histogram `name`, registering it with `bounds` on
-    /// first use (later calls keep the original bounds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind,
-    /// or if `bounds` is empty or not strictly ascending.
-    pub fn histogram(&self, name: &'static str, bounds: &[f64]) -> Arc<Histogram> {
-        let mut metrics = self.metrics.lock().expect("metrics registry poisoned");
-        let entry = metrics
-            .entry(name)
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new(bounds))));
-        match entry {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric `{name}` is not a histogram"),
+            Metric::Counter(_) => panic!("metric `{name}` is not a gauge"),
         }
     }
 
@@ -319,22 +137,6 @@ impl Registry {
                 let value = match metric {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
                     Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => {
-                        let counts = h.bucket_counts();
-                        let mut buckets: Vec<(f64, u64)> = h
-                            .bounds()
-                            .iter()
-                            .copied()
-                            .chain(std::iter::once(f64::INFINITY))
-                            .zip(counts)
-                            .collect();
-                        // Drop a trailing empty overflow bucket for tidier
-                        // manifests.
-                        if let Some(&(_, 0)) = buckets.last() {
-                            buckets.pop();
-                        }
-                        MetricValue::Histogram { count: h.count(), sum: h.sum(), buckets }
-                    }
                 };
                 MetricSnapshot { name: name.to_string(), value }
             })
@@ -358,11 +160,6 @@ pub fn counter(name: &'static str) -> Arc<Counter> {
 /// Shorthand for `global().gauge(name)`.
 pub fn gauge(name: &'static str) -> Arc<Gauge> {
     global().gauge(name)
-}
-
-/// Shorthand for `global().histogram(name, bounds)`.
-pub fn histogram(name: &'static str, bounds: &[f64]) -> Arc<Histogram> {
-    global().histogram(name, bounds)
 }
 
 #[cfg(test)]
@@ -407,110 +204,15 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_sums_and_buckets() {
-        let r = Registry::new();
-        let h = r.histogram("h", &[1.0, 2.0, 4.0]);
-        for v in [0.5, 1.5, 1.5, 3.0, 100.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert!((h.sum() - 106.5).abs() < 1e-12);
-        assert_eq!(h.bucket_counts(), vec![1, 2, 1, 1]);
-    }
-
-    #[test]
-    fn histogram_quantiles_interpolate() {
-        let h = Histogram::new(&[10.0, 20.0, 30.0]);
-        // 10 observations uniform in (0, 10], 10 in (10, 20].
-        for i in 0..10 {
-            h.observe(0.5 + i as f64);
-            h.observe(10.5 + i as f64);
-        }
-        let q25 = h.quantile(0.25);
-        let q50 = h.quantile(0.5);
-        let q75 = h.quantile(0.75);
-        assert!((q25 - 5.0).abs() < 1.0, "q25 = {q25}");
-        assert!((q50 - 10.0).abs() < 1.0, "q50 = {q50}");
-        assert!((q75 - 15.0).abs() < 1.0, "q75 = {q75}");
-        assert!(q25 <= q50 && q50 <= q75, "quantiles must be monotone");
-        // Overflow saturates at the last bound.
-        h.observe(1e9);
-        assert_eq!(h.quantile(1.0), 30.0);
-        // Empty histogram has no quantile.
-        assert!(Histogram::new(&[1.0]).quantile(0.5).is_nan());
-    }
-
-    #[test]
-    fn concurrent_histogram_observations_all_land() {
-        let h = Arc::new(Histogram::new(&[0.5]));
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let h = Arc::clone(&h);
-                std::thread::spawn(move || {
-                    for _ in 0..5_000 {
-                        h.observe(1.0);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().expect("observer thread panicked");
-        }
-        assert_eq!(h.count(), 20_000);
-        assert!((h.sum() - 20_000.0).abs() < 1e-9, "CAS sum lost updates: {}", h.sum());
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_typed() {
         let r = Registry::new();
         r.counter("z.count").add(2);
         r.gauge("a.rate").set(3.0);
-        r.histogram("m.hist", &[1.0]).observe(0.5);
         let snap = r.snapshot();
         let names: Vec<&str> = snap.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["a.rate", "m.hist", "z.count"]);
-        assert_eq!(snap[2].value, MetricValue::Counter(2));
-        match &snap[1].value {
-            MetricValue::Histogram { count, buckets, .. } => {
-                assert_eq!(*count, 1);
-                assert_eq!(buckets, &[(1.0, 1)]);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn snapshot_quantiles_match_live_histogram() {
-        let r = Registry::new();
-        let h = r.histogram("q.hist", &[1.0, 2.0, 4.0, 8.0]);
-        for i in 0..100 {
-            h.observe(0.08 * i as f64);
-        }
-        let snap = r.snapshot();
-        let value = &snap.iter().find(|s| s.name == "q.hist").expect("registered").value;
-        for q in [0.5, 0.9, 0.99] {
-            let from_snapshot = value.histogram_quantile(q).expect("histogram");
-            let live = h.quantile(q);
-            assert!(
-                (from_snapshot - live).abs() < 1e-9,
-                "q{q}: snapshot {from_snapshot} vs live {live}"
-            );
-        }
-        assert_eq!(h.quantiles(&[0.5, 0.9]), vec![h.quantile(0.5), h.quantile(0.9)]);
-        // Non-histograms and empty histograms have no quantiles.
-        r.counter("q.count").inc();
-        let snap = r.snapshot();
-        let counter = &snap.iter().find(|s| s.name == "q.count").unwrap().value;
-        assert_eq!(counter.histogram_quantile(0.5), None);
-        let empty = MetricValue::Histogram { count: 0, sum: 0.0, buckets: vec![] };
-        assert_eq!(empty.histogram_quantile(0.5), None);
-        // Overflow-heavy distributions saturate at the last finite bound.
-        let overflow = MetricValue::Histogram {
-            count: 10,
-            sum: 1e4,
-            buckets: vec![(1.0, 0), (f64::INFINITY, 10)],
-        };
-        assert_eq!(overflow.histogram_quantile(0.5), Some(1.0));
+        assert_eq!(names, vec!["a.rate", "z.count"]);
+        assert_eq!(snap[0].value, MetricValue::Gauge(3.0));
+        assert_eq!(snap[1].value, MetricValue::Counter(2));
     }
 
     #[test]

@@ -30,6 +30,7 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 use crate::json::Json;
+use crate::manifest::Fields;
 
 /// Accuracy summary of one model on one evaluation set.
 ///
@@ -104,22 +105,24 @@ impl QualityRecord {
         ])
     }
 
-    /// Rebuilds a record from its manifest representation.
+    /// Rebuilds a record from its manifest representation. Every field
+    /// is required; only `r_squared` may be `null` (read back as `NaN`).
     ///
-    /// Missing or null numeric fields default to `NaN` so v1-era
-    /// documents (no quality section at all) and hand-trimmed records
-    /// still load.
-    pub fn from_json(key: &str, doc: &Json) -> Option<QualityRecord> {
-        let num = |field: &str| doc.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN);
-        Some(QualityRecord {
+    /// # Errors
+    ///
+    /// Names the record and the first missing or mistyped field.
+    pub fn from_json(key: &str, doc: &Json) -> Result<QualityRecord, String> {
+        let ctx = format!("quality.{key}");
+        let f = Fields::of(doc, &ctx)?;
+        Ok(QualityRecord {
             key: key.to_string(),
-            n: doc.get("n").and_then(Json::as_i64)? as u64,
-            p50: num("p50"),
-            p90: num("p90"),
-            max: num("max"),
-            bias: num("bias"),
-            rmse: num("rmse"),
-            r_squared: num("r_squared"),
+            n: f.u64("n")?,
+            p50: f.f64("p50")?,
+            p90: f.f64("p90")?,
+            max: f.f64("max")?,
+            bias: f.f64("bias")?,
+            rmse: f.f64("rmse")?,
+            r_squared: f.nullable("r_squared", Fields::f64)?.unwrap_or(f64::NAN),
         })
     }
 }

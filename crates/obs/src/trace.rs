@@ -1,18 +1,12 @@
 //! Chrome `trace_event` export: discrete timeline events for Perfetto.
 //!
 //! The span collector ([`crate::span`]) keeps *aggregates* (count, total,
-//! max per path); this module keeps the *timeline*. When recording is
-//! enabled — programmatically via [`enable`] or by setting the
-//! `UDSE_TRACE` environment variable — every completed span also appends
-//! a discrete [`TraceEvent`] to a bounded global buffer, and
-//! [`instant`] marks point-in-time occurrences. The buffer exports to
-//! two formats:
-//!
-//! - [`chrome_trace_json`]: the Chrome `trace_event` JSON-array format
-//!   (`ph: "X"` complete events, `ph: "i"` instants, microsecond
-//!   timestamps), loadable directly in Perfetto / `chrome://tracing`;
-//! - [`events_to_jsonl`] / [`parse_jsonl`]: a line-per-event stream for
-//!   programmatic consumption and re-export.
+//! max per path); this module keeps the *timeline*. Once [`enable`] is
+//! called (`repro --trace <path>` does), every completed span also
+//! appends a discrete [`TraceEvent`] to a bounded global buffer, which
+//! [`chrome_trace_json`] writes as the Chrome `trace_event` JSON-array
+//! format: `ph: "X"` complete events with microsecond timestamps,
+//! loadable directly in Perfetto / `chrome://tracing`.
 //!
 //! Runs that only kept a manifest can still get a (coarser) timeline:
 //! [`synthesize_from_spans`] lays the per-path span totals out as nested
@@ -27,7 +21,6 @@
 //! {
 //!     let _g = udse_obs::span::enter("traced_work");
 //! }
-//! trace::instant("checkpoint");
 //! let events = trace::global().snapshot();
 //! assert!(events.iter().any(|e| e.name == "traced_work"));
 //! let doc = trace::chrome_trace_json(&events);
@@ -49,44 +42,15 @@ const PID: i64 = 1;
 /// millions of spans).
 pub const CAPACITY: usize = 262_144;
 
-/// Event phase, mirroring the Chrome `ph` field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// A `ph: "X"` complete event with a duration.
-    Complete,
-    /// A `ph: "i"` instant event.
-    Instant,
-}
-
-impl Phase {
-    fn as_str(self) -> &'static str {
-        match self {
-            Phase::Complete => "X",
-            Phase::Instant => "i",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Phase> {
-        match s {
-            "X" => Some(Phase::Complete),
-            "i" => Some(Phase::Instant),
-            _ => None,
-        }
-    }
-}
-
-/// One discrete timeline event.
+/// One completed span on the timeline, written as a Chrome `ph: "X"`
+/// complete event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Span path or instant label.
+    /// Span path.
     pub name: String,
-    /// Chrome category; `span` or `instant` for native events.
-    pub cat: String,
-    /// Complete or instant.
-    pub phase: Phase,
     /// Microseconds since the trace epoch (first enable/record).
     pub ts_us: u64,
-    /// Duration in microseconds (0 for instants).
+    /// Duration in microseconds.
     pub dur_us: u64,
     /// Recording thread, as a small stable per-process ordinal.
     pub tid: u64,
@@ -95,33 +59,15 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// The Chrome `trace_event` object for this event.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::obj([
             ("name", Json::str(self.name.as_str())),
-            ("cat", Json::str(self.cat.as_str())),
-            ("ph", Json::str(self.phase.as_str())),
+            ("cat", Json::str("span")),
+            ("ph", Json::str("X")),
             ("ts", Json::Int(self.ts_us as i64)),
-        ];
-        match self.phase {
-            Phase::Complete => fields.push(("dur", Json::Int(self.dur_us as i64))),
-            // Chrome instants require a scope; `t` = thread.
-            Phase::Instant => fields.push(("s", Json::str("t"))),
-        }
-        fields.push(("pid", Json::Int(PID)));
-        fields.push(("tid", Json::Int(self.tid as i64)));
-        Json::obj(fields)
-    }
-
-    /// Rebuilds an event from its JSON object form.
-    pub fn from_json(doc: &Json) -> Option<TraceEvent> {
-        let phase = Phase::from_str(doc.get("ph")?.as_str()?)?;
-        Some(TraceEvent {
-            name: doc.get("name")?.as_str()?.to_string(),
-            cat: doc.get("cat").and_then(Json::as_str).unwrap_or("span").to_string(),
-            phase,
-            ts_us: doc.get("ts")?.as_i64()?.max(0) as u64,
-            dur_us: doc.get("dur").and_then(Json::as_i64).unwrap_or(0).max(0) as u64,
-            tid: doc.get("tid").and_then(Json::as_i64).unwrap_or(0).max(0) as u64,
-        })
+            ("dur", Json::Int(self.dur_us as i64)),
+            ("pid", Json::Int(PID)),
+            ("tid", Json::Int(self.tid as i64)),
+        ])
     }
 }
 
@@ -167,26 +113,12 @@ pub fn global() -> &'static EventBuffer {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_CHECKED: AtomicBool = AtomicBool::new(false);
 
 /// Turns on discrete event recording (idempotent) and pins the trace
 /// epoch.
 pub fn enable() {
     let _ = epoch();
     ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Whether events are being recorded. The first call also honors the
-/// `UDSE_TRACE` environment variable (any non-empty value except `0`).
-pub fn enabled() -> bool {
-    if !ENV_CHECKED.swap(true, Ordering::Relaxed) {
-        if let Ok(v) = std::env::var("UDSE_TRACE") {
-            if !v.is_empty() && v != "0" {
-                enable();
-            }
-        }
-    }
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// The trace epoch: the monotonic instant all event timestamps are
@@ -213,32 +145,15 @@ fn current_tid() -> u64 {
 /// Records a completed span occupying `[end - elapsed, end]`. Called by
 /// the span guard on drop; cheap no-op when recording is disabled.
 pub fn record_complete(path: &str, elapsed: Duration) {
-    if !enabled() {
+    if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
     let end_us = since_epoch_us();
     let dur_us = elapsed.as_micros() as u64;
     global().push(TraceEvent {
         name: path.to_string(),
-        cat: "span".to_string(),
-        phase: Phase::Complete,
         ts_us: end_us.saturating_sub(dur_us),
         dur_us,
-        tid: current_tid(),
-    });
-}
-
-/// Marks a point-in-time event; no-op when recording is disabled.
-pub fn instant(name: &str) {
-    if !enabled() {
-        return;
-    }
-    global().push(TraceEvent {
-        name: name.to_string(),
-        cat: "instant".to_string(),
-        phase: Phase::Instant,
-        ts_us: since_epoch_us(),
-        dur_us: 0,
         tid: current_tid(),
     });
 }
@@ -247,62 +162,6 @@ pub fn instant(name: &str) {
 /// objects, which Perfetto and `chrome://tracing` load directly.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {
     Json::Arr(events.iter().map(TraceEvent::to_json).collect())
-}
-
-/// Parses a Chrome `trace_event` JSON array back into events.
-/// Metadata (`ph: "M"`) events are skipped.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed element (or a non-array
-/// document).
-pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let doc = Json::parse(text).map_err(|e| format!("trace document: {e}"))?;
-    let arr = doc.as_arr().ok_or("trace document is not a JSON array")?;
-    let mut events = Vec::new();
-    for (i, item) in arr.iter().enumerate() {
-        let ph = item
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event {i}: missing ph"))?;
-        if ph == "M" {
-            continue;
-        }
-        let event = TraceEvent::from_json(item)
-            .ok_or_else(|| format!("event {i}: not a trace event object"))?;
-        events.push(event);
-    }
-    Ok(events)
-}
-
-/// One compact JSON object per line — the streaming form of the buffer.
-pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&e.to_json().to_string_compact());
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses a JSONL event stream produced by [`events_to_jsonl`].
-///
-/// # Errors
-///
-/// Returns the 1-based line number and cause for the first malformed
-/// line.
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let event = TraceEvent::from_json(&doc)
-            .ok_or_else(|| format!("line {}: not a trace event object", i + 1))?;
-        events.push(event);
-    }
-    Ok(events)
 }
 
 /// Synthesizes a nested timeline from per-path span *totals* (the only
@@ -337,14 +196,7 @@ pub fn synthesize_from_spans(span_totals: &[(String, f64)]) -> Vec<TraceEvent> {
             }
         };
         layout.push((path, start));
-        events.push(TraceEvent {
-            name: path.to_string(),
-            cat: "span".to_string(),
-            phase: Phase::Complete,
-            ts_us: start,
-            dur_us,
-            tid: 1,
-        });
+        events.push(TraceEvent { name: path.to_string(), ts_us: start, dur_us, tid: 1 });
     }
     events
 }
@@ -354,72 +206,37 @@ mod tests {
     use super::*;
 
     fn ev(name: &str, ts: u64, dur: u64) -> TraceEvent {
-        TraceEvent {
-            name: name.to_string(),
-            cat: "span".to_string(),
-            phase: Phase::Complete,
-            ts_us: ts,
-            dur_us: dur,
-            tid: 1,
-        }
+        TraceEvent { name: name.to_string(), ts_us: ts, dur_us: dur, tid: 1 }
     }
 
     #[test]
     fn chrome_trace_is_schema_valid() {
-        let events = vec![
-            ev("a", 0, 10),
-            TraceEvent {
-                name: "mark".to_string(),
-                cat: "instant".to_string(),
-                phase: Phase::Instant,
-                ts_us: 5,
-                dur_us: 0,
-                tid: 2,
-            },
-        ];
+        let events = vec![ev("a", 0, 10), ev("a/b", 5, 3)];
         let doc = chrome_trace_json(&events);
         let arr = doc.as_arr().expect("trace_event documents are arrays");
         assert_eq!(arr.len(), 2);
         for e in arr {
-            // Fields Perfetto requires on every event.
+            // Fields Perfetto requires on every complete event.
             assert!(e.get("name").and_then(Json::as_str).is_some());
-            assert!(matches!(e.get("ph").and_then(Json::as_str), Some("X" | "i")));
+            assert_eq!(e.get("cat").and_then(Json::as_str), Some("span"));
+            assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"));
             assert!(e.get("ts").and_then(Json::as_i64).is_some());
             assert!(e.get("pid").and_then(Json::as_i64).is_some());
             assert!(e.get("tid").and_then(Json::as_i64).is_some());
         }
-        // Complete events carry a duration; instants carry a scope.
         assert_eq!(arr[0].get("dur").and_then(Json::as_i64), Some(10));
-        assert_eq!(arr[1].get("s").and_then(Json::as_str), Some("t"));
         // And the serialized form re-parses as JSON.
         assert!(Json::parse(&doc.to_string_pretty()).is_ok());
     }
 
     #[test]
-    fn jsonl_round_trips() {
-        let events = vec![ev("x", 1, 2), ev("x/y", 3, 4)];
-        let text = events_to_jsonl(&events);
-        assert_eq!(text.lines().count(), 2);
-        let back = parse_jsonl(&text).expect("parses");
-        assert_eq!(back, events);
-        // Blank lines are tolerated; garbage is not.
-        assert!(parse_jsonl("\n\n").expect("empty ok").is_empty());
-        assert!(parse_jsonl("{not json}").is_err());
-        assert!(parse_jsonl("{\"name\":\"n\"}").is_err(), "missing ph must error");
-    }
-
-    #[test]
     fn recording_gated_by_enable() {
-        // Not enabled in this test process unless UDSE_TRACE is set —
-        // enable() is sticky, so isolate via the env-independent path.
         enable();
         let before = global().snapshot().len();
         record_complete("trace_test_span", Duration::from_millis(1));
-        instant("trace_test_mark");
         let events = global().snapshot();
-        assert!(events.len() >= before + 2);
+        assert!(events.len() > before);
         let span = events.iter().find(|e| e.name == "trace_test_span").expect("recorded");
-        assert_eq!(span.phase, Phase::Complete);
         assert!(span.dur_us >= 1_000);
     }
 
@@ -444,19 +261,6 @@ mod tests {
         assert!(sweep.ts_us + sweep.dur_us <= all.ts_us + all.dur_us);
         // Top-level spans do not overlap.
         assert_eq!(other.ts_us, all.ts_us + all.dur_us);
-    }
-
-    #[test]
-    fn chrome_trace_round_trips_through_parser() {
-        let events = vec![ev("a", 0, 10), ev("a/b", 5, 3)];
-        let text = chrome_trace_json(&events).to_string_pretty();
-        assert_eq!(parse_chrome_trace(&text).expect("parses"), events);
-        // Metadata events are skipped, not rejected.
-        let with_meta = "[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1}]";
-        assert!(parse_chrome_trace(with_meta).expect("parses").is_empty());
-        // Non-array and malformed documents are rejected.
-        assert!(parse_chrome_trace("{}").is_err());
-        assert!(parse_chrome_trace("[{\"name\":\"x\"}]").is_err());
     }
 
     #[test]

@@ -143,8 +143,8 @@ proptest! {
         let parsed = Json::parse(&text).expect("canonical section parses");
         let back = ResourceTotals::from_json(&parsed).expect("object decodes");
         prop_assert_eq!(back, totals);
-        // A pre-v3 placeholder (null) reads as "no section", not zeros.
-        prop_assert_eq!(ResourceTotals::from_json(&Json::Null), None);
+        // A null section is an error, not zeros.
+        prop_assert!(ResourceTotals::from_json(&Json::Null).is_err());
     }
 
     #[test]

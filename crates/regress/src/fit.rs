@@ -83,10 +83,6 @@ impl FittedModel {
         // Diagnostics on the transformed scale.
         let zhat = x.matvec(&beta).expect("matching dimensions");
         let diagnostics = FitDiagnostics::compute(&z, &zhat, p);
-        // Every fit's goodness lands in one histogram so the manifest
-        // can report the fleet-wide R² distribution (p50/p90/p99).
-        udse_obs::metrics::histogram("regress.fit.r_squared", &[0.5, 0.9, 0.99, 0.999, 1.0])
-            .observe(diagnostics.r_squared);
         let column_names = column_names(&resolved, data.names());
         Ok(FittedModel {
             spec,

@@ -10,16 +10,16 @@
 # quality drift in a diff always means a code change, never noise. fig2
 # runs the characterization sweep, which populates the sweep.designs
 # counter and the sweep.designs_per_sec throughput gauge the CI gate
-# watches with --tol-gauge. table2 routes the per-benchmark optima
-# through the unified query engine, so the manifest also carries the
-# query.* counters (executed, cache hits/misses, scan throughput) the
-# gate watches the same way. Wall times (and the throughput gauges) DO
-# vary by machine,
-# which is why the CI gate (scripts/ci.sh) runs the diff with
-# --warn-wall: quality regressions beyond the default tolerance
-# (±0.02 absolute on error fractions, i.e. two percentage points) fail
-# the gate hard, while wall-time drift beyond the default band
-# (+25% and >0.05s absolute) and gauge drops only warn.
+# watches with --tol-gauge. fig1's held-out points and table2's
+# per-benchmark optima go through the unified query engine, so the
+# manifest also carries its query.* metrics: the gate pins the
+# query.executed counter exactly and watches the query.designs_per_sec
+# scan throughput with --tol-gauge. Wall times (and the throughput
+# gauges) DO vary by machine, which is why the CI gate (scripts/ci.sh)
+# runs the diff with --warn-wall: quality regressions beyond the default
+# tolerance (±0.02 absolute on error fractions, i.e. two percentage
+# points) fail the gate hard, while wall-time drift beyond the default
+# band (+25% and >0.05s absolute) and gauge drops only warn.
 #
 # Usage: scripts/bench.sh [out.json]
 #   Default output: BENCH_<shortsha>.json at the repo root (the baseline

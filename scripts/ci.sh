@@ -26,15 +26,14 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 # Trace smoke: a quick figure run with --trace and --manifest must exit
-# 0, and the Chrome trace it writes must parse back through
-# udse-inspect.
+# 0, and the Chrome trace it writes must hold span events (the
+# `repro_cli` test checks every event's fields).
 echo "==> trace smoke: repro --quick --trace --manifest fig1"
 rm -rf target/trace-smoke
 mkdir -p target/trace-smoke
 ./target/release/repro --quick --trace target/trace-smoke/trace.json \
     --manifest target/trace-smoke/manifest.json fig1 > target/trace-smoke/fig1.out
-./target/release/udse-inspect trace target/trace-smoke/trace.json > target/trace-smoke/reexport.json
-if ! grep -qF '"ph": "X"' target/trace-smoke/reexport.json; then
+if ! grep -qF '"ph": "X"' target/trace-smoke/trace.json; then
     echo "==> the fig1 trace holds no span events" >&2
     exit 1
 fi

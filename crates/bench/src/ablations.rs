@@ -4,7 +4,10 @@
 //!
 //! Each ablation trains model variants on a shared simulated sample and
 //! reports the median validation error, quantifying how much each §3
-//! design decision contributes to accuracy.
+//! design decision contributes to accuracy. The sample (training and
+//! validation designs on the three ablation benchmarks) is simulated as
+//! one `evaluate_many` batch through the context's memoizing oracle, so
+//! every ablation after the first reads it back from the memo.
 
 use udse_core::model::design_dataset;
 use udse_core::oracle::{Metrics, Oracle};
@@ -68,14 +71,16 @@ fn gather(ctx: &Context, train_n: usize, valid_n: usize) -> SharedData {
     let space = DesignSpace::paper();
     let train = space.sample_uar(train_n, ctx.config().seed);
     let valid = space.sample_uar(valid_n, ctx.config().seed ^ 0xAB1A);
-    let eval = |pts: &[DesignPoint]| -> Vec<Vec<Metrics>> {
-        ABLATION_BENCHES
-            .iter()
-            .map(|&b| pts.iter().map(|p| ctx.oracle().evaluate(b, p)).collect())
-            .collect()
-    };
-    let train_metrics = eval(&train);
-    let valid_metrics = eval(&valid);
+    // One batch, benchmark-major, each benchmark's training sample
+    // followed by its validation sample.
+    let jobs: Vec<(Benchmark, DesignPoint)> = ABLATION_BENCHES
+        .iter()
+        .flat_map(|&b| train.iter().chain(&valid).map(move |p| (b, *p)))
+        .collect();
+    let metrics = ctx.oracle().evaluate_many(&jobs);
+    let per_bench = metrics.chunks(train_n + valid_n);
+    let train_metrics = per_bench.clone().map(|m| m[..train_n].to_vec()).collect();
+    let valid_metrics = per_bench.map(|m| m[train_n..].to_vec()).collect();
     SharedData { train, train_metrics, valid, valid_metrics }
 }
 

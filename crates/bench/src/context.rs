@@ -55,7 +55,10 @@ impl Context {
         &self.oracle
     }
 
-    /// The underlying simulation oracle (trace access, warmup length).
+    /// The underlying simulation oracle. Studies that simulate machine
+    /// configs outside the design space batch them through its
+    /// [`SimOracle::simulate_many`]; such configs have no memo key, so
+    /// they bypass the [`CachedOracle`] but share its traces and streams.
     pub fn sim_oracle(&self) -> &SimOracle {
         self.oracle.inner()
     }

@@ -2,6 +2,10 @@
 //! artifacts: heuristic search with the models, cache-associativity
 //! modeling with significance testing, and the simulator's bottleneck
 //! (stall) attribution used to sanity-check the workload substitution.
+//!
+//! A study that simulates makes one oracle batch per sample set: design
+//! points through the memoizing `evaluate_many`, machine configs outside
+//! the space through [`udse_core::SimOracle::simulate_many`] beneath it.
 
 use udse_core::model::paper_terms;
 use udse_core::report::{fmt, format_table};
@@ -10,12 +14,20 @@ use udse_core::search::{
 };
 use udse_core::space::{DesignPoint, DesignSpace};
 use udse_core::studies::strided_count;
-use udse_core::Query;
+use udse_core::{Oracle as _, Query};
 use udse_regress::{residual_report, Dataset, ModelSpec, ResponseTransform, TermSpec};
-use udse_sim::Simulator;
+use udse_sim::{MachineConfig, SimResult};
 use udse_trace::Benchmark;
 
 use crate::context::Context;
+
+/// Every benchmark on the Table 3 baseline machine, in
+/// [`Benchmark::ALL`] order: one batch through the simulation oracle.
+fn baseline_runs(ctx: &Context) -> Vec<SimResult> {
+    let base = MachineConfig::power4_baseline();
+    let jobs: Vec<(Benchmark, MachineConfig)> = Benchmark::ALL.map(|b| (b, base)).to_vec();
+    ctx.sim_oracle().simulate_many(&jobs)
+}
 
 /// §8: "for larger design spaces, we may apply the models in heuristic
 /// search instead of exhaustive prediction." Compares exhaustive
@@ -78,10 +90,7 @@ pub fn search(ctx: &Context) -> String {
 /// should be memory/LSQ-bound, gcc redirect-bound, ...).
 pub fn stalls(ctx: &Context) -> String {
     let mut rows = Vec::new();
-    for b in Benchmark::ALL {
-        let trace = ctx.sim_oracle().trace(b);
-        let r = Simulator::new(udse_sim::MachineConfig::power4_baseline())
-            .run_with_warmup(&trace, ctx.sim_oracle().warmup_insts());
+    for (b, r) in Benchmark::ALL.into_iter().zip(baseline_runs(ctx)) {
         let s = r.stalls;
         let per_kinst = |v: u64| fmt(v as f64 / (r.instructions as f64 / 1000.0), 1);
         rows.push(vec![
@@ -112,41 +121,39 @@ pub fn stalls(ctx: &Context) -> String {
 /// predictor, and reports the coefficient's significance alongside a
 /// direct simulation sweep.
 pub fn associativity(ctx: &Context) -> String {
-    let oracle = ctx.sim_oracle();
-    // Direct sweep at the baseline.
-    let mut sweep_rows = Vec::new();
-    for b in [Benchmark::Twolf, Benchmark::Gcc, Benchmark::Mcf] {
-        let trace = oracle.trace(b);
-        let mut row = vec![b.name().to_string()];
-        for assoc in [1u32, 2, 4, 8] {
-            let mut cfg = udse_sim::MachineConfig::power4_baseline();
-            cfg.dl1_assoc = assoc;
-            let r = Simulator::new(cfg).run_with_warmup(&trace, oracle.warmup_insts());
-            row.push(fmt(r.dl1_miss_rate * 100.0, 2));
-        }
-        sweep_rows.push(row);
-    }
-
-    // Extended model: the seven Table 1 predictors plus log2(assoc).
+    const ASSOC: [u32; 4] = [1, 2, 4, 8];
+    const SWEPT: [Benchmark; 3] = [Benchmark::Twolf, Benchmark::Gcc, Benchmark::Mcf];
+    // One batch: the direct sweep at the baseline, then the extended
+    // model's twolf sample, each design with a round-robin D-L1
+    // associativity (the seven Table 1 predictors plus log2(assoc)).
+    let base = MachineConfig::power4_baseline();
+    let mut jobs: Vec<(Benchmark, MachineConfig)> = SWEPT
+        .iter()
+        .flat_map(|&b| ASSOC.map(|dl1_assoc| (b, MachineConfig { dl1_assoc, ..base })))
+        .collect();
     let n = ctx.config().train_samples.min(400);
-    let space = DesignSpace::paper();
-    let samples = space.sample_uar(n, ctx.config().seed ^ 0xA550C);
-    let assoc_values = [1u32, 2, 4, 8];
+    let mut rows = Vec::with_capacity(n);
+    let samples = DesignSpace::paper().sample_uar(n, ctx.config().seed ^ 0xA550C);
+    for (i, p) in samples.iter().enumerate() {
+        let dl1_assoc = ASSOC[i % ASSOC.len()];
+        jobs.push((Benchmark::Twolf, MachineConfig { dl1_assoc, ..p.to_machine_config() }));
+        let mut row = p.predictors();
+        row.push((dl1_assoc as f64).log2());
+        rows.push(row);
+    }
+    let results = ctx.sim_oracle().simulate_many(&jobs);
+    let (swept, sampled) = results.split_at(SWEPT.len() * ASSOC.len());
+    let sweep_rows: Vec<Vec<String>> = SWEPT
+        .iter()
+        .zip(swept.chunks(ASSOC.len()))
+        .map(|(b, rs)| {
+            let rates = rs.iter().map(|r| fmt(r.dl1_miss_rate * 100.0, 2));
+            std::iter::once(b.name().to_string()).chain(rates).collect()
+        })
+        .collect();
+    let bips: Vec<f64> = sampled.iter().map(|r| r.bips).collect();
     let mut names = DesignPoint::predictor_names();
     names.push("log2_dl1_assoc".to_string());
-    let mut rows = Vec::with_capacity(n);
-    let mut bips = Vec::with_capacity(n);
-    let trace = oracle.trace(Benchmark::Twolf);
-    for (i, p) in samples.iter().enumerate() {
-        let assoc = assoc_values[i % assoc_values.len()];
-        let mut cfg = p.to_machine_config();
-        cfg.dl1_assoc = assoc;
-        let r = Simulator::new(cfg).run_with_warmup(&trace, oracle.warmup_insts());
-        let mut row = p.predictors();
-        row.push((assoc as f64).log2());
-        rows.push(row);
-        bips.push(r.bips);
-    }
     let data = Dataset::new(names, rows).expect("non-empty extended dataset");
     let mut terms = paper_terms();
     terms.push(TermSpec::Linear(7));
@@ -185,15 +192,14 @@ pub fn associativity(ctx: &Context) -> String {
 /// execution." Simulates every benchmark on the baseline with
 /// out-of-order vs in-order issue.
 pub fn inorder(ctx: &Context) -> String {
+    let base = MachineConfig::power4_baseline();
+    let in_order = MachineConfig { in_order: true, ..base };
+    let jobs: Vec<(Benchmark, MachineConfig)> =
+        Benchmark::ALL.iter().flat_map(|&b| [(b, base), (b, in_order)]).collect();
+    let results = ctx.sim_oracle().simulate_many(&jobs);
     let mut rows = Vec::new();
-    for b in Benchmark::ALL {
-        let trace = ctx.sim_oracle().trace(b);
-        let warm = ctx.sim_oracle().warmup_insts();
-        let ooo_cfg = udse_sim::MachineConfig::power4_baseline();
-        let mut ino_cfg = ooo_cfg;
-        ino_cfg.in_order = true;
-        let ooo = Simulator::new(ooo_cfg).run_with_warmup(&trace, warm);
-        let ino = Simulator::new(ino_cfg).run_with_warmup(&trace, warm);
+    for (b, pair) in Benchmark::ALL.iter().zip(results.chunks(2)) {
+        let (ooo, ino) = (pair[0], pair[1]);
         rows.push(vec![
             b.name().to_string(),
             fmt(ooo.bips, 2),
@@ -215,15 +221,15 @@ pub fn inorder(ctx: &Context) -> String {
 /// transforms are what make the OLS assumptions hold — identity-response
 /// fits leave skewed, heteroscedastic residuals.
 pub fn residuals(ctx: &Context) -> String {
-    use udse_core::oracle::Oracle as _;
-    let oracle = ctx.oracle();
+    const BENCHES: [Benchmark; 3] = [Benchmark::Ammp, Benchmark::Mcf, Benchmark::Gzip];
     let n = ctx.config().train_samples.min(400);
     let samples = DesignSpace::paper().sample_uar(n, ctx.config().seed ^ 0x4E5);
+    let jobs: Vec<(Benchmark, DesignPoint)> =
+        BENCHES.iter().flat_map(|&b| samples.iter().map(move |p| (b, *p))).collect();
+    let metrics = ctx.oracle().evaluate_many(&jobs);
+    let data = udse_core::model::design_dataset(&samples).expect("non-empty");
     let mut rows = Vec::new();
-    for b in [Benchmark::Ammp, Benchmark::Mcf, Benchmark::Gzip] {
-        let metrics: Vec<udse_core::oracle::Metrics> =
-            samples.iter().map(|p| oracle.evaluate(b, p)).collect();
-        let data = udse_core::model::design_dataset(&samples).expect("non-empty");
+    for (b, metrics) in BENCHES.iter().zip(metrics.chunks(n)) {
         let watts: Vec<f64> = metrics.iter().map(|m| m.watts).collect();
         for (name, transform) in
             [("identity", ResponseTransform::Identity), ("log(paper)", ResponseTransform::Log)]
@@ -256,14 +262,10 @@ pub fn residuals(ctx: &Context) -> String {
 /// profile intent (cf. the paper's trace validation \[11]), plus the
 /// simulated character of each benchmark on the baseline.
 pub fn workloads(ctx: &Context) -> String {
-    let oracle = ctx.sim_oracle();
     let mut rows = Vec::new();
-    for b in Benchmark::ALL {
-        let report = udse_trace::characterize(b, oracle.trace_len(), 3);
+    for (b, r) in Benchmark::ALL.into_iter().zip(baseline_runs(ctx)) {
+        let report = udse_trace::characterize(b, ctx.sim_oracle().trace_len(), 3);
         let deviations = report.check(0.12);
-        let trace = oracle.trace(b);
-        let r = Simulator::new(udse_sim::MachineConfig::power4_baseline())
-            .run_with_warmup(&trace, oracle.warmup_insts());
         rows.push(vec![
             b.name().to_string(),
             fmt(report.stats.load_frac + report.stats.store_frac, 2),

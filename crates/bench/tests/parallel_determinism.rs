@@ -13,6 +13,7 @@ use udse_core::studies::validation::ValidationStudy;
 use udse_core::studies::{pareto, StudyConfig, TrainedSuite};
 use udse_core::Engine;
 use udse_obs::QualityRecord;
+use udse_sim::MachineConfig;
 use udse_trace::Benchmark;
 
 /// The worker cap is process-global, so tests that flip it must not
@@ -107,6 +108,8 @@ fn training_samples_do_not_depend_on_worker_count() {
 fn evaluate_many_is_order_deterministic_through_the_cache() {
     // A CachedOracle batch that mixes repeats and fresh points must give
     // the exact metrics sequential evaluation gives, at any worker count.
+    // The simulate_many batch beneath it must be worker-count independent
+    // too, memo accounting included.
     let _guard = serialized();
     let space = DesignSpace::paper();
     let jobs: Vec<(Benchmark, _)> = (0..40)
@@ -122,7 +125,36 @@ fn evaluate_many_is_order_deterministic_through_the_cache() {
         // Second pass is all hits and still identical.
         assert_eq!(oracle.evaluate_many(&jobs), sequential, "cached, workers = {workers}");
     }
+
+    // The batch core under every study: out-of-space configs (D-L1
+    // associativity, in-order issue) mixed with in-space designs give
+    // identical results and identical stream-memo accounting at any
+    // worker count.
+    let base = MachineConfig::power4_baseline();
+    let configs: Vec<(Benchmark, MachineConfig)> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, (b, p))| match i % 3 {
+            0 => (*b, MachineConfig { dl1_assoc: [1, 2, 4, 8][i % 4], ..base }),
+            1 => (*b, MachineConfig { in_order: true, ..p.to_machine_config() }),
+            _ => (*b, p.to_machine_config()),
+        })
+        .collect();
+    let mut runs = Vec::new();
+    for workers in [1usize, 4] {
+        udse_obs::pool::set_max_workers(workers);
+        let oracle = SimOracle::with_trace_len(TEST_TRACE_LEN);
+        let results = oracle.simulate_many(&configs);
+        runs.push((results, oracle.precompute_hits(), oracle.precompute_misses()));
+    }
     udse_obs::pool::set_max_workers(1);
+    let (seq, par) = (&runs[0], &runs[1]);
+    assert_eq!(seq.0.len(), configs.len());
+    // Debug prints every f64 as its shortest round-trip digits, so equal
+    // strings mean equal bits.
+    assert_eq!(format!("{:?}", seq.0), format!("{:?}", par.0), "simulate_many results diverge");
+    assert_eq!((seq.1, seq.2), (par.1, par.2), "precompute hits/misses diverge");
+    assert!(seq.1 > 0 && seq.2 > 0, "the batch both resolves and reuses streams");
 }
 
 #[test]

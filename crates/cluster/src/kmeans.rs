@@ -71,13 +71,6 @@ impl KMeans {
         self
     }
 
-    /// Sets the iteration cap per restart.
-    #[must_use]
-    pub fn with_max_iter(mut self, max_iter: usize) -> Self {
-        self.max_iter = max_iter.max(1);
-        self
-    }
-
     /// Sets per-dimension distance weights.
     #[must_use]
     pub fn with_weights(mut self, weights: Vec<f64>) -> Self {

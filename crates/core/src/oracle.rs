@@ -7,6 +7,8 @@
 //! `(benchmark, point)` pair, so a parallel batch is bitwise-identical to
 //! a sequential one — `repro --jobs 1` and `--jobs N` produce the same
 //! numbers.
+//! `SimOracle`'s batch fronts [`SimOracle::simulate_many`], the one
+//! batch path every study simulates through.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -14,8 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use udse_sim::{
-    run_streamed_lanes, BhtSubConfig, BranchStream, CacheStreams, CacheSubConfig, Simulator,
-    StreamScratch, TracePreflight,
+    run_streamed_lanes, BhtSubConfig, BranchStream, CacheStreams, CacheSubConfig, MachineConfig,
+    SimResult, Simulator, StreamScratch, TracePreflight,
 };
 use udse_trace::{Benchmark, Trace};
 
@@ -70,14 +72,6 @@ pub trait Oracle: Send + Sync {
     fn evaluate_plan(&self, plan: &EvalPlan) -> Vec<Metrics> {
         udse_obs::metrics::counter("plan.jobs").add(plan.len() as u64);
         self.evaluate_many(plan.jobs())
-    }
-
-    /// Evaluates one design for every benchmark in the suite, in
-    /// [`Benchmark::ALL`] order.
-    fn evaluate_suite(&self, point: &DesignPoint) -> Vec<Metrics> {
-        let jobs: Vec<(Benchmark, DesignPoint)> =
-            Benchmark::ALL.iter().map(|&b| (b, *point)).collect();
-        self.evaluate_many(&jobs)
     }
 }
 
@@ -327,44 +321,41 @@ impl SimOracle {
 
     /// Steps `K <= LANES` simulations of one trace through the cycle
     /// core together, with the calling thread's reusable scratch.
-    fn run_lanes<const K: usize>(&self, pre: &TracePreflight, runs: [Run<'_>; K]) -> [Metrics; K] {
+    fn run_lanes<const K: usize>(&self, pre: &TracePreflight, runs: [Run; K]) -> [SimResult; K] {
         let jobs = runs.each_ref().map(|(sim, cache, bht)| (sim, *cache, *bht));
-        let results = SCRATCH.with(|s| {
+        SCRATCH.with(|s| {
             let mut s = s.borrow_mut();
             let mut lanes = s.iter_mut();
             let scratches = std::array::from_fn(|_| lanes.next().expect("K <= LANES"));
             run_streamed_lanes(jobs, pre, self.warmup_insts(), scratches)
-        });
-        results.map(|r| Metrics { bips: r.bips, watts: r.watts })
-    }
-}
-
-impl Default for SimOracle {
-    fn default() -> Self {
-        SimOracle::new()
-    }
-}
-
-impl Oracle for SimOracle {
-    fn evaluate(&self, benchmark: Benchmark, point: &DesignPoint) -> Metrics {
-        self.evaluate_many(&[(benchmark, *point)])[0]
+        })
     }
 
-    /// Batched evaluation with deterministic memo accounting: a
-    /// sequential pre-pass walks the jobs in order and performs both
-    /// stream lookups per job (cache sub-key, then BHT sub-key) — the
-    /// first unresolved occurrence of a key counts the miss, every
-    /// later occurrence a hit — so `sim.precompute.hits/misses` come
-    /// out identical whatever `--jobs` width runs the batch. The
-    /// distinct pending streams then resolve in one parallel wave, are
-    /// inserted into the shared store in first-occurrence order (so
-    /// eviction is deterministic too), and the simulations fan out over
-    /// batch-local `Arc`s that keep every stream alive even if the
-    /// bounded store evicts it mid-batch. Each benchmark's jobs run in
-    /// bundles of `LANES` stepped through its trace together (a group's
-    /// ragged tail one job at a time); every result is a pure function
-    /// of its job, so the bundling changes no number.
-    fn evaluate_many(&self, jobs: &[(Benchmark, DesignPoint)]) -> Vec<Metrics> {
+    /// Simulates `(benchmark, machine config)` jobs, in the design space
+    /// or outside it, returning full results in job order; the batch
+    /// core [`Oracle::evaluate_many`] fronts. Each result is
+    /// bitwise-identical to a one-shot [`Simulator::run_with_warmup`] on
+    /// [`SimOracle::trace`] after [`SimOracle::warmup_insts`].
+    ///
+    /// Memo accounting is deterministic: a sequential pre-pass walks
+    /// the jobs in order and performs both stream lookups per job (cache
+    /// sub-key, then BHT sub-key) — the first unresolved occurrence of a
+    /// key counts the miss, every later occurrence a hit — so
+    /// `sim.precompute.hits/misses` come out identical whatever `--jobs`
+    /// width runs the batch. The distinct pending streams then resolve
+    /// in one parallel wave, are inserted into the shared store in
+    /// first-occurrence order (so eviction is deterministic too), and
+    /// the simulations fan out over batch-local `Arc`s that keep every
+    /// stream alive even if the bounded store evicts it mid-batch. Each
+    /// benchmark's jobs run in bundles of `LANES` stepped through its
+    /// trace together (a group's ragged tail one job at a time), each
+    /// bundle under a `lanes` span; every result is a pure function of
+    /// its job, so the bundling changes no number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a config is invalid (see [`Simulator::new`]).
+    pub fn simulate_many(&self, jobs: &[(Benchmark, MachineConfig)]) -> Vec<SimResult> {
         if jobs.is_empty() {
             return Vec::new();
         }
@@ -388,9 +379,8 @@ impl Oracle for SimOracle {
                 std::collections::HashSet::new();
             let mut seen_branch: std::collections::HashSet<(Benchmark, BhtSubConfig)> =
                 std::collections::HashSet::new();
-            for (b, p) in jobs {
-                let cfg = p.to_machine_config();
-                let ck = (*b, CacheSubConfig::of(&cfg));
+            for (b, cfg) in jobs {
+                let ck = (*b, CacheSubConfig::of(cfg));
                 if !seen_cache.insert(ck) {
                     hits += 1;
                 } else if let Some(s) = store.cache.get(&ck) {
@@ -400,7 +390,7 @@ impl Oracle for SimOracle {
                     misses += 1;
                     cache_pending.push(ck);
                 }
-                let bk = (*b, BhtSubConfig::of(&cfg));
+                let bk = (*b, BhtSubConfig::of(cfg));
                 if !seen_branch.insert(bk) {
                     hits += 1;
                 } else if let Some(s) = store.branch.get(&bk) {
@@ -446,13 +436,13 @@ impl Oracle for SimOracle {
             })
             .collect();
         let run = |i: usize| -> Run<'_> {
-            let (b, p) = &jobs[i];
-            let cfg = p.to_machine_config();
-            let cache = &cache_ready[&(*b, CacheSubConfig::of(&cfg))];
-            let bht = &branch_ready[&(*b, BhtSubConfig::of(&cfg))];
-            (Simulator::new(cfg), cache, bht)
+            let (b, cfg) = &jobs[i];
+            let cache = &cache_ready[&(*b, CacheSubConfig::of(cfg))];
+            let bht = &branch_ready[&(*b, BhtSubConfig::of(cfg))];
+            (Simulator::new(*cfg), cache, bht)
         };
         let bundled = udse_obs::pool::map(&bundles, |bundle| {
+            let _span = udse_obs::span::enter("lanes");
             let pre = &preflights[&jobs[bundle[0]].0];
             match <[usize; LANES]>::try_from(*bundle) {
                 Ok(lanes) => self.run_lanes(pre, lanes.map(run)).to_vec(),
@@ -460,13 +450,33 @@ impl Oracle for SimOracle {
             }
         });
 
-        let mut out = vec![Metrics { bips: 0.0, watts: 0.0 }; jobs.len()];
-        for (bundle, metrics) in bundles.iter().zip(bundled) {
-            for (&i, m) in bundle.iter().zip(metrics) {
-                out[i] = m;
+        let mut out: Vec<Option<SimResult>> = vec![None; jobs.len()];
+        for (bundle, results) in bundles.iter().zip(bundled) {
+            for (&i, r) in bundle.iter().zip(results) {
+                out[i] = Some(r);
             }
         }
-        out
+        out.into_iter().map(|r| r.expect("every job ran in one bundle")).collect()
+    }
+}
+
+impl Default for SimOracle {
+    fn default() -> Self {
+        SimOracle::new()
+    }
+}
+
+impl Oracle for SimOracle {
+    fn evaluate(&self, benchmark: Benchmark, point: &DesignPoint) -> Metrics {
+        self.evaluate_many(&[(benchmark, *point)])[0]
+    }
+
+    /// The design-point front end of [`SimOracle::simulate_many`].
+    fn evaluate_many(&self, jobs: &[(Benchmark, DesignPoint)]) -> Vec<Metrics> {
+        let configs: Vec<(Benchmark, MachineConfig)> =
+            jobs.iter().map(|(b, p)| (*b, p.to_machine_config())).collect();
+        let results = self.simulate_many(&configs);
+        results.iter().map(|r| Metrics { bips: r.bips, watts: r.watts }).collect()
     }
 }
 
@@ -606,16 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn suite_order_matches_benchmark_all() {
-        let oracle = SimOracle::with_trace_len(1_000);
-        let p = DesignSpace::paper().decode(7).unwrap();
-        let suite = oracle.evaluate_suite(&p);
-        assert_eq!(suite.len(), 9);
-        let direct = oracle.evaluate(Benchmark::Ammp, &p);
-        assert_eq!(suite[0], direct);
-    }
-
-    #[test]
     fn metrics_derived_quantities() {
         let m = Metrics { bips: 2.0, watts: 16.0 };
         assert_eq!(m.delay_seconds(), 0.5);
@@ -660,6 +660,11 @@ mod tests {
         // batch, lane bundling and all.
         let sequential: Vec<Metrics> = jobs.iter().map(|(b, p)| oracle.evaluate(*b, p)).collect();
         assert_eq!(batched, sequential);
+        // One design across the suite comes back in `Benchmark::ALL` order.
+        let p = space.decode(7).unwrap();
+        let suite = oracle.evaluate_many(EvalPlan::cross_suite("suite", &[p]).jobs());
+        assert_eq!(suite.len(), 9);
+        assert_eq!(suite[0], oracle.evaluate(Benchmark::Ammp, &p));
     }
 
     #[test]

@@ -33,11 +33,6 @@ pub struct EvalPlan {
 }
 
 impl EvalPlan {
-    /// Creates an empty plan.
-    pub fn new(label: &str) -> Self {
-        EvalPlan { label: label.to_string(), jobs: Vec::new() }
-    }
-
     /// Wraps an existing job list.
     pub fn from_jobs(label: &str, jobs: Vec<(Benchmark, DesignPoint)>) -> Self {
         EvalPlan { label: label.to_string(), jobs }
@@ -49,12 +44,6 @@ impl EvalPlan {
     pub fn cross_suite(label: &str, points: &[DesignPoint]) -> Self {
         let jobs = Benchmark::ALL.iter().flat_map(|&b| points.iter().map(move |p| (b, *p)));
         EvalPlan { label: label.to_string(), jobs: jobs.collect() }
-    }
-
-    /// Appends a job and returns its stable ID.
-    pub fn push(&mut self, benchmark: Benchmark, point: DesignPoint) -> u64 {
-        self.jobs.push((benchmark, point));
-        (self.jobs.len() - 1) as u64
     }
 
     /// The plan's label (used in diagnostics).

@@ -124,11 +124,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns the underlying row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);

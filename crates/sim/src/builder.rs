@@ -36,11 +36,6 @@ impl MachineConfigBuilder {
         MachineConfigBuilder { cfg: MachineConfig::power4_baseline() }
     }
 
-    /// Starts from an existing configuration.
-    pub fn from_config(cfg: MachineConfig) -> Self {
-        MachineConfigBuilder { cfg }
-    }
-
     /// Pipeline depth in FO4 delays per stage.
     #[must_use]
     pub fn depth_fo4(mut self, fo4: u32) -> Self {

@@ -62,11 +62,6 @@ impl Summary {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Minimum observation.
     ///
     /// # Panics

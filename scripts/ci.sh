@@ -38,6 +38,19 @@ if ! grep -qF '"ph": "X"' target/trace-smoke/trace.json; then
     exit 1
 fi
 
+# Worker-count smoke: the studies that simulate configs outside the
+# design space (and the residual/ablation samples) each make one
+# simulation-oracle batch, so `--jobs 2` runs them on the pool. Their
+# stdout must not depend on the worker count.
+echo "==> jobs smoke: repro --quick --jobs 1 vs --jobs 2 (stalls assoc inorder workloads residuals ablations)"
+rm -rf target/jobs-smoke
+mkdir -p target/jobs-smoke
+for jobs in 1 2; do
+    ./target/release/repro --quick --jobs "${jobs}" \
+        stalls assoc inorder workloads residuals ablations > "target/jobs-smoke/jobs${jobs}.out"
+done
+diff target/jobs-smoke/jobs1.out target/jobs-smoke/jobs2.out
+
 # Query smoke: the `repro query` subcommand must answer a constrained
 # optimum and a what-if delta from the CLI with exit 0 and byte-stable
 # stdout (two runs of the same query diff clean — the canonical wire

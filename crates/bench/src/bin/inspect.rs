@@ -7,7 +7,6 @@
 //! udse-inspect diff <baseline> <new> [--tol-wall <pct>] [--tol-quality <abs>]
 //!                                    [--tol-quality-pooled <abs>]
 //!                                    [--tol-quality-max <abs>] [--warn-wall]
-//!                                    [--tol-gauge <name>:<pct> ...]
 //!                                    [--min-gauge <name>:<value> ...]
 //!                                    [--tol-resource <name>:<pct>[:<floor>] ...]
 //! udse-inspect trace <manifest> [--folded] [-o <out>]
@@ -20,19 +19,16 @@
 //! per-study: `--tol-quality` is the per-benchmark default,
 //! `--tol-quality-pooled` the tighter budget for pooled records, and
 //! `--tol-quality-max` the looser budget for worst-single-error (`max`)
-//! statistics. `--tol-gauge name:pct` (repeatable) watches a gauge
-//! metric and warns — never gates — when it falls more than `pct`
-//! percent below the baseline (e.g.
-//! `--tol-gauge sweep.designs_per_sec:50` catches prediction-throughput
-//! collapses). `--min-gauge name:value` (repeatable) is the hard floor
-//! variant: the run *fails* when the named gauge in the NEW manifest
+//! statistics. Gauges (timing-dependent throughputs) are never compared
+//! against the baseline; `--min-gauge name:value` (repeatable) is their
+//! hard floor: the run *fails* when the named gauge in the NEW manifest
 //! falls below the absolute `value` (or is missing) — e.g.
 //! `--min-gauge sweep.designs_per_sec:50000000` locks in a step-change
 //! throughput win that a relative watch against a refreshed baseline
-//! would let erode. `--tol-resource name:pct[:floor]` (repeatable) is its
-//! gating mirror image for resource metrics: the run fails when the
-//! named metric *rises* more than `pct` percent above the baseline and
-//! the absolute rise exceeds `floor` (default 0) — e.g.
+//! would let erode. `--tol-resource name:pct[:floor]` (repeatable)
+//! gates resource metrics: the run fails when the named metric *rises*
+//! more than `pct` percent above the baseline and the absolute rise
+//! exceeds `floor` (default 0) — e.g.
 //! `--tol-resource sweep.allocs_per_design:100:0.05` keeps the compiled
 //! sweep allocation-free; `resources.`-prefixed names read the manifest
 //! `resources` section (`resources.alloc_bytes`, `resources.peak_rss_kb`,
@@ -61,7 +57,7 @@ const USAGE: &str = "usage: udse-inspect <command>\n\
   show  <manifest>                                 summarize one run\n\
   diff  <baseline> <new> [--tol-wall <pct>] [--tol-quality <abs>]\n\
         [--tol-quality-pooled <abs>] [--tol-quality-max <abs>] [--warn-wall]\n\
-        [--tol-gauge <name>:<pct> ...] [--min-gauge <name>:<value> ...]\n\
+        [--min-gauge <name>:<value> ...]\n\
         [--tol-resource <name>:<pct>[:<floor>] ...] gate a run against a baseline\n\
   trace <manifest> [--folded] [-o <path>]          timeline or folded stacks from span totals";
 
@@ -79,12 +75,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Flags that consume the next argument; everything else non-dashed
     // is positional.
-    const VALUE_FLAGS: [&str; 8] = [
+    const VALUE_FLAGS: [&str; 7] = [
         "--tol-wall",
         "--tol-quality",
         "--tol-quality-pooled",
         "--tol-quality-max",
-        "--tol-gauge",
         "--min-gauge",
         "--tol-resource",
         "-o",
@@ -116,7 +111,6 @@ fn main() -> ExitCode {
             "--tol-quality",
             "--tol-quality-pooled",
             "--tol-quality-max",
-            "--tol-gauge",
             "--min-gauge",
             "--tol-resource",
             "--warn-wall",
@@ -168,25 +162,6 @@ fn main() -> ExitCode {
                     Ok(Some(v)) => *slot = v,
                     Ok(None) => {}
                     Err(e) => return fail(&e),
-                }
-            }
-            // Repeatable --tol-gauge name:pct occurrences.
-            for (i, a) in args.iter().enumerate() {
-                if a != "--tol-gauge" {
-                    continue;
-                }
-                let Some(spec) = args.get(i + 1) else {
-                    return fail("--tol-gauge expects <name>:<pct>");
-                };
-                let parsed = spec
-                    .rsplit_once(':')
-                    .and_then(|(name, pct)| Some((name, pct.parse::<f64>().ok()?)))
-                    .filter(|(name, _)| !name.is_empty());
-                match parsed {
-                    Some((name, pct)) => tol.gauge_warn.push((name.to_string(), pct)),
-                    None => {
-                        return fail(&format!("--tol-gauge expects <name>:<pct>, got `{spec}`"))
-                    }
                 }
             }
             // Repeatable --min-gauge name:value occurrences.

@@ -9,9 +9,7 @@
 
 use udse_core::model::paper_terms;
 use udse_core::report::{fmt, format_table};
-use udse_core::search::{
-    genetic_search, random_restart_hill_climb, simulated_annealing, GeneticConfig,
-};
+use udse_core::search::{genetic_search, random_restart_hill_climb, simulated_annealing};
 use udse_core::space::{DesignPoint, DesignSpace};
 use udse_core::studies::strided_count;
 use udse_core::{Oracle as _, Query};
@@ -54,7 +52,7 @@ pub fn search(ctx: &Context) -> String {
         let best_exhaustive = entries[b.id() as usize].score;
         let hc = random_restart_hill_climb(&space, 20, 7, objective);
         let sa = simulated_annealing(&space, 30_000, best_exhaustive.abs() * 0.2, 7, objective);
-        let ga = genetic_search(&space, &GeneticConfig::default(), 7, objective);
+        let ga = genetic_search(&space, 7, objective);
         rows.push(vec![
             b.name().to_string(),
             fmt(100.0 * hc.best_value / best_exhaustive, 1),

@@ -36,30 +36,24 @@ pub struct DiffTolerances {
     pub quality_max_abs: f64,
     /// Counter drift (percent) beyond which a warning is emitted.
     pub counter_warn_pct: f64,
-    /// Gauge watchlist: `(metric name, percent)` pairs. A watched gauge
-    /// that *falls* more than `percent` below the baseline emits a
-    /// warning (never a gate — gauges are timing-dependent). Used for
-    /// throughput gauges like `sweep.designs_per_sec`, where only a drop
-    /// is suspicious.
-    pub gauge_warn: Vec<(String, f64)>,
-    /// Gauge floors: `(metric name, minimum value)` pairs. Unlike the
-    /// relative `gauge_warn` watchlist, a floored gauge **gates**: if the
-    /// NEW run's gauge falls below the absolute floor (or is missing
-    /// entirely), the diff fails. This is how a step-change throughput
-    /// win is locked in — e.g. `sweep.designs_per_sec:<floor>` keeps the
-    /// structure-of-arrays sweep from silently regressing toward the
-    /// pre-SoA rate, where a percentage watch against a fresh baseline
-    /// would drift along with it.
+    /// Gauge floors: `(metric name, minimum value)` pairs. Gauges are
+    /// timing-dependent, so they are never compared against the
+    /// baseline; a floored gauge **gates** only if the NEW run's gauge
+    /// falls below the absolute floor (or is missing entirely). This is
+    /// how a step-change throughput win is locked in — e.g.
+    /// `sweep.designs_per_sec:<floor>` keeps the structure-of-arrays
+    /// sweep from silently regressing toward the pre-SoA rate, where a
+    /// percentage watch against a fresh baseline would drift along with
+    /// it.
     pub min_gauge: Vec<(String, f64)>,
     /// Resource gates: `(metric name, percent, absolute floor)`
-    /// triples. The mirror image of `gauge_warn` — a watched resource
-    /// metric that *rises* above the baseline **gates** (allocation
-    /// counts are deterministic, so a rise is a real regression, and
-    /// "the compiled sweep allocates nothing per design" is exactly the
-    /// kind of claim this enforces). The rise must exceed both the
-    /// relative `percent` and the `floor` (in the metric's own units)
-    /// to gate, so per-chunk setup noise on a near-zero baseline never
-    /// trips it. Names resolve against the metrics section, or against
+    /// triples. A watched resource metric that *rises* above the
+    /// baseline **gates** (allocation counts are deterministic, so a
+    /// rise is a real regression, and "the compiled sweep allocates
+    /// nothing per design" is exactly the kind of claim this enforces).
+    /// The rise must exceed both the relative `percent` and the `floor`
+    /// (in the metric's own units) to gate, so per-chunk setup noise on
+    /// a near-zero baseline never trips it. Names resolve against the metrics section, or against
     /// the v3 `resources` section with a `resources.` prefix (e.g.
     /// `resources.alloc_bytes`).
     pub resource_gate: Vec<(String, f64, f64)>,
@@ -77,7 +71,6 @@ impl Default for DiffTolerances {
             quality_pooled_abs: 0.01,
             quality_max_abs: 0.05,
             counter_warn_pct: 10.0,
-            gauge_warn: Vec::new(),
             min_gauge: Vec::new(),
             resource_gate: Vec::new(),
             warn_wall: false,
@@ -147,7 +140,6 @@ pub fn diff(old: &ParsedManifest, new: &ParsedManifest, tol: &DiffTolerances) ->
     diff_wall(old, new, tol, &mut report);
     diff_quality(old, new, tol, &mut report);
     diff_counters(old, new, tol, &mut report);
-    diff_gauges(old, new, tol, &mut report);
     diff_min_gauges(new, tol, &mut report);
     diff_resources(old, new, tol, &mut report);
     report
@@ -285,30 +277,6 @@ fn diff_counters(
             report.warnings.push(format!(
                 "counter `{name}` moved {change:+.1}% (> {}%): workload shape changed",
                 tol.counter_warn_pct
-            ));
-        }
-    }
-}
-
-fn diff_gauges(
-    old: &ParsedManifest,
-    new: &ParsedManifest,
-    tol: &DiffTolerances,
-    report: &mut DiffReport,
-) {
-    for (name, pct) in &tol.gauge_warn {
-        let (Some(o), Some(n)) =
-            (old.metric(name).and_then(Json::as_f64), new.metric(name).and_then(Json::as_f64))
-        else {
-            report
-                .warnings
-                .push(format!("gauge `{name}` on the watchlist but missing from a manifest"));
-            continue;
-        };
-        report.lines.push(format!("gauge {name} {o:.1} -> {n:.1} ({:+.1}%)", pct_change(o, n)));
-        if n < o * (1.0 - pct / 100.0) {
-            report.warnings.push(format!(
-                "gauge `{name}` fell {o:.1} -> {n:.1} (more than {pct}% below baseline)"
             ));
         }
     }
@@ -713,30 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn watched_gauge_drop_warns_but_does_not_gate() {
-        let gauge = |v: f64| {
-            let mut m = manifest(&[("fig1", 1.0)], &[], &[]);
-            m.metrics.push(("sweep.designs_per_sec".into(), Json::Float(v)));
-            m
-        };
-        let tol = DiffTolerances {
-            gauge_warn: vec![("sweep.designs_per_sec".into(), 50.0)],
-            ..DiffTolerances::default()
-        };
-        let (old, slow, ok) = (gauge(100_000.0), gauge(40_000.0), gauge(60_000.0));
-        let report = diff(&old, &slow, &tol);
-        assert!(!report.is_regression(), "gauges never gate");
-        assert!(report.warnings.iter().any(|w| w.contains("sweep.designs_per_sec")));
-        // A drop within the allowance stays quiet.
-        assert!(diff(&old, &ok, &tol).warnings.is_empty());
-        // Unwatched gauges are ignored entirely.
-        assert!(diff(&old, &slow, &DiffTolerances::default()).warnings.is_empty());
-        // A watched gauge missing from a manifest warns.
-        let bare = manifest(&[("fig1", 1.0)], &[], &[]);
-        assert!(diff(&old, &bare, &tol).warnings.iter().any(|w| w.contains("missing")));
-    }
-
-    #[test]
     fn gauge_floor_gates_hard_on_the_new_run() {
         let gauge = |v: f64| {
             let mut m = manifest(&[("fig1", 1.0)], &[], &[]);
@@ -780,8 +724,7 @@ mod tests {
             ..DiffTolerances::default()
         };
         let old = alloc(100_000);
-        // A 4x allocation rise gates hard — unlike gauge_warn, which
-        // only watches falls and never gates.
+        // A 4x allocation rise gates hard.
         let report = diff(&old, &alloc(400_000), &tol);
         assert!(report.is_regression());
         assert!(report.regressions[0].contains("alloc.bytes"), "{:?}", report.regressions);

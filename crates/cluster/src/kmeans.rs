@@ -1,62 +1,42 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use crate::weighted_sq_distance;
+use crate::sq_distance;
 
-/// Centroid initialization strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InitMethod {
-    /// Centroids start at K distinct points chosen uniformly at random —
-    /// the placement the paper's §6.1 heuristic describes.
-    #[default]
-    Random,
-    /// k-means++ seeding: subsequent centroids chosen with probability
-    /// proportional to squared distance from the nearest existing
-    /// centroid; converges to better optima on average.
-    PlusPlus,
-}
+/// Assignment/update rounds per restart before giving up on
+/// convergence.
+const MAX_ITER: usize = 100;
 
 /// K-means configuration builder.
 ///
 /// # Examples
 ///
 /// ```
-/// use udse_cluster::{InitMethod, KMeans};
+/// use udse_cluster::KMeans;
 ///
 /// let pts = vec![vec![0.0], vec![0.1], vec![10.0], vec![10.1]];
-/// let r = KMeans::new(2)
-///     .with_init(InitMethod::PlusPlus)
-///     .with_restarts(3)
-///     .run(&pts, 7);
+/// let r = KMeans::new(2).with_restarts(3).run(&pts, 7);
 /// assert_eq!(r.centroids().len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     k: usize,
-    max_iter: usize,
     restarts: usize,
-    init: InitMethod,
-    weights: Option<Vec<f64>>,
 }
 
 impl KMeans {
     /// Creates a K-means runner for `k` clusters with defaults of 100
-    /// iterations, 8 restarts, and random initialization.
+    /// iterations and 8 restarts. Each restart places its centroids at K
+    /// distinct points chosen uniformly at random, the placement the
+    /// paper's §6.1 heuristic describes.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "cluster count must be positive");
-        KMeans { k, max_iter: 100, restarts: 8, init: InitMethod::Random, weights: None }
-    }
-
-    /// Sets the initialization method.
-    #[must_use]
-    pub fn with_init(mut self, init: InitMethod) -> Self {
-        self.init = init;
-        self
+        KMeans { k, restarts: 8 }
     }
 
     /// Sets the number of restarts (best inertia wins).
@@ -68,13 +48,6 @@ impl KMeans {
     pub fn with_restarts(mut self, restarts: usize) -> Self {
         assert!(restarts > 0, "need at least one restart");
         self.restarts = restarts;
-        self
-    }
-
-    /// Sets per-dimension distance weights.
-    #[must_use]
-    pub fn with_weights(mut self, weights: Vec<f64>) -> Self {
-        self.weights = Some(weights);
         self
     }
 
@@ -101,16 +74,15 @@ impl KMeans {
     }
 
     fn run_once(&self, points: &[Vec<f64>], rng: &mut StdRng) -> Clustering {
-        let w = self.weights.as_deref();
         let mut centroids = self.init_centroids(points, rng);
         let mut assignments = vec![usize::MAX; points.len()];
         let mut iterations = 0;
-        for iter in 0..self.max_iter {
+        for iter in 0..MAX_ITER {
             iterations = iter + 1;
             // Assignment step.
             let mut changed = false;
             for (i, p) in points.iter().enumerate() {
-                let nearest = nearest_centroid(p, &centroids, w);
+                let nearest = nearest_centroid(p, &centroids);
                 if assignments[i] != nearest {
                     assignments[i] = nearest;
                     changed = true;
@@ -135,7 +107,7 @@ impl KMeans {
                     let (far_idx, _) = points
                         .iter()
                         .enumerate()
-                        .map(|(i, p)| (i, weighted_sq_distance(p, &centroids[assignments[i]], w)))
+                        .map(|(i, p)| (i, sq_distance(p, &centroids[assignments[i]])))
                         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"))
                         .expect("non-empty points");
                     centroids[c] = points[far_idx].clone();
@@ -146,55 +118,15 @@ impl KMeans {
                 }
             }
         }
-        let inertia = points
-            .iter()
-            .zip(&assignments)
-            .map(|(p, &a)| weighted_sq_distance(p, &centroids[a], w))
-            .sum();
+        let inertia =
+            points.iter().zip(&assignments).map(|(p, &a)| sq_distance(p, &centroids[a])).sum();
         Clustering { assignments, centroids, inertia, iterations }
     }
 
     fn init_centroids(&self, points: &[Vec<f64>], rng: &mut StdRng) -> Vec<Vec<f64>> {
-        match self.init {
-            InitMethod::Random => {
-                let mut idx: Vec<usize> = (0..points.len()).collect();
-                idx.shuffle(rng);
-                idx[..self.k].iter().map(|&i| points[i].clone()).collect()
-            }
-            InitMethod::PlusPlus => {
-                let w = self.weights.as_deref();
-                let mut centroids: Vec<Vec<f64>> =
-                    vec![points[rng.gen_range(0..points.len())].clone()];
-                while centroids.len() < self.k {
-                    let d2: Vec<f64> = points
-                        .iter()
-                        .map(|p| {
-                            centroids
-                                .iter()
-                                .map(|c| weighted_sq_distance(p, c, w))
-                                .fold(f64::INFINITY, f64::min)
-                        })
-                        .collect();
-                    let total: f64 = d2.iter().sum();
-                    if total == 0.0 {
-                        // All points coincide with centroids; duplicate one.
-                        centroids.push(points[rng.gen_range(0..points.len())].clone());
-                        continue;
-                    }
-                    let mut target = rng.gen::<f64>() * total;
-                    let mut chosen = points.len() - 1;
-                    for (i, &d) in d2.iter().enumerate() {
-                        if target < d {
-                            chosen = i;
-                            break;
-                        }
-                        target -= d;
-                    }
-                    centroids.push(points[chosen].clone());
-                }
-                centroids
-            }
-        }
+        let mut idx: Vec<usize> = (0..points.len()).collect();
+        idx.shuffle(rng);
+        idx[..self.k].iter().map(|&i| points[i].clone()).collect()
     }
 }
 
@@ -234,11 +166,11 @@ impl Clustering {
     }
 }
 
-fn nearest_centroid(p: &[f64], centroids: &[Vec<f64>], w: Option<&[f64]>) -> usize {
+fn nearest_centroid(p: &[f64], centroids: &[Vec<f64>]) -> usize {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
     for (c, centroid) in centroids.iter().enumerate() {
-        let d = weighted_sq_distance(p, centroid, w);
+        let d = sq_distance(p, centroid);
         if d < best_d {
             best_d = d;
             best = c;
@@ -262,13 +194,11 @@ mod tests {
 
     #[test]
     fn separates_obvious_blobs() {
-        for init in [InitMethod::Random, InitMethod::PlusPlus] {
-            let r = KMeans::new(2).with_init(init).run(&two_blobs(), 11);
-            let a0 = r.assignments()[0];
-            for i in 0..10 {
-                assert_eq!(r.assignments()[2 * i], a0, "{init:?}");
-                assert_ne!(r.assignments()[2 * i + 1], a0, "{init:?}");
-            }
+        let r = KMeans::new(2).run(&two_blobs(), 11);
+        let a0 = r.assignments()[0];
+        for i in 0..10 {
+            assert_eq!(r.assignments()[2 * i], a0);
+            assert_ne!(r.assignments()[2 * i + 1], a0);
         }
     }
 
@@ -291,8 +221,8 @@ mod tests {
         for (i, p) in pts.iter().enumerate() {
             let assigned = r.assignments()[i];
             for (c, centroid) in r.centroids().iter().enumerate() {
-                let d_assigned = weighted_sq_distance(p, &r.centroids()[assigned], None);
-                let d_other = weighted_sq_distance(p, centroid, None);
+                let d_assigned = sq_distance(p, &r.centroids()[assigned]);
+                let d_other = sq_distance(p, centroid);
                 assert!(d_assigned <= d_other + 1e-9, "point {i} misassigned vs {c}");
             }
         }
@@ -314,18 +244,6 @@ mod tests {
         let pts = vec![vec![0.0], vec![2.0], vec![10.0]];
         let r = KMeans::new(1).run(&pts, 1);
         assert!((r.centroids()[0][0] - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weights_change_the_partition() {
-        // Two natural splits: by dim 0 (distance 1 apart) or dim 1
-        // (distance 10 apart). Weighting dim 0 heavily flips the result.
-        let pts = vec![vec![0.0, 0.0], vec![0.0, 10.0], vec![1.0, 0.0], vec![1.0, 10.0]];
-        let by_dim1 = KMeans::new(2).run(&pts, 9);
-        assert_eq!(by_dim1.assignments()[0], by_dim1.assignments()[2]);
-        let by_dim0 = KMeans::new(2).with_weights(vec![1000.0, 1.0]).run(&pts, 9);
-        assert_eq!(by_dim0.assignments()[0], by_dim0.assignments()[1]);
-        assert_ne!(by_dim0.assignments()[0], by_dim0.assignments()[2]);
     }
 
     #[test]

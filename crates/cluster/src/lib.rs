@@ -1,21 +1,19 @@
 //! K-means clustering for compromise-architecture identification.
 //!
 //! The paper's §6 heterogeneity study clusters the nine per-benchmark
-//! `bips³/w`-optimal architectures in the p-dimensional (normalized,
-//! weighted) design-parameter space; each centroid is a *compromise
+//! `bips³/w`-optimal architectures in the p-dimensional (normalized)
+//! design-parameter space; each centroid is a *compromise
 //! architecture* and the cluster count K measures the degree of
 //! heterogeneity. This crate implements the heuristic exactly as the
 //! paper describes it —
 //!
-//! 1. place K centroids (randomly, per the paper; k-means++ is available
-//!    as a better-behaved option),
+//! 1. place K centroids at randomly chosen objects, per the paper,
 //! 2. assign each object to the closest centroid,
 //! 3. recompute centroids as cluster means,
 //! 4. repeat 2–3 until assignments are stable —
 //!
 //! with multiple restarts keeping the lowest-inertia solution, plus the
-//! min-max normalization and per-dimension weighting the distance metric
-//! calls for.
+//! min-max normalization the distance metric calls for.
 //!
 //! # Examples
 //!
@@ -39,25 +37,17 @@
 mod kmeans;
 mod scaler;
 
-pub use kmeans::{Clustering, InitMethod, KMeans};
+pub use kmeans::{Clustering, KMeans};
 pub use scaler::MinMaxScaler;
 
-/// Squared Euclidean distance between two equal-length vectors, with an
-/// optional per-dimension weight vector.
+/// Squared Euclidean distance between two equal-length vectors.
 ///
 /// # Panics
 ///
-/// Panics if lengths differ (or weights, when given, have a different
-/// length).
-pub fn weighted_sq_distance(a: &[f64], b: &[f64], weights: Option<&[f64]>) -> f64 {
+/// Panics if lengths differ.
+fn sq_distance(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "point dimensionality mismatch");
-    match weights {
-        None => a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum(),
-        Some(w) => {
-            assert_eq!(w.len(), a.len(), "weight dimensionality mismatch");
-            a.iter().zip(b).zip(w).map(|((x, y), wi)| wi * (x - y) * (x - y)).sum()
-        }
-    }
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 #[cfg(test)]
@@ -66,13 +56,12 @@ mod tests {
 
     #[test]
     fn distance_basics() {
-        assert_eq!(weighted_sq_distance(&[0.0, 0.0], &[3.0, 4.0], None), 25.0);
-        assert_eq!(weighted_sq_distance(&[0.0, 0.0], &[3.0, 4.0], Some(&[1.0, 0.0])), 9.0);
+        assert_eq!(sq_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
     }
 
     #[test]
     #[should_panic(expected = "dimensionality")]
     fn mismatched_dims_panic() {
-        let _ = weighted_sq_distance(&[1.0], &[1.0, 2.0], None);
+        let _ = sq_distance(&[1.0], &[1.0, 2.0]);
     }
 }

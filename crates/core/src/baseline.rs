@@ -5,15 +5,10 @@ use udse_sim::MachineConfig;
 
 use crate::space::{DesignPoint, DesignSpace};
 
-/// The Table 3 baseline machine: 19 FO4, 4-wide decode, 2 units per
-/// class, 80 GPR / 72 FPR, 64 KB I-L1 / 32 KB D-L1 / 2 MB L2.
-pub fn table3_baseline() -> MachineConfig {
-    MachineConfig::power4_baseline()
-}
-
 /// The grid point of the exploration space closest to the Table 3
-/// baseline — the anchor for the depth study's "original analysis"
-/// (depth itself is swept; the other parameters hold these values).
+/// baseline ([`MachineConfig::power4_baseline`]) — the anchor for the
+/// depth study's "original analysis" (depth itself is swept; the other
+/// parameters hold these values).
 ///
 /// # Examples
 ///
@@ -26,7 +21,7 @@ pub fn table3_baseline() -> MachineConfig {
 /// assert_eq!(p.l2_kb(), 2048);
 /// ```
 pub fn baseline_point() -> DesignPoint {
-    let cfg = table3_baseline();
+    let cfg = MachineConfig::power4_baseline();
     DesignSpace::exploration().nearest(&[
         cfg.fo4_per_stage as f64,
         cfg.decode_width as f64,

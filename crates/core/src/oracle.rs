@@ -297,15 +297,17 @@ impl SimOracle {
 
     /// The design-invariant preflight of a benchmark's trace, computed
     /// once per `(benchmark, seed, trace_len)` and shared via `Arc`.
+    /// Each computation runs under a `preflight` span.
     pub fn preflight(&self, benchmark: Benchmark) -> Arc<TracePreflight> {
         if let Some(p) = self.preflights.read().expect("preflight cache poisoned").get(&benchmark) {
             return Arc::clone(p);
         }
         let trace = self.trace(benchmark);
         let mut preflights = self.preflights.write().expect("preflight cache poisoned");
-        Arc::clone(
-            preflights.entry(benchmark).or_insert_with(|| Arc::new(TracePreflight::of(&trace))),
-        )
+        Arc::clone(preflights.entry(benchmark).or_insert_with(|| {
+            let _span = udse_obs::span::enter("preflight");
+            Arc::new(TracePreflight::of(&trace))
+        }))
     }
 
     fn record(&self, hits: u64, misses: u64) {
@@ -343,14 +345,15 @@ impl SimOracle {
     /// key counts the miss, every later occurrence a hit — so
     /// `sim.precompute.hits/misses` come out identical whatever `--jobs`
     /// width runs the batch. The distinct pending streams then resolve
-    /// in one parallel wave, are inserted into the shared store in
-    /// first-occurrence order (so eviction is deterministic too), and
-    /// the simulations fan out over batch-local `Arc`s that keep every
-    /// stream alive even if the bounded store evicts it mid-batch. Each
-    /// benchmark's jobs run in bundles of `LANES` stepped through its
-    /// trace together (a group's ragged tail one job at a time), each
-    /// bundle under a `lanes` span; every result is a pure function of
-    /// its job, so the bundling changes no number.
+    /// in one parallel wave, each under a `resolve` span, are inserted
+    /// into the shared store in first-occurrence order (so eviction is
+    /// deterministic too), and the simulations fan out over
+    /// batch-local `Arc`s that keep every stream alive even if the
+    /// bounded store evicts it mid-batch. Each benchmark's jobs run in
+    /// bundles of `LANES` stepped through its trace together (a group's
+    /// ragged tail one job at a time), each bundle under a `lanes` span;
+    /// every result is a pure function of its job, so the bundling
+    /// changes no number.
     ///
     /// # Panics
     ///
@@ -407,10 +410,12 @@ impl SimOracle {
         if !cache_pending.is_empty() || !branch_pending.is_empty() {
             let resolved_cache: Vec<Arc<CacheStreams>> =
                 udse_obs::pool::map(&cache_pending, |(b, sub)| {
+                    let _span = udse_obs::span::enter("resolve");
                     Arc::new(CacheStreams::resolve(&preflights[b], sub))
                 });
             let resolved_branch: Vec<Arc<BranchStream>> =
                 udse_obs::pool::map(&branch_pending, |(b, sub)| {
+                    let _span = udse_obs::span::enter("resolve");
                     Arc::new(BranchStream::resolve(&preflights[b], sub))
                 });
             let mut store = self.streams.write().expect("stream store poisoned");

@@ -15,7 +15,9 @@
 //!   uphill moves;
 //! - [`genetic_search`]: the population-based heuristic the paper
 //!   contrasts against (Eyerman et al. \[6] found genetic search among the
-//!   most effective simulator-driven heuristics).
+//!   most effective simulator-driven heuristics). Its population,
+//!   generation count, tournament size, mutation rate and elitism are
+//!   fixed; the §8 study and its tests run one configuration.
 //!
 //! All of them report the number of objective evaluations so the cost can
 //! be compared against exhaustive prediction.
@@ -195,56 +197,26 @@ where
     result
 }
 
-/// Configuration for [`genetic_search`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeneticConfig {
-    /// Individuals per generation.
-    pub population: usize,
-    /// Generations to evolve.
-    pub generations: usize,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Per-dimension mutation probability.
-    pub mutation_rate: f64,
-    /// Individuals copied unchanged into the next generation.
-    pub elitism: usize,
-}
-
-impl Default for GeneticConfig {
-    fn default() -> Self {
-        GeneticConfig {
-            population: 40,
-            generations: 30,
-            tournament: 3,
-            mutation_rate: 0.15,
-            elitism: 2,
-        }
-    }
-}
+/// Individuals per generation of [`genetic_search`].
+const GA_POPULATION: usize = 40;
+/// Generations [`genetic_search`] evolves.
+const GA_GENERATIONS: usize = 30;
+/// Tournament size for parent selection.
+const GA_TOURNAMENT: usize = 3;
+/// Per-dimension mutation probability.
+const GA_MUTATION_RATE: f64 = 0.15;
+/// Individuals copied unchanged into the next generation.
+const GA_ELITISM: usize = 2;
 
 /// Genetic search over the design grid: tournament selection, uniform
-/// per-dimension crossover, and ±1-step mutation.
-///
-/// # Panics
-///
-/// Panics if the configuration is degenerate (zero population/
-/// generations, tournament or elitism larger than the population).
-pub fn genetic_search<F>(
-    space: &DesignSpace,
-    config: &GeneticConfig,
-    seed: u64,
-    mut objective: F,
-) -> SearchResult
+/// per-dimension crossover, and ±1-step mutation. A population of 40
+/// evolves for 30 generations (1,180 evaluations in all) with
+/// tournaments of 3, a 15 % per-dimension mutation rate and the best 2
+/// carried over unchanged.
+pub fn genetic_search<F>(space: &DesignSpace, seed: u64, mut objective: F) -> SearchResult
 where
     F: FnMut(&DesignPoint) -> f64,
 {
-    assert!(config.population >= 2, "population must be at least 2");
-    assert!(config.generations >= 1, "need at least one generation");
-    assert!(
-        config.tournament >= 1 && config.tournament <= config.population,
-        "tournament size out of range"
-    );
-    assert!(config.elitism < config.population, "elitism must leave room for offspring");
     let mut rng = StdRng::seed_from_u64(seed);
     let dims = space.dimensions();
     let mut evaluations = 0u64;
@@ -254,7 +226,7 @@ where
     };
     // Initial population.
     let mut pop: Vec<(DesignPoint, f64)> = space
-        .sample_uar(config.population, seed ^ 0x6E6E)
+        .sample_uar(GA_POPULATION, seed ^ 0x6E6E)
         .into_iter()
         .map(|p| {
             let v = score(&p, &mut evaluations);
@@ -264,13 +236,13 @@ where
     let mut best =
         pop.iter().cloned().max_by(|a, b| a.1.total_cmp(&b.1)).expect("non-empty population");
 
-    for _ in 0..config.generations {
+    for _ in 0..GA_GENERATIONS {
         pop.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let mut next: Vec<(DesignPoint, f64)> = pop[..config.elitism].to_vec();
-        while next.len() < config.population {
+        let mut next: Vec<(DesignPoint, f64)> = pop[..GA_ELITISM].to_vec();
+        while next.len() < GA_POPULATION {
             // Tournament selection of two parents.
             let pick = |rng: &mut StdRng, pop: &[(DesignPoint, f64)]| {
-                (0..config.tournament)
+                (0..GA_TOURNAMENT)
                     .map(|_| &pop[rng.gen_range(0..pop.len())])
                     .max_by(|a, b| a.1.total_cmp(&b.1))
                     .expect("tournament non-empty")
@@ -282,7 +254,7 @@ where
             let mut child = [0u8; 7];
             for d in 0..7 {
                 child[d] = if rng.gen_bool(0.5) { pa[d] } else { pb[d] };
-                if rng.gen::<f64>() < config.mutation_rate {
+                if rng.gen::<f64>() < GA_MUTATION_RATE {
                     let up = rng.gen_bool(0.5);
                     if up && child[d] + 1 < dims[d] {
                         child[d] += 1;
@@ -378,7 +350,7 @@ mod tests {
     #[test]
     fn genetic_search_approaches_the_peak() {
         let space = DesignSpace::exploration();
-        let r = genetic_search(&space, &GeneticConfig::default(), 5, objective);
+        let r = genetic_search(&space, 5, objective);
         let truth = exhaustive_max(&space);
         assert!(r.best_value > truth - 0.5, "genetic {} vs truth {truth}", r.best_value);
         assert!(r.evaluations < 5_000);
@@ -387,17 +359,9 @@ mod tests {
     #[test]
     fn genetic_search_deterministic_per_seed() {
         let space = DesignSpace::exploration();
-        let a = genetic_search(&space, &GeneticConfig::default(), 9, objective);
-        let b = genetic_search(&space, &GeneticConfig::default(), 9, objective);
+        let a = genetic_search(&space, 9, objective);
+        let b = genetic_search(&space, 9, objective);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "population")]
-    fn degenerate_genetic_config_panics() {
-        let space = DesignSpace::exploration();
-        let cfg = GeneticConfig { population: 1, ..GeneticConfig::default() };
-        let _ = genetic_search(&space, &cfg, 1, objective);
     }
 
     #[test]

@@ -133,3 +133,34 @@ fn pareto_slice_allocates_four_bytes_per_admitted_design() {
          ({frontier} frontier designs)"
     );
 }
+
+#[test]
+fn entering_a_seen_span_path_is_allocation_free() {
+    // The simulation oracle opens one span per four-design bundle, on
+    // pool workers that adopt the dispatching span's path. Once the
+    // collector has seen a path, neither opening nor closing a span on
+    // it, nor adopting a parent path, may touch the heap. The first pass
+    // on each thread warms the collector's keys and the thread's path
+    // buffer.
+    let nested = || {
+        let _outer = udse_obs::span::enter("no_alloc_outer");
+        let _inner = udse_obs::span::enter("lanes");
+    };
+    nested();
+    udse_obs::alloc::assert_no_alloc("re-entering a seen span path", nested);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let adopted = || {
+                let _ctx = udse_obs::span::adopt("no_alloc_outer/dispatch");
+                let _inner = udse_obs::span::enter("lanes");
+            };
+            adopted();
+            udse_obs::alloc::assert_no_alloc("adopting a seen parent path", adopted);
+        });
+    });
+    let stats = udse_obs::span::global().snapshot();
+    for (path, count) in [("no_alloc_outer/lanes", 2), ("no_alloc_outer/dispatch/lanes", 2)] {
+        let (_, s) = stats.iter().find(|(p, _)| p == path).expect("span recorded");
+        assert_eq!(s.count, count, "{path}");
+    }
+}

@@ -78,11 +78,6 @@ impl Cholesky {
         let y = solve_lower(&self.l, b)?;
         solve_upper(&self.l.transpose(), &y)
     }
-
-    /// Log-determinant of `A`, computed as `2 * sum(log(diag(L)))`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -125,14 +120,6 @@ mod tests {
     fn non_square_rejected() {
         let a = Matrix::zeros(2, 3);
         assert!(matches!(Cholesky::new(&a), Err(LinalgError::DimensionMismatch { .. })));
-    }
-
-    #[test]
-    fn log_det_matches_known() {
-        // det([[4,2],[2,3]]) = 8.
-        let a = Matrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]);
-        let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.log_det() - 8.0f64.ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -231,11 +231,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry, or 0 for an empty matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
@@ -381,12 +376,6 @@ mod tests {
         let direct = a.tr_matvec(&v).unwrap();
         let via_t = a.transpose().matvec(&v).unwrap();
         assert_eq!(direct, via_t);
-    }
-
-    #[test]
-    fn frobenius_norm_known() {
-        let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -17,13 +17,18 @@
 //!
 //! # Threads
 //!
-//! Each thread keeps its own open-span stack, and every thread records
+//! Each thread keeps its own open-span path, and every thread records
 //! into the same global [`Collector`], so per-thread paths merge into one
-//! path table. A worker thread starts with an empty stack; [`adopt`]
+//! path table. A worker thread starts with an empty path; [`adopt`]
 //! seeds it with the spawning thread's path (captured via
 //! [`current_path`]) so work fanned out by the [`crate::pool`] work pool
 //! is attributed *under* the span that spawned it rather than appearing
 //! as a disconnected root.
+//!
+//! The open path is one thread-local string plus the end offset of each
+//! segment, so entering and dropping a span whose path the collector has
+//! already seen allocates nothing. Guards close innermost first, as
+//! scoped locals do.
 //!
 //! [`folded`] renders a collector snapshot in the folded-stack format
 //! (`a;b;c self_microseconds` per line) consumed by inferno /
@@ -47,8 +52,34 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+/// The spans open on one thread: their `/`-joined path and the end
+/// offset of each segment in it.
+struct OpenPath {
+    path: String,
+    ends: Vec<usize>,
+}
+
+impl OpenPath {
+    /// Appends one segment and returns the new depth.
+    fn push(&mut self, segment: &str) -> usize {
+        if !self.ends.is_empty() {
+            self.path.push('/');
+        }
+        self.path.push_str(segment);
+        self.ends.push(self.path.len());
+        self.ends.len()
+    }
+
+    /// Closes every segment past `depth`.
+    fn truncate(&mut self, depth: usize) {
+        self.ends.truncate(depth);
+        self.path.truncate(self.ends.last().copied().unwrap_or(0));
+    }
+}
+
 thread_local! {
-    static STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    static OPEN: RefCell<OpenPath> =
+        const { RefCell::new(OpenPath { path: String::new(), ends: Vec::new() }) };
 }
 
 /// Accumulated timing for one span path.
@@ -220,7 +251,8 @@ pub fn global() -> &'static Collector {
 #[derive(Debug)]
 #[must_use = "dropping the guard immediately records a ~zero-length span"]
 pub struct SpanGuard {
-    path: String,
+    /// Number of spans open on this thread, this one included.
+    depth: usize,
     start: Instant,
     /// Thread CPU time at enter, µs; `None` where the clock is absent.
     cpu_start_us: Option<u64>,
@@ -233,13 +265,9 @@ pub struct SpanGuard {
 /// Opens a span named `name` nested under the thread's currently open
 /// spans.
 pub fn enter(name: &str) -> SpanGuard {
-    let path = STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        stack.push(name.to_string());
-        stack.join("/")
-    });
+    let depth = OPEN.with(|open| open.borrow_mut().push(name));
     SpanGuard {
-        path,
+        depth,
         // Resource snapshots before the wall clock starts, so probe
         // cost (a clock read) lands outside the measured window.
         cpu_start_us: crate::cputime::thread_cpu_us(),
@@ -249,16 +277,12 @@ pub fn enter(name: &str) -> SpanGuard {
 }
 
 /// The `/`-joined path of the spans currently open on this thread, or
-/// `None` when the stack is empty. The work pool captures this on the
+/// `None` when no span is open. The work pool captures this on the
 /// spawning thread and hands it to [`adopt`] on each worker.
 pub fn current_path() -> Option<String> {
-    STACK.with(|stack| {
-        let stack = stack.borrow();
-        if stack.is_empty() {
-            None
-        } else {
-            Some(stack.join("/"))
-        }
+    OPEN.with(|open| {
+        let open = open.borrow();
+        (!open.ends.is_empty()).then(|| open.path.clone())
     })
 }
 
@@ -285,31 +309,27 @@ pub fn current_path() -> Option<String> {
 /// ```
 #[must_use = "dropping the guard immediately un-adopts the path"]
 pub fn adopt(parent_path: &str) -> AdoptGuard {
-    let depth = STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        let mut pushed = 0;
+    let depth = OPEN.with(|open| {
+        let mut open = open.borrow_mut();
+        let depth = open.ends.len();
         for segment in parent_path.split('/').filter(|s| !s.is_empty()) {
-            stack.push(segment.to_string());
-            pushed += 1;
+            open.push(segment);
         }
-        pushed
+        depth
     });
     AdoptGuard { depth }
 }
 
-/// Restores the thread's span stack when an [`adopt`]ed context ends.
+/// Restores the thread's open path when an [`adopt`]ed context ends.
 #[derive(Debug)]
 pub struct AdoptGuard {
+    /// Spans open on this thread before the adoption.
     depth: usize,
 }
 
 impl Drop for AdoptGuard {
     fn drop(&mut self) {
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let keep = stack.len().saturating_sub(self.depth);
-            stack.truncate(keep);
-        });
+        OPEN.with(|open| open.borrow_mut().truncate(self.depth));
     }
 }
 
@@ -349,8 +369,11 @@ pub fn folded(snapshot: &[(String, SpanStat)]) -> String {
 
 impl SpanGuard {
     /// The full `/`-joined path of this span.
-    pub fn path(&self) -> &str {
-        &self.path
+    pub fn path(&self) -> String {
+        OPEN.with(|open| {
+            let open = open.borrow();
+            open.path[..open.ends[self.depth - 1]].to_string()
+        })
     }
 }
 
@@ -367,12 +390,21 @@ impl Drop for SpanGuard {
             allocs: alloc_end.allocs - self.alloc_start.allocs,
             alloc_bytes: alloc_end.bytes - self.alloc_start.bytes,
         };
-        STACK.with(|stack| {
-            stack.borrow_mut().pop();
+        OPEN.with(|open| {
+            let mut open = open.borrow_mut();
+            // A guard dropped out of order, after an enclosing one, may
+            // find its segment already closed; it then records nothing.
+            if let Some(&end) = open.ends.get(self.depth - 1) {
+                let path = &open.path[..end];
+                global().record_resources(path, elapsed, res);
+                crate::trace::record_complete(path, elapsed);
+                // `fmt_duration` allocates, so format only when logged.
+                if crate::log::enabled(crate::Level::Trace) {
+                    crate::trace!("span", "{path} took {}", fmt_duration(elapsed.as_secs_f64()));
+                }
+            }
+            open.truncate(self.depth - 1);
         });
-        global().record_resources(&self.path, elapsed, res);
-        crate::trace::record_complete(&self.path, elapsed);
-        crate::trace!("span", "{} took {}", self.path, fmt_duration(elapsed.as_secs_f64()));
     }
 }
 

@@ -26,23 +26,10 @@ pub struct CvResult {
     pub median_ape: f64,
     /// Signed relative error `(obs - pred) / pred` of every held-out
     /// prediction, in fold order (rows with a zero prediction are
-    /// skipped). Feeds [`CvResult::to_quality`].
+    /// skipped), ready for [`udse_obs::QualityRecord::from_signed_errors`].
     pub signed_errors: Vec<f64>,
     /// Number of folds actually evaluated.
     pub folds: usize,
-}
-
-impl CvResult {
-    /// Summarizes the held-out error distribution as a model-quality
-    /// telemetry record under `key` (e.g. `crossval.knots4.bips`),
-    /// ready for [`udse_obs::quality::record`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if every held-out prediction was zero (no errors kept).
-    pub fn to_quality(&self, key: &str) -> udse_obs::QualityRecord {
-        udse_obs::QualityRecord::from_signed_errors(key, &self.signed_errors)
-    }
 }
 
 /// Runs `k`-fold cross-validation of `spec` on `(data, y)`.
@@ -186,7 +173,8 @@ mod tests {
         let spec = ModelSpec::new(ResponseTransform::Identity).with_term(TermSpec::Linear(0));
         let cv = k_fold_cv(&spec, &data, &y, 4, 3).unwrap();
         assert_eq!(cv.signed_errors.len(), 40, "every held-out row kept");
-        let q = cv.to_quality("crossval.test.linear");
+        let q =
+            udse_obs::QualityRecord::from_signed_errors("crossval.test.linear", &cv.signed_errors);
         assert_eq!(q.key, "crossval.test.linear");
         assert_eq!(q.n, 40);
         // Both use R type-7 quantiles over the same sample.

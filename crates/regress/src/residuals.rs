@@ -33,14 +33,6 @@ pub struct ResidualReport {
     pub spread_trend: f64,
 }
 
-impl ResidualReport {
-    /// Whether the residuals look approximately normal at the given
-    /// significance level (fails to reject the JB null).
-    pub fn looks_normal_at(&self, alpha: f64) -> bool {
-        self.jarque_bera_pvalue > alpha
-    }
-}
-
 /// Computes the residual report for a fitted model over a dataset.
 ///
 /// Residuals are taken on the *transformed* scale (`f(y) - f_hat`), where
@@ -153,7 +145,7 @@ mod tests {
         let r = residual_report(&model, &data, &y).unwrap();
         assert!(r.mean.abs() < 1e-8, "OLS residuals have zero mean");
         assert!(r.skewness.abs() < 0.4, "skewness {}", r.skewness);
-        assert!(r.looks_normal_at(0.01), "JB p-value {}", r.jarque_bera_pvalue);
+        assert!(r.jarque_bera_pvalue > 0.01, "JB p-value {}", r.jarque_bera_pvalue);
         assert!(r.spread_trend.abs() < 0.25);
     }
 
@@ -162,7 +154,7 @@ mod tests {
         let (model, data, y) = fit_world("skewed");
         let r = residual_report(&model, &data, &y).unwrap();
         assert!(r.skewness > 0.5, "skewness {}", r.skewness);
-        assert!(!r.looks_normal_at(0.01));
+        assert!(r.jarque_bera_pvalue <= 0.01, "JB p-value {}", r.jarque_bera_pvalue);
     }
 
     #[test]

@@ -38,6 +38,11 @@
 //! All per-run state lives in a reusable [`StreamScratch`], so
 //! steady-state runs are allocation-free (pinned by
 //! `tests/no_alloc_stream.rs`).
+//!
+//! In debug builds every run ends by checking its lanes against
+//! analytical throughput bounds (no resource beats its bandwidth; see
+//! `MeasuredOps::check`), so every simulation any dev-profile test
+//! makes is checked; release builds compile the check out.
 
 use crate::config::MachineConfig;
 use crate::engine::Simulator;
@@ -538,12 +543,65 @@ impl<'a> Lane<'a> {
         }
     }
 
-    fn finish(self, measured: u64) -> SimResult {
+    /// The activity of the `measured` instructions after the warmup.
+    fn measured_acts(&self, measured: u64) -> ActivityCounts {
         let mut acts = self.acts.since(&self.warmup_acts);
         acts.instructions = measured;
         acts.cycles = self.last_commit.saturating_sub(self.warmup_commit).max(1);
-        let power = PowerModel::new(self.cfg).evaluate(&acts);
-        SimResult::new(self.cfg, &acts, power, self.stalls.since(&self.warmup_stalls))
+        acts
+    }
+
+    fn finish(self, acts: &ActivityCounts) -> SimResult {
+        let power = PowerModel::new(self.cfg).evaluate(acts);
+        SimResult::new(self.cfg, acts, power, self.stalls.since(&self.warmup_stalls))
+    }
+}
+
+/// The work a measured region asks of each bounded resource, counted
+/// from the preflight's packed words rather than from any lane's own
+/// counters.
+#[cfg(debug_assertions)]
+struct MeasuredOps {
+    insts: u64,
+    /// Loads plus stores: both issue to the load/store units.
+    memory: u64,
+    fp: u64,
+    branches: u64,
+}
+
+#[cfg(debug_assertions)]
+impl MeasuredOps {
+    fn of(packed: &[u64]) -> Self {
+        use udse_trace::OpClass;
+        let mut by_class = [0u64; 8];
+        for &meta in packed {
+            by_class[(meta & 7) as usize] += 1;
+        }
+        MeasuredOps {
+            insts: packed.len() as u64,
+            memory: by_class[OpClass::Load as usize] + by_class[OpClass::Store as usize],
+            fp: by_class[OpClass::FloatingPoint as usize],
+            branches: by_class[OpClass::Branch as usize],
+        }
+    }
+
+    /// Asserts that a lane's cycles beat no single resource's bandwidth:
+    /// decode width, units per class, ROB entries (Little's law with a
+    /// one-cycle minimum latency), and `front_stages` of redirect per
+    /// mispredict; and that it mispredicted no more branches than it
+    /// looked up. Stall fields are not bounded: causes overlap, so a
+    /// stall field may exceed the cycles it cost (DESIGN.md §16).
+    fn check(&self, lane: &Lane<'_>, acts: &ActivityCounts) {
+        let cfg = lane.cfg;
+        let c = acts.cycles;
+        let units = u64::from(cfg.units_per_class);
+        assert!(c * u64::from(cfg.decode_width) >= self.insts, "decode bound: {cfg:?}");
+        assert!(c * units >= self.memory, "load/store unit bound: {cfg:?}");
+        assert!(c * units >= self.fp, "floating-point unit bound: {cfg:?}");
+        assert!(c * units >= self.branches, "branch unit bound: {cfg:?}");
+        assert!(c * u64::from(cfg.rob_entries) >= self.insts, "ROB bound: {cfg:?}");
+        assert!(c >= acts.mispredicts * lane.front_stages, "redirect bound: {cfg:?}");
+        assert!(acts.mispredicts <= self.branches, "more mispredicts than lookups: {cfg:?}");
     }
 }
 
@@ -640,7 +698,14 @@ pub fn run_streamed_lanes<const K: usize>(
     udse_obs::metrics::counter("sim.runs").add(K as u64);
     udse_obs::metrics::counter("sim.instructions").add((K * pre.len()) as u64);
     let measured = (pre.len() - warmup_insts) as u64;
-    lanes.map(|lane| lane.finish(measured))
+    #[cfg(debug_assertions)]
+    let ops = MeasuredOps::of(&pre.packed()[warmup_insts..]);
+    lanes.map(|lane| {
+        let acts = lane.measured_acts(measured);
+        #[cfg(debug_assertions)]
+        ops.check(&lane, &acts);
+        lane.finish(&acts)
+    })
 }
 
 impl Simulator {

@@ -82,16 +82,6 @@ impl Boxplot {
     pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
     }
-
-    /// Renders a one-line textual summary, convenient for the `repro`
-    /// harness output.
-    pub fn to_row(&self) -> String {
-        format!(
-            "min={:.4} whisk_lo={:.4} q1={:.4} med={:.4} q3={:.4} whisk_hi={:.4} max={:.4} outliers={}",
-            self.min, self.lower_whisker, self.q1, self.median, self.q3, self.upper_whisker,
-            self.max, self.outliers.len()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -142,12 +132,6 @@ mod tests {
         assert_eq!(bp.median, 3.5);
         assert_eq!(bp.n, 1);
         assert!(bp.outliers.is_empty());
-    }
-
-    #[test]
-    fn to_row_is_nonempty() {
-        let bp = Boxplot::from_samples(&[1.0, 2.0]);
-        assert!(bp.to_row().contains("med="));
     }
 
     #[test]

@@ -39,7 +39,6 @@ mod characterize;
 mod generator;
 mod locality;
 mod profile;
-mod serialize;
 mod trace_data;
 
 pub use benchmark::Benchmark;
@@ -48,5 +47,4 @@ pub use characterize::{characterize, CharacterReport, Deviation};
 pub use generator::TraceGenerator;
 pub use locality::ReuseStream;
 pub use profile::{InstructionMix, WorkloadProfile};
-pub use serialize::TraceIoError;
 pub use trace_data::{OpClass, Trace, TraceInst, TraceStats};

@@ -113,9 +113,9 @@ fi
 if [ -n "${baseline}" ]; then
     echo "==> scripts/bench.sh (regression gate vs ${baseline})"
     scripts/bench.sh target/bench-current.json
-    # Resource gates (hard failures, unlike the warn-only wall/gauge
-    # watches): the fixed seed makes allocation counts deterministic, so
-    # a rise beyond the band is a real code regression. alloc.bytes may
+    # Resource gates (hard failures, unlike the warn-only wall times):
+    # the fixed seed makes allocation counts deterministic, so a rise
+    # beyond the band is a real code regression. alloc.bytes may
     # double before failing (model-layer churn is legitimate);
     # sweep.allocs_per_design guards the fused sweep's allocation-free
     # inner loop — the 0.05 floor absorbs per-chunk bookkeeping noise
@@ -143,9 +143,12 @@ if [ -n "${baseline}" ]; then
     # when the stream memo is lost, so the 1,500 floor fails exactly
     # then, on any machine.
     #
-    # query.designs_per_sec is the query engine's scan throughput
-    # (admitted designs x benchmarks scanned per second); it warns on a
-    # >50% fall and on going missing entirely.
+    # Throughput gauges are not compared against the baseline: eight
+    # quick runs of one tree on a 2-vCPU host read query.designs_per_sec
+    # anywhere in 57.8-181.8M and sweep.designs_per_sec in 24.3-46.7M,
+    # so a relative watch cannot tell a real 2x drop from host noise.
+    # The floors above catch a collapse; the exact work counters below
+    # catch doing the wrong amount of work.
     #
     # resources.peak_bytes is the run's heap high-water mark, a hard
     # gate. Five scripts/bench.sh runs on a 2-vCPU host read 9,321,908 /
@@ -155,10 +158,8 @@ if [ -n "${baseline}" ]; then
     # redundant copies, each measured on a scratch copy: byte-per-outcome
     # streams put the peak at 15.0 MB (+61 %), and the per-event hash
     # columns alone at 11.1 MB (+20 %).
-    echo "==> udse-inspect diff ${baseline} target/bench-current.json --warn-wall --tol-gauge sweep.designs_per_sec:50 --tol-gauge query.designs_per_sec:50 --min-gauge sweep.designs_per_sec:5000000 --min-gauge sim.instructions_per_sec:15000000 --min-gauge sim.precompute.hits:1500 --tol-resource alloc.bytes:100 --tol-resource sweep.allocs_per_design:100:0.05 --tol-resource resources.peak_bytes:10"
+    echo "==> udse-inspect diff ${baseline} target/bench-current.json --warn-wall --min-gauge sweep.designs_per_sec:5000000 --min-gauge sim.instructions_per_sec:15000000 --min-gauge sim.precompute.hits:1500 --tol-resource alloc.bytes:100 --tol-resource sweep.allocs_per_design:100:0.05 --tol-resource resources.peak_bytes:10"
     ./target/release/udse-inspect diff "${baseline}" target/bench-current.json --warn-wall \
-        --tol-gauge sweep.designs_per_sec:50 \
-        --tol-gauge query.designs_per_sec:50 \
         --min-gauge sweep.designs_per_sec:5000000 \
         --min-gauge sim.instructions_per_sec:15000000 \
         --min-gauge sim.precompute.hits:1500 \
@@ -166,21 +167,32 @@ if [ -n "${baseline}" ]; then
         --tol-resource sweep.allocs_per_design:100:0.05 \
         --tol-resource resources.peak_bytes:10
 
-    # The query traffic itself is pinned exactly: query.executed counts
-    # every Engine::execute call the fixed-seed fig1/fig2/table2 run
-    # makes, and the studies' shapes fix it: fig1's 25 held-out designs
-    # x 9 benchmarks as point queries (225) plus table2's nine
-    # one-benchmark optima, 234 in all. A query that
-    # starts running a nested query behind the one it answers (as
-    # one-benchmark optima once did, nine extra per run) or a study that
-    # stops going through the engine moves it, on any machine.
-    executed=$(grep -oE '"query\.executed": [0-9]+' target/bench-current.json \
-        | grep -oE '[0-9]+$' || true)
-    echo "==> query.executed in target/bench-current.json: ${executed:-missing} (expected 234)"
-    if [ "${executed}" != 234 ]; then
-        echo "==> query.executed must read exactly 234" >&2
-        exit 1
-    fi
+    # The work itself is pinned exactly; the fixed-seed fig1/fig2/table2
+    # run's shapes fix each count, on any machine:
+    # - query.executed counts every Engine::execute call: fig1's 25
+    #   held-out designs x 9 benchmarks as point queries (225) plus
+    #   table2's nine one-benchmark optima, 234 in all. A query that
+    #   starts running a nested query behind the one it answers (as
+    #   one-benchmark optima once did, nine extra per run) or a study
+    #   that stops going through the engine moves it.
+    # - sweep.designs counts the designs the fused sweep predicts: one
+    #   strided pass over the exploration space (4,725). A second sweep
+    #   of the same space (the 9,450 in BENCH_39a53fd.json) doubles it.
+    # - sim.runs counts cycle simulations: fig1's 200 training + 25
+    #   validation designs x 9 benchmarks plus table2's nine simulated
+    #   optima, 2,034 (fig2 and table2 reuse the memoized training runs).
+    #   A lost memo hit or a study simulating twice moves it.
+    for pin in query.executed:234 sweep.designs:4725 sim.runs:2034; do
+        name=${pin%%:*}
+        expected=${pin##*:}
+        actual=$(grep -oE "\"${name//./\\.}\": [0-9]+" target/bench-current.json \
+            | grep -oE '[0-9]+$' || true)
+        echo "==> ${name} in target/bench-current.json: ${actual:-missing} (expected ${expected})"
+        if [ "${actual}" != "${expected}" ]; then
+            echo "==> ${name} must read exactly ${expected}" >&2
+            exit 1
+        fi
+    done
 else
     echo "==> no BENCH_*.json baseline; skipping regression gate (run scripts/bench.sh and commit the output)"
 fi

@@ -3,9 +3,7 @@
 
 use udse::core::model::PaperModels;
 use udse::core::oracle::SimOracle;
-use udse::core::search::{
-    genetic_search, random_restart_hill_climb, simulated_annealing, GeneticConfig,
-};
+use udse::core::search::{genetic_search, random_restart_hill_climb, simulated_annealing};
 use udse::core::space::DesignSpace;
 use udse::core::studies::strided_points;
 use udse::trace::Benchmark;
@@ -28,7 +26,7 @@ fn all_searchers_approach_the_strided_reference() {
 
     let hc = random_restart_hill_climb(&space, 16, 5, objective);
     let sa = simulated_annealing(&space, 25_000, reference.abs() * 0.2, 5, objective);
-    let ga = genetic_search(&space, &GeneticConfig::default(), 5, objective);
+    let ga = genetic_search(&space, 5, objective);
 
     for (name, r) in [("hillclimb", hc), ("anneal", sa), ("genetic", ga)] {
         assert!(

@@ -15,6 +15,10 @@
 //! Op counts come from the measured part of the trace. The per-cause
 //! stall fields are deliberately not bounded by lost cycles: causes
 //! overlap, so a stall field can exceed the cycles it cost (DESIGN.md).
+//!
+//! Debug builds also check these bounds at the end of every
+//! `run_streamed_lanes` call; this test keeps them in force in release
+//! test runs and pins the designs they are checked on.
 
 use udse::core::space::DesignSpace;
 use udse::sim::Simulator;

@@ -29,8 +29,15 @@ fn baseline_runs(ctx: &Context) -> Vec<SimResult> {
 
 /// §8: "for larger design spaces, we may apply the models in heuristic
 /// search instead of exhaustive prediction." Compares exhaustive
-/// prediction against hill climbing (20 restarts) and simulated
-/// annealing on the trained models' bips³/w surface.
+/// prediction against hill climbing (20 restarts), simulated annealing
+/// (30,000 steps) and genetic search (40 individuals for 30 generations)
+/// on the trained models' bips³/w surface.
+///
+/// Each heuristic gets two columns per benchmark: the best objective it
+/// found as a percentage of the exhaustive optimum (`hillclimb%`,
+/// `anneal%`, `genetic%`) and the objective evaluations it spent
+/// (`hc_evals`, `sa_evals`, `ga_evals`); `exhaustive_evals` is the
+/// (strided) space size the exhaustive reference scanned.
 pub fn search(ctx: &Context) -> String {
     let suite = ctx.suite();
     let engine = ctx.engine();

@@ -7,8 +7,10 @@
 //!   `result_version`) checked against [`QUERY_SCHEMA_VERSION`].
 //! - Serialization is canonical: the same value always produces the same
 //!   bytes, and serialize → parse → serialize is byte identity.
-//! - Parsing is strict: unknown or duplicate object keys are rejected at
-//!   every nesting level, so schema drift fails loudly instead of being
+//! - Parsing is strict: every object is read through
+//!   [`udse_obs::json::Fields`], the reader run manifests use too, so
+//!   unknown or duplicate keys and non-finite numbers are rejected at
+//!   every nesting level and schema drift fails loudly instead of being
 //!   silently ignored across a process boundary.
 //!
 //! Parsing is mildly lenient only where JSON itself is ambiguous: a
@@ -18,7 +20,9 @@
 //! Design points serialize as their seven group indices plus the FO4
 //! depth that disambiguates the paper space from the exploration space.
 
-use udse_obs::Json;
+use std::fmt::Display;
+
+use udse_obs::json::{Fields, Json};
 use udse_trace::Benchmark;
 
 use crate::oracle::Metrics;
@@ -29,44 +33,14 @@ use super::{Axis, Constraint, Objective, OptimumEntry, PredictedPoint, Query, Qu
 /// Query/result document layout version, bumped on incompatible changes.
 pub const QUERY_SCHEMA_VERSION: i64 = 1;
 
-/// Rejects objects with keys outside `allowed` (and duplicate keys), so
-/// wire documents with schema drift fail loudly.
-fn check_keys(doc: &Json, ctx: &str, allowed: &[&str]) -> Result<(), String> {
-    let Json::Obj(pairs) = doc else {
-        return Err(format!("{ctx}: expected an object"));
-    };
-    for (i, (k, _)) in pairs.iter().enumerate() {
-        if !allowed.contains(&k.as_str()) {
-            return Err(format!("{ctx}: unknown field `{k}`"));
-        }
-        if pairs[..i].iter().any(|(prev, _)| prev == k) {
-            return Err(format!("{ctx}: duplicate field `{k}`"));
-        }
-    }
-    Ok(())
-}
-
-fn check_version(doc: &Json, field: &str) -> Result<(), String> {
-    let version = doc
-        .get(field)
-        .and_then(Json::as_i64)
-        .ok_or_else(|| format!("missing {field} — not a query document"))?;
-    if version != QUERY_SCHEMA_VERSION {
-        return Err(format!(
-            "unsupported {field} {version} (this build reads {QUERY_SCHEMA_VERSION})"
-        ));
-    }
-    Ok(())
-}
-
 /// Reconstructs a design point from its serialized group indices and FO4
 /// depth. The depth value selects the space: the paper and exploration
 /// depth lists never agree at the same index (`9 + 3i` vs `12 + 3i`), so
 /// the reconstruction is unambiguous.
-fn point_from_parts(indices: [u8; 7], fo4: u32) -> Option<DesignPoint> {
+fn point_from_parts(indices: [u8; 7], fo4: u64) -> Option<DesignPoint> {
     for space in [DesignSpace::paper(), DesignSpace::exploration()] {
         if let Some(p) = space.point(indices) {
-            if p.fo4() == fo4 {
+            if u64::from(p.fo4()) == fo4 {
                 return Some(p);
             }
         }
@@ -82,111 +56,65 @@ fn point_to_json(p: &DesignPoint) -> Json {
     ])
 }
 
-fn point_from_json(doc: &Json, ctx: &str) -> Result<DesignPoint, String> {
-    check_keys(doc, ctx, &["idx", "fo4"])?;
-    let idx_arr = doc
-        .get("idx")
-        .and_then(Json::as_arr)
-        .filter(|a| a.len() == 7)
-        .ok_or_else(|| format!("{ctx}: idx must be a 7-element array"))?;
+fn point_from_json(doc: &Json, ctx: impl Display) -> Result<DesignPoint, String> {
+    let f = Fields::new(doc, &ctx, &["idx", "fo4"])?;
+    let idx_arr = f.arr("idx")?;
+    if idx_arr.len() != 7 {
+        return Err(format!("{ctx}: idx must be a 7-element array"));
+    }
     let mut idx = [0u8; 7];
     for (slot, v) in idx.iter_mut().zip(idx_arr) {
         *slot = v
             .as_i64()
-            .filter(|&v| (0..=u8::MAX as i64).contains(&v))
-            .ok_or_else(|| format!("{ctx}: non-integer group index"))? as u8;
+            .and_then(|v| u8::try_from(v).ok())
+            .ok_or_else(|| format!("{ctx}: non-integer group index"))?;
     }
-    let fo4 = doc
-        .get("fo4")
-        .and_then(Json::as_i64)
-        .filter(|&v| v >= 0)
-        .ok_or_else(|| format!("{ctx}: missing fo4"))? as u32;
+    let fo4 = f.u64("fo4")?;
     point_from_parts(idx, fo4)
         .ok_or_else(|| format!("{ctx}: indices {idx:?} with fo4 {fo4} fit no space"))
 }
 
 fn bench_to_json(b: Option<Benchmark>) -> Json {
-    match b {
-        Some(b) => Json::str(b.name()),
-        None => Json::Null,
-    }
+    b.map_or(Json::Null, |b| Json::str(b.name()))
 }
 
-fn bench_required(doc: &Json, ctx: &str) -> Result<Benchmark, String> {
-    let name =
-        doc.get("bench").and_then(Json::as_str).ok_or_else(|| format!("{ctx}: missing bench"))?;
+fn benchmark(name: &str, ctx: impl Display) -> Result<Benchmark, String> {
     name.parse().map_err(|_| format!("{ctx}: unknown benchmark `{name}`"))
 }
 
-fn bench_optional(doc: &Json, ctx: &str) -> Result<Option<Benchmark>, String> {
-    match doc.get("bench") {
-        Some(Json::Null) => Ok(None),
-        Some(Json::Str(name)) => {
-            name.parse().map(Some).map_err(|_| format!("{ctx}: unknown benchmark `{name}`"))
-        }
-        _ => Err(format!("{ctx}: bench must be a benchmark name or null")),
-    }
-}
-
-fn finite_f64(v: &Json, ctx: &str) -> Result<f64, String> {
-    v.as_f64().filter(|f| f.is_finite()).ok_or_else(|| format!("{ctx}: expected a finite number"))
-}
-
-fn opt_f64_to_json(v: Option<f64>) -> Json {
-    match v {
-        Some(f) => Json::Float(f),
-        None => Json::Null,
-    }
-}
-
-fn opt_f64_from_json(doc: &Json, key: &str, ctx: &str) -> Result<Option<f64>, String> {
-    match doc.get(key) {
-        Some(Json::Null) => Ok(None),
-        Some(v) => finite_f64(v, &format!("{ctx}.{key}")).map(Some),
-        None => Err(format!("{ctx}: missing {key} (use null for unbounded)")),
-    }
-}
-
-fn usize_field(doc: &Json, key: &str, ctx: &str) -> Result<usize, String> {
-    doc.get(key)
-        .and_then(Json::as_i64)
-        .filter(|&v| v >= 0)
-        .map(|v| v as usize)
-        .ok_or_else(|| format!("{ctx}: missing or negative {key}"))
-}
-
-fn constraint_to_json(c: &Constraint) -> Json {
-    Json::obj([
-        ("axis", Json::str(c.axis.name())),
-        ("min", opt_f64_to_json(c.min)),
-        ("max", opt_f64_to_json(c.max)),
-    ])
-}
-
-fn constraint_from_json(doc: &Json, ctx: &str) -> Result<Constraint, String> {
-    check_keys(doc, ctx, &["axis", "min", "max"])?;
-    let name =
-        doc.get("axis").and_then(Json::as_str).ok_or_else(|| format!("{ctx}: missing axis"))?;
-    let axis = Axis::by_name(name).ok_or_else(|| format!("{ctx}: unknown axis `{name}`"))?;
-    Ok(Constraint {
-        axis,
-        min: opt_f64_from_json(doc, "min", ctx)?,
-        max: opt_f64_from_json(doc, "max", ctx)?,
-    })
+fn axis(name: &str, ctx: impl Display) -> Result<Axis, String> {
+    Axis::by_name(name).ok_or_else(|| format!("{ctx}: unknown axis `{name}`"))
 }
 
 fn constraints_to_json(cs: &[Constraint]) -> Json {
-    Json::Arr(cs.iter().map(constraint_to_json).collect())
+    let bound = |v: Option<f64>| v.map_or(Json::Null, Json::Float);
+    Json::Arr(
+        cs.iter()
+            .map(|c| {
+                Json::obj([
+                    ("axis", Json::str(c.axis.name())),
+                    ("min", bound(c.min)),
+                    ("max", bound(c.max)),
+                ])
+            })
+            .collect(),
+    )
 }
 
-fn constraints_from_json(doc: &Json, ctx: &str) -> Result<Vec<Constraint>, String> {
-    let rows = doc
-        .get("constraints")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{ctx}: missing constraints array"))?;
-    rows.iter()
+fn constraint_from_json(doc: &Json, ctx: impl Display) -> Result<Constraint, String> {
+    let f = Fields::new(doc, &ctx, &["axis", "min", "max"])?;
+    Ok(Constraint {
+        axis: axis(f.str("axis")?, &ctx)?,
+        min: f.nullable("min", Fields::f64)?,
+        max: f.nullable("max", Fields::f64)?,
+    })
+}
+
+fn constraints_from_json(f: &Fields, ctx: impl Display) -> Result<Vec<Constraint>, String> {
+    f.arr("constraints")?
+        .iter()
         .enumerate()
-        .map(|(i, row)| constraint_from_json(row, &format!("{ctx}.constraints[{i}]")))
+        .map(|(i, row)| constraint_from_json(row, format_args!("{ctx}.constraints[{i}]")))
         .collect()
 }
 
@@ -200,23 +128,19 @@ fn objective_to_json(o: &Objective) -> Json {
     }
 }
 
-fn objective_from_json(doc: &Json, ctx: &str) -> Result<Objective, String> {
-    match doc.get("objective") {
-        Some(Json::Str(s)) if s == "efficiency" => Ok(Objective::Efficiency),
-        Some(obj @ Json::Obj(_)) => {
-            check_keys(obj, &format!("{ctx}.objective"), &["suite_relative"])?;
-            let refs = obj
-                .get("suite_relative")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("{ctx}.objective: missing suite_relative array"))?;
-            let refs = refs
-                .iter()
-                .enumerate()
-                .map(|(i, v)| finite_f64(v, &format!("{ctx}.objective.suite_relative[{i}]")))
-                .collect::<Result<Vec<f64>, String>>()?;
-            Ok(Objective::SuiteRelative(refs))
+fn objective_from_json(doc: &Json, ctx: impl Display) -> Result<Objective, String> {
+    match doc {
+        Json::Str(s) if s == "efficiency" => Ok(Objective::Efficiency),
+        Json::Obj(_) => {
+            let f = Fields::new(doc, &ctx, &["suite_relative"])?;
+            let refs = f.arr("suite_relative")?.iter().enumerate().map(|(i, v)| {
+                v.as_f64()
+                    .filter(|r| r.is_finite())
+                    .ok_or_else(|| format!("{ctx}.suite_relative[{i}]: expected a finite number"))
+            });
+            Ok(Objective::SuiteRelative(refs.collect::<Result<_, _>>()?))
         }
-        _ => Err(format!("{ctx}: objective must be \"efficiency\" or {{\"suite_relative\": […]}}")),
+        _ => Err(format!("{ctx}: expected \"efficiency\" or {{\"suite_relative\": […]}}")),
     }
 }
 
@@ -224,14 +148,9 @@ fn metrics_to_json(m: &Metrics) -> Json {
     Json::obj([("bips", Json::Float(m.bips)), ("watts", Json::Float(m.watts))])
 }
 
-fn metrics_from_json(doc: &Json, ctx: &str) -> Result<Metrics, String> {
-    check_keys(doc, ctx, &["bips", "watts"])?;
-    let field = |key: &str| {
-        doc.get(key)
-            .ok_or_else(|| format!("{ctx}: missing {key}"))
-            .and_then(|v| finite_f64(v, &format!("{ctx}.{key}")))
-    };
-    Ok(Metrics { bips: field("bips")?, watts: field("watts")? })
+fn metrics_from_json(doc: &Json, ctx: impl Display) -> Result<Metrics, String> {
+    let f = Fields::new(doc, &ctx, &["bips", "watts"])?;
+    Ok(Metrics { bips: f.f64("bips")?, watts: f.f64("watts")? })
 }
 
 fn row_to_json(row: &PredictedPoint) -> Json {
@@ -241,13 +160,11 @@ fn row_to_json(row: &PredictedPoint) -> Json {
     ])
 }
 
-fn row_from_json(doc: &Json, ctx: &str) -> Result<PredictedPoint, String> {
-    check_keys(doc, ctx, &["point", "predicted"])?;
-    let point = doc.get("point").ok_or_else(|| format!("{ctx}: missing point"))?;
-    let predicted = doc.get("predicted").ok_or_else(|| format!("{ctx}: missing predicted"))?;
+fn row_from_json(doc: &Json, ctx: impl Display) -> Result<PredictedPoint, String> {
+    let f = Fields::new(doc, &ctx, &["point", "predicted"])?;
     Ok(PredictedPoint {
-        point: point_from_json(point, &format!("{ctx}.point"))?,
-        predicted: metrics_from_json(predicted, &format!("{ctx}.predicted"))?,
+        point: point_from_json(f.get("point")?, format_args!("{ctx}.point"))?,
+        predicted: metrics_from_json(f.get("predicted")?, format_args!("{ctx}.predicted"))?,
     })
 }
 
@@ -255,72 +172,77 @@ fn rows_to_json(rows: &[PredictedPoint]) -> Json {
     Json::Arr(rows.iter().map(row_to_json).collect())
 }
 
-fn rows_from_json(doc: &Json, key: &str, ctx: &str) -> Result<Vec<PredictedPoint>, String> {
-    let rows =
-        doc.get(key).and_then(Json::as_arr).ok_or_else(|| format!("{ctx}: missing {key} array"))?;
-    rows.iter()
+fn rows_from_json(f: &Fields, key: &str, ctx: impl Display) -> Result<Vec<PredictedPoint>, String> {
+    f.arr(key)?
+        .iter()
         .enumerate()
-        .map(|(i, row)| row_from_json(row, &format!("{ctx}.{key}[{i}]")))
+        .map(|(i, row)| row_from_json(row, format_args!("{ctx}.{key}[{i}]")))
         .collect()
+}
+
+/// A document's version and type header, then its own fields.
+fn with_header(version_key: &str, ty: &str, fields: Vec<(&str, Json)>) -> Json {
+    Json::obj(
+        [(version_key, Json::Int(QUERY_SCHEMA_VERSION)), ("type", Json::str(ty))]
+            .into_iter()
+            .chain(fields),
+    )
 }
 
 impl Query {
     /// Serializes the query to its canonical versioned document. The same
     /// query always produces the same bytes.
     pub fn to_json(&self) -> Json {
-        let head = |ty: &str| {
-            vec![
-                ("query_version".to_string(), Json::Int(QUERY_SCHEMA_VERSION)),
-                ("type".to_string(), Json::str(ty)),
-            ]
+        let (ty, fields) = match self {
+            Query::Point { benchmark, point } => (
+                "point",
+                vec![("bench", Json::str(benchmark.name())), ("point", point_to_json(point))],
+            ),
+            Query::ConstrainedOptimum { benchmark, objective, constraints, stride } => (
+                "constrained_optimum",
+                vec![
+                    ("bench", bench_to_json(*benchmark)),
+                    ("objective", objective_to_json(objective)),
+                    ("constraints", constraints_to_json(constraints)),
+                    ("stride", Json::Int(*stride as i64)),
+                ],
+            ),
+            Query::ParetoSlice { benchmark, constraints, stride, bins } => (
+                "pareto_slice",
+                vec![
+                    ("bench", Json::str(benchmark.name())),
+                    ("constraints", constraints_to_json(constraints)),
+                    ("stride", Json::Int(*stride as i64)),
+                    ("bins", Json::Int(*bins as i64)),
+                ],
+            ),
+            Query::TopK { benchmark, constraints, stride, k } => (
+                "top_k",
+                vec![
+                    ("bench", Json::str(benchmark.name())),
+                    ("constraints", constraints_to_json(constraints)),
+                    ("stride", Json::Int(*stride as i64)),
+                    ("k", Json::Int(*k as i64)),
+                ],
+            ),
+            Query::WhatIf { benchmark, base, alternative } => (
+                "what_if",
+                vec![
+                    ("bench", Json::str(benchmark.name())),
+                    ("base", point_to_json(base)),
+                    ("alternative", point_to_json(alternative)),
+                ],
+            ),
+            Query::AxisSweep { benchmark, base, axis } => (
+                "axis_sweep",
+                vec![
+                    ("bench", Json::str(benchmark.name())),
+                    ("base", point_to_json(base)),
+                    ("axis", Json::str(axis.name())),
+                ],
+            ),
         };
-        let mut pairs = match self {
-            Query::Point { benchmark, point } => {
-                let mut p = head("point");
-                p.push(("bench".to_string(), Json::str(benchmark.name())));
-                p.push(("point".to_string(), point_to_json(point)));
-                p
-            }
-            Query::ConstrainedOptimum { benchmark, objective, constraints, stride } => {
-                let mut p = head("constrained_optimum");
-                p.push(("bench".to_string(), bench_to_json(*benchmark)));
-                p.push(("objective".to_string(), objective_to_json(objective)));
-                p.push(("constraints".to_string(), constraints_to_json(constraints)));
-                p.push(("stride".to_string(), Json::Int(*stride as i64)));
-                p
-            }
-            Query::ParetoSlice { benchmark, constraints, stride, bins } => {
-                let mut p = head("pareto_slice");
-                p.push(("bench".to_string(), Json::str(benchmark.name())));
-                p.push(("constraints".to_string(), constraints_to_json(constraints)));
-                p.push(("stride".to_string(), Json::Int(*stride as i64)));
-                p.push(("bins".to_string(), Json::Int(*bins as i64)));
-                p
-            }
-            Query::TopK { benchmark, constraints, stride, k } => {
-                let mut p = head("top_k");
-                p.push(("bench".to_string(), Json::str(benchmark.name())));
-                p.push(("constraints".to_string(), constraints_to_json(constraints)));
-                p.push(("stride".to_string(), Json::Int(*stride as i64)));
-                p.push(("k".to_string(), Json::Int(*k as i64)));
-                p
-            }
-            Query::WhatIf { benchmark, base, alternative } => {
-                let mut p = head("what_if");
-                p.push(("bench".to_string(), Json::str(benchmark.name())));
-                p.push(("base".to_string(), point_to_json(base)));
-                p.push(("alternative".to_string(), point_to_json(alternative)));
-                p
-            }
-            Query::AxisSweep { benchmark, base, axis } => {
-                let mut p = head("axis_sweep");
-                p.push(("bench".to_string(), Json::str(benchmark.name())));
-                p.push(("base".to_string(), point_to_json(base)));
-                p.push(("axis".to_string(), Json::str(axis.name())));
-                p
-            }
-        };
-        Json::Obj(std::mem::take(&mut pairs))
+        with_header("query_version", ty, fields)
     }
 
     /// Parses a query document.
@@ -328,8 +250,9 @@ impl Query {
     /// # Errors
     ///
     /// Fails on malformed JSON, an unsupported `query_version`, an
-    /// unknown `type`, unknown or duplicate fields at any level, unknown
-    /// benchmark/axis names, or points that fit neither design space.
+    /// unknown `type`, unknown or duplicate fields at any level,
+    /// non-finite numbers, unknown benchmark/axis names, or points that
+    /// fit neither design space.
     pub fn parse(text: &str) -> Result<Self, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json(&doc)
@@ -341,95 +264,71 @@ impl Query {
     ///
     /// Same conditions as [`Query::parse`].
     pub fn from_json(doc: &Json) -> Result<Self, String> {
-        check_version(doc, "query_version")?;
-        let ty = doc.get("type").and_then(Json::as_str).ok_or("missing query type")?;
-        match ty {
-            "point" => {
-                check_keys(doc, "point query", &["query_version", "type", "bench", "point"])?;
-                Ok(Query::Point {
-                    benchmark: bench_required(doc, "point query")?,
-                    point: point_from_json(
-                        doc.get("point").ok_or("point query: missing point")?,
-                        "point query.point",
-                    )?,
-                })
+        // The keys a document may hold depend on its type; a missing or
+        // unknown type admits only the header, which is read first.
+        let (ctx, keys): (&str, &[&str]) = match doc.get("type").and_then(Json::as_str) {
+            Some("point") => ("point query", &["query_version", "type", "bench", "point"]),
+            Some("constrained_optimum") => (
+                "constrained_optimum query",
+                &["query_version", "type", "bench", "objective", "constraints", "stride"],
+            ),
+            Some("pareto_slice") => (
+                "pareto_slice query",
+                &["query_version", "type", "bench", "constraints", "stride", "bins"],
+            ),
+            Some("top_k") => {
+                ("top_k query", &["query_version", "type", "bench", "constraints", "stride", "k"])
             }
-            "constrained_optimum" => {
-                let ctx = "constrained_optimum query";
-                check_keys(
-                    doc,
-                    ctx,
-                    &["query_version", "type", "bench", "objective", "constraints", "stride"],
-                )?;
-                Ok(Query::ConstrainedOptimum {
-                    benchmark: bench_optional(doc, ctx)?,
-                    objective: objective_from_json(doc, ctx)?,
-                    constraints: constraints_from_json(doc, ctx)?,
-                    stride: usize_field(doc, "stride", ctx)?,
-                })
+            Some("what_if") => {
+                ("what_if query", &["query_version", "type", "bench", "base", "alternative"])
             }
-            "pareto_slice" => {
-                let ctx = "pareto_slice query";
-                check_keys(
-                    doc,
-                    ctx,
-                    &["query_version", "type", "bench", "constraints", "stride", "bins"],
-                )?;
-                Ok(Query::ParetoSlice {
-                    benchmark: bench_required(doc, ctx)?,
-                    constraints: constraints_from_json(doc, ctx)?,
-                    stride: usize_field(doc, "stride", ctx)?,
-                    bins: usize_field(doc, "bins", ctx)?,
-                })
+            Some("axis_sweep") => {
+                ("axis_sweep query", &["query_version", "type", "bench", "base", "axis"])
             }
-            "top_k" => {
-                let ctx = "top_k query";
-                check_keys(
-                    doc,
-                    ctx,
-                    &["query_version", "type", "bench", "constraints", "stride", "k"],
-                )?;
-                Ok(Query::TopK {
-                    benchmark: bench_required(doc, ctx)?,
-                    constraints: constraints_from_json(doc, ctx)?,
-                    stride: usize_field(doc, "stride", ctx)?,
-                    k: usize_field(doc, "k", ctx)?,
-                })
-            }
-            "what_if" => {
-                let ctx = "what_if query";
-                check_keys(doc, ctx, &["query_version", "type", "bench", "base", "alternative"])?;
-                Ok(Query::WhatIf {
-                    benchmark: bench_required(doc, ctx)?,
-                    base: point_from_json(
-                        doc.get("base").ok_or("what_if query: missing base")?,
-                        "what_if query.base",
-                    )?,
-                    alternative: point_from_json(
-                        doc.get("alternative").ok_or("what_if query: missing alternative")?,
-                        "what_if query.alternative",
-                    )?,
-                })
-            }
-            "axis_sweep" => {
-                let ctx = "axis_sweep query";
-                check_keys(doc, ctx, &["query_version", "type", "bench", "base", "axis"])?;
-                let name = doc
-                    .get("axis")
-                    .and_then(Json::as_str)
-                    .ok_or("axis_sweep query: missing axis")?;
-                Ok(Query::AxisSweep {
-                    benchmark: bench_required(doc, ctx)?,
-                    base: point_from_json(
-                        doc.get("base").ok_or("axis_sweep query: missing base")?,
-                        "axis_sweep query.base",
-                    )?,
-                    axis: Axis::by_name(name)
-                        .ok_or_else(|| format!("axis_sweep query: unknown axis `{name}`"))?,
-                })
-            }
-            other => Err(format!("unknown query type `{other}`")),
-        }
+            _ => ("query", &["query_version", "type"]),
+        };
+        let f = Fields::new(doc, &ctx, keys)?;
+        f.version("query_version", QUERY_SCHEMA_VERSION)?;
+        let bench = || benchmark(f.str("bench")?, ctx);
+        let point = |key: &str| point_from_json(f.get(key)?, format_args!("{ctx}.{key}"));
+        Ok(match f.str("type")? {
+            "point" => Query::Point { benchmark: bench()?, point: point("point")? },
+            "constrained_optimum" => Query::ConstrainedOptimum {
+                benchmark: f
+                    .nullable("bench", Fields::str)?
+                    .map(|b| benchmark(b, ctx))
+                    .transpose()?,
+                objective: objective_from_json(
+                    f.get("objective")?,
+                    format_args!("{ctx}.objective"),
+                )?,
+                constraints: constraints_from_json(&f, ctx)?,
+                stride: f.u64("stride")? as usize,
+            },
+            "pareto_slice" => Query::ParetoSlice {
+                benchmark: bench()?,
+                constraints: constraints_from_json(&f, ctx)?,
+                stride: f.u64("stride")? as usize,
+                bins: f.u64("bins")? as usize,
+            },
+            "top_k" => Query::TopK {
+                benchmark: bench()?,
+                constraints: constraints_from_json(&f, ctx)?,
+                stride: f.u64("stride")? as usize,
+                k: f.u64("k")? as usize,
+            },
+            "what_if" => Query::WhatIf {
+                benchmark: bench()?,
+                base: point("base")?,
+                alternative: point("alternative")?,
+            },
+            "axis_sweep" => Query::AxisSweep {
+                benchmark: bench()?,
+                base: point("base")?,
+                axis: axis(f.str("axis")?, ctx)?,
+            },
+            other => return Err(format!("unknown query type `{other}`")),
+        })
     }
 }
 
@@ -437,38 +336,21 @@ fn entry_to_json(e: &OptimumEntry) -> Json {
     Json::obj([
         ("bench", bench_to_json(e.benchmark)),
         ("point", point_to_json(&e.point)),
-        (
-            "predicted",
-            match &e.predicted {
-                Some(m) => metrics_to_json(m),
-                None => Json::Null,
-            },
-        ),
+        ("predicted", e.predicted.as_ref().map_or(Json::Null, metrics_to_json)),
         ("score", Json::Float(e.score)),
     ])
 }
 
-fn entry_from_json(doc: &Json, ctx: &str) -> Result<OptimumEntry, String> {
-    check_keys(doc, ctx, &["bench", "point", "predicted", "score"])?;
-    let predicted = match doc.get("predicted") {
-        Some(Json::Null) => None,
-        Some(m) => Some(metrics_from_json(m, &format!("{ctx}.predicted"))?),
-        None => {
-            return Err(format!("{ctx}: missing predicted (use null for aggregate objectives)"))
-        }
-    };
-    let score = doc
-        .get("score")
-        .ok_or_else(|| format!("{ctx}: missing score"))
-        .and_then(|v| finite_f64(v, &format!("{ctx}.score")))?;
+fn entry_from_json(doc: &Json, ctx: impl Display) -> Result<OptimumEntry, String> {
+    let f = Fields::new(doc, &ctx, &["bench", "point", "predicted", "score"])?;
     Ok(OptimumEntry {
-        benchmark: bench_optional(doc, ctx)?,
-        point: point_from_json(
-            doc.get("point").ok_or_else(|| format!("{ctx}: missing point"))?,
-            &format!("{ctx}.point"),
-        )?,
-        predicted,
-        score,
+        benchmark: f.nullable("bench", Fields::str)?.map(|b| benchmark(b, &ctx)).transpose()?,
+        point: point_from_json(f.get("point")?, format_args!("{ctx}.point"))?,
+        predicted: match f.get("predicted")? {
+            Json::Null => None,
+            m => Some(metrics_from_json(m, format_args!("{ctx}.predicted"))?),
+        },
+        score: f.f64("score")?,
     })
 }
 
@@ -477,64 +359,49 @@ impl QueryResult {
     /// same result always produces the same bytes, so materialized
     /// results can be compared and cached by their serialization.
     pub fn to_json(&self) -> Json {
-        let head = |ty: &str| {
-            vec![
-                ("result_version".to_string(), Json::Int(QUERY_SCHEMA_VERSION)),
-                ("type".to_string(), Json::str(ty)),
-            ]
-        };
-        let mut pairs = match self {
+        let (ty, fields) = match self {
             QueryResult::Point { benchmark, row } => {
-                let mut p = head("point");
-                p.push(("bench".to_string(), Json::str(benchmark.name())));
-                p.push(("row".to_string(), row_to_json(row)));
-                p
+                ("point", vec![("bench", Json::str(benchmark.name())), ("row", row_to_json(row))])
             }
-            QueryResult::Optima { entries } => {
-                let mut p = head("optima");
-                p.push((
-                    "entries".to_string(),
-                    Json::Arr(entries.iter().map(entry_to_json).collect()),
-                ));
-                p
-            }
-            QueryResult::Frontier { benchmark, designs } => {
-                let mut p = head("frontier");
-                p.push(("bench".to_string(), Json::str(benchmark.name())));
-                p.push(("designs".to_string(), rows_to_json(designs)));
-                p
-            }
-            QueryResult::Ranking { benchmark, entries } => {
-                let mut p = head("ranking");
-                p.push(("bench".to_string(), Json::str(benchmark.name())));
-                p.push(("entries".to_string(), rows_to_json(entries)));
-                p
-            }
-            QueryResult::Delta { benchmark, base, alternative } => {
-                let mut p = head("delta");
-                p.push(("bench".to_string(), Json::str(benchmark.name())));
-                p.push(("base".to_string(), row_to_json(base)));
-                p.push(("alternative".to_string(), row_to_json(alternative)));
-                // Derived, recomputed on every serialization from the
-                // stored rows, so parse → serialize stays byte-identical.
-                p.push((
-                    "delta".to_string(),
-                    Json::obj([
-                        ("bips", Json::Float(alternative.predicted.bips - base.predicted.bips)),
-                        ("watts", Json::Float(alternative.predicted.watts - base.predicted.watts)),
-                    ]),
-                ));
-                p
-            }
-            QueryResult::Sweep { benchmark, axis, rows } => {
-                let mut p = head("sweep");
-                p.push(("bench".to_string(), Json::str(benchmark.name())));
-                p.push(("axis".to_string(), Json::str(axis.name())));
-                p.push(("rows".to_string(), rows_to_json(rows)));
-                p
-            }
+            QueryResult::Optima { entries } => (
+                "optima",
+                vec![("entries", Json::Arr(entries.iter().map(entry_to_json).collect()))],
+            ),
+            QueryResult::Frontier { benchmark, designs } => (
+                "frontier",
+                vec![("bench", Json::str(benchmark.name())), ("designs", rows_to_json(designs))],
+            ),
+            QueryResult::Ranking { benchmark, entries } => (
+                "ranking",
+                vec![("bench", Json::str(benchmark.name())), ("entries", rows_to_json(entries))],
+            ),
+            QueryResult::Delta { benchmark, base, alternative } => (
+                "delta",
+                vec![
+                    ("bench", Json::str(benchmark.name())),
+                    ("base", row_to_json(base)),
+                    ("alternative", row_to_json(alternative)),
+                    // Derived, recomputed on every serialization from the
+                    // stored rows, so parse → serialize stays byte-identical.
+                    (
+                        "delta",
+                        metrics_to_json(&Metrics {
+                            bips: alternative.predicted.bips - base.predicted.bips,
+                            watts: alternative.predicted.watts - base.predicted.watts,
+                        }),
+                    ),
+                ],
+            ),
+            QueryResult::Sweep { benchmark, axis, rows } => (
+                "sweep",
+                vec![
+                    ("bench", Json::str(benchmark.name())),
+                    ("axis", Json::str(axis.name())),
+                    ("rows", rows_to_json(rows)),
+                ],
+            ),
         };
-        Json::Obj(std::mem::take(&mut pairs))
+        with_header("result_version", ty, fields)
     }
 
     /// Parses a result document.
@@ -542,7 +409,8 @@ impl QueryResult {
     /// # Errors
     ///
     /// Fails on malformed JSON, an unsupported `result_version`, an
-    /// unknown `type`, or unknown/duplicate fields at any level.
+    /// unknown `type`, unknown/duplicate fields at any level, or
+    /// non-finite numbers.
     pub fn parse(text: &str) -> Result<Self, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json(&doc)
@@ -554,89 +422,59 @@ impl QueryResult {
     ///
     /// Same conditions as [`QueryResult::parse`].
     pub fn from_json(doc: &Json) -> Result<Self, String> {
-        check_version(doc, "result_version")?;
-        let ty = doc.get("type").and_then(Json::as_str).ok_or("missing result type")?;
-        match ty {
-            "point" => {
-                check_keys(doc, "point result", &["result_version", "type", "bench", "row"])?;
-                Ok(QueryResult::Point {
-                    benchmark: bench_required(doc, "point result")?,
-                    row: row_from_json(
-                        doc.get("row").ok_or("point result: missing row")?,
-                        "point result.row",
-                    )?,
-                })
+        let (ctx, keys): (&str, &[&str]) = match doc.get("type").and_then(Json::as_str) {
+            Some("point") => ("point result", &["result_version", "type", "bench", "row"]),
+            Some("optima") => ("optima result", &["result_version", "type", "entries"]),
+            Some("frontier") => {
+                ("frontier result", &["result_version", "type", "bench", "designs"])
             }
-            "optima" => {
-                check_keys(doc, "optima result", &["result_version", "type", "entries"])?;
-                let rows = doc
-                    .get("entries")
-                    .and_then(Json::as_arr)
-                    .ok_or("optima result: missing entries array")?;
-                Ok(QueryResult::Optima {
-                    entries: rows
-                        .iter()
-                        .enumerate()
-                        .map(|(i, row)| {
-                            entry_from_json(row, &format!("optima result.entries[{i}]"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                })
-            }
-            "frontier" => {
-                let ctx = "frontier result";
-                check_keys(doc, ctx, &["result_version", "type", "bench", "designs"])?;
-                Ok(QueryResult::Frontier {
-                    benchmark: bench_required(doc, ctx)?,
-                    designs: rows_from_json(doc, "designs", ctx)?,
-                })
-            }
-            "ranking" => {
-                let ctx = "ranking result";
-                check_keys(doc, ctx, &["result_version", "type", "bench", "entries"])?;
-                Ok(QueryResult::Ranking {
-                    benchmark: bench_required(doc, ctx)?,
-                    entries: rows_from_json(doc, "entries", ctx)?,
-                })
-            }
+            Some("ranking") => ("ranking result", &["result_version", "type", "bench", "entries"]),
+            Some("delta") => (
+                "delta result",
+                &["result_version", "type", "bench", "base", "alternative", "delta"],
+            ),
+            Some("sweep") => ("sweep result", &["result_version", "type", "bench", "axis", "rows"]),
+            _ => ("result", &["result_version", "type"]),
+        };
+        let f = Fields::new(doc, &ctx, keys)?;
+        f.version("result_version", QUERY_SCHEMA_VERSION)?;
+        let bench = || benchmark(f.str("bench")?, ctx);
+        let row = |key: &str| row_from_json(f.get(key)?, format_args!("{ctx}.{key}"));
+        Ok(match f.str("type")? {
+            "point" => QueryResult::Point { benchmark: bench()?, row: row("row")? },
+            "optima" => QueryResult::Optima {
+                entries: f
+                    .arr("entries")?
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| entry_from_json(e, format_args!("{ctx}.entries[{i}]")))
+                    .collect::<Result<_, _>>()?,
+            },
+            "frontier" => QueryResult::Frontier {
+                benchmark: bench()?,
+                designs: rows_from_json(&f, "designs", ctx)?,
+            },
+            "ranking" => QueryResult::Ranking {
+                benchmark: bench()?,
+                entries: rows_from_json(&f, "entries", ctx)?,
+            },
             "delta" => {
-                let ctx = "delta result";
-                check_keys(
-                    doc,
-                    ctx,
-                    &["result_version", "type", "bench", "base", "alternative", "delta"],
-                )?;
-                // `delta` is derived from the rows; validate its shape if
-                // present but take the stored rows as the truth.
-                if let Some(d) = doc.get("delta") {
-                    metrics_from_json(d, "delta result.delta")?;
+                // `delta` is derived from the rows; its shape is checked,
+                // but the stored rows are the truth.
+                metrics_from_json(f.get("delta")?, format_args!("{ctx}.delta"))?;
+                QueryResult::Delta {
+                    benchmark: bench()?,
+                    base: row("base")?,
+                    alternative: row("alternative")?,
                 }
-                Ok(QueryResult::Delta {
-                    benchmark: bench_required(doc, ctx)?,
-                    base: row_from_json(
-                        doc.get("base").ok_or("delta result: missing base")?,
-                        "delta result.base",
-                    )?,
-                    alternative: row_from_json(
-                        doc.get("alternative").ok_or("delta result: missing alternative")?,
-                        "delta result.alternative",
-                    )?,
-                })
             }
-            "sweep" => {
-                let ctx = "sweep result";
-                check_keys(doc, ctx, &["result_version", "type", "bench", "axis", "rows"])?;
-                let name =
-                    doc.get("axis").and_then(Json::as_str).ok_or("sweep result: missing axis")?;
-                Ok(QueryResult::Sweep {
-                    benchmark: bench_required(doc, ctx)?,
-                    axis: Axis::by_name(name)
-                        .ok_or_else(|| format!("sweep result: unknown axis `{name}`"))?,
-                    rows: rows_from_json(doc, "rows", ctx)?,
-                })
-            }
-            other => Err(format!("unknown result type `{other}`")),
-        }
+            "sweep" => QueryResult::Sweep {
+                benchmark: bench()?,
+                axis: axis(f.str("axis")?, ctx)?,
+                rows: rows_from_json(&f, "rows", ctx)?,
+            },
+            other => return Err(format!("unknown result type `{other}`")),
+        })
     }
 }
 
@@ -752,6 +590,18 @@ mod tests {
             "objective": "efficiency",
             "constraints": [{"axis": "l3_kb", "min": null, "max": 1.0}], "stride": 1}"#;
         assert!(Query::parse(bad_axis).unwrap_err().contains("unknown axis"));
+        let dup_in_point = r#"{"query_version": 1, "type": "point", "bench": "ammp",
+            "point": {"idx": [0,0,0,0,0,0,0], "fo4": 9, "fo4": 12}}"#;
+        assert!(Query::parse(dup_in_point).unwrap_err().contains("duplicate field `fo4`"));
+        let dup_in_constraint = r#"{"query_version": 1, "type": "constrained_optimum",
+            "bench": null, "objective": "efficiency",
+            "constraints": [{"axis": "dl1_kb", "min": null, "max": 64.0, "max": 8.0}],
+            "stride": 1}"#;
+        assert!(Query::parse(dup_in_constraint).unwrap_err().contains("duplicate field `max`"));
+        let overflowing_bound = r#"{"query_version": 1, "type": "constrained_optimum",
+            "bench": null, "objective": "efficiency",
+            "constraints": [{"axis": "dl1_kb", "min": null, "max": 1e999}], "stride": 1}"#;
+        assert!(Query::parse(overflowing_bound).unwrap_err().contains("finite number"));
     }
 
     #[test]
@@ -768,6 +618,9 @@ mod tests {
         }
         let bad = Json::parse(r#"{"idx": [0,0,0,0,0,0,0], "fo4": 10}"#).unwrap();
         assert!(point_from_json(&bad, "point").unwrap_err().contains("fit no space"));
+        // 2^32 + 9 must not wrap around to the paper space's 9 FO4.
+        let wrapped = Json::parse(r#"{"idx": [0,0,0,0,0,0,0], "fo4": 4294967305}"#).unwrap();
+        assert!(point_from_json(&wrapped, "point").unwrap_err().contains("fit no space"));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! - [`Query`] — a closed vocabulary of design-space questions (point
 //!   prediction, constrained optimum, Pareto slice, top-K ranking,
 //!   what-if delta, 1-D axis sweep) with a canonical, versioned JSON
-//!   serialization (see [`json`]) that doubles as the wire format for
-//!   the planned `udse-serve` daemon.
+//!   serialization ([`Query::to_json`], [`Query::parse`]) that doubles as
+//!   the wire format for the planned `udse-serve` daemon.
 //! - [`Engine`] — owns the suite compiled into one
 //!   [`crate::model::SuiteLanes`] kernel, the memoized full-space
 //!   characterization, constrained scans that visit only the designs a
@@ -188,7 +188,8 @@ pub enum Objective {
 }
 
 /// A design-space question the [`Engine`] can answer. Serializes to the
-/// canonical versioned JSON wire format (see [`json`]).
+/// canonical versioned JSON wire format (see [`Query::to_json`] and
+/// [`Query::parse`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
     /// Predicted `(bips, watts)` at one design point.

@@ -1,17 +1,25 @@
-//! Minimal JSON value, writer, and parser.
+//! Minimal JSON value, writer, parser, and strict field reader.
 //!
-//! The build runs offline with no access to serde, so manifests are
-//! serialized by hand. [`Json`] keeps integers and floats distinct
-//! (counters must round-trip exactly) and objects as insertion-ordered
-//! key/value vectors so emitted manifests are stable and diffable. The
-//! parser exists mainly so tests can round-trip what the writer emits;
-//! it accepts standard JSON minus the corners the writer never produces
+//! The build runs offline with no access to serde, so every wire format
+//! in the workspace (run manifests and query documents) is serialized by
+//! hand. [`Json`] keeps integers and floats distinct (counters must
+//! round-trip exactly) and objects as insertion-ordered key/value
+//! vectors so emitted documents are stable and diffable. The parser
+//! accepts standard JSON minus the corners the writer never produces
 //! (`\u` escapes beyond the BMP are passed through unvalidated).
+//!
+//! [`Fields`] is the one reader for fixed-schema objects in both wire
+//! formats, and it holds their single strictness rule: an unknown or
+//! duplicate key is an error, every field is required (a `null` is
+//! accepted only where the reader asks for [`Fields::nullable`]), and a
+//! float must be finite (the parser reads `1e999` as infinity, which no
+//! writer emits). Objects keyed by data (a manifest's config, metrics,
+//! spans and quality maps) stay plain [`Json`] objects.
 //!
 //! # Examples
 //!
 //! ```
-//! use udse_obs::Json;
+//! use udse_obs::json::{Fields, Json};
 //!
 //! let doc = Json::obj([
 //!     ("tool", Json::str("repro")),
@@ -19,10 +27,12 @@
 //! ]);
 //! let text = doc.to_string_pretty();
 //! let back = Json::parse(&text).unwrap();
-//! assert_eq!(back.get("designs").and_then(Json::as_i64), Some(262_500));
+//! let f = Fields::new(&back, &"run", &["tool", "designs"]).unwrap();
+//! assert_eq!(f.u64("designs"), Ok(262_500));
+//! assert!(Fields::new(&back, &"run", &["tool"]).is_err(), "`designs` is unknown");
 //! ```
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,6 +159,8 @@ impl Json {
 
     /// Parses a JSON document, requiring it to span the whole input.
     /// Arrays and objects may nest at most `MAX_DEPTH` (64) levels deep.
+    /// The input length is not limited: the parsed value's memory is
+    /// linear in `text`, which the caller already holds whole.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
@@ -429,6 +441,118 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         text.parse::<i64>()
             .map(Json::Int)
             .map_err(|_| ParseError { pos: start, what: "integer out of range" })
+    }
+}
+
+/// Strict, required-field access to one fixed-schema object.
+///
+/// [`Fields::new`] checks the object's keys once against the schema;
+/// each accessor then reads one required field and returns an error
+/// naming `ctx.key` when it is missing or has the wrong type. The
+/// context is any [`Display`](fmt::Display) (a `format_args!` chain such
+/// as `"{ctx}.rows[{i}]"` works), so it is formatted only on error.
+pub struct Fields<'a> {
+    pairs: &'a [(String, Json)],
+    ctx: &'a dyn fmt::Display,
+}
+
+impl<'a> Fields<'a> {
+    /// Wraps `doc`, which must be an object whose keys are all in `keys`,
+    /// each at most once; `ctx` names the object in errors.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a non-object, an unknown key, or a duplicate key.
+    pub fn new(doc: &'a Json, ctx: &'a dyn fmt::Display, keys: &[&str]) -> Result<Self, String> {
+        let Json::Obj(pairs) = doc else {
+            return Err(format!("{ctx}: expected an object"));
+        };
+        for (i, (k, _)) in pairs.iter().enumerate() {
+            if !keys.contains(&k.as_str()) {
+                return Err(format!("{ctx}: unknown field `{k}`"));
+            }
+            if pairs[..i].iter().any(|(prev, _)| prev == k) {
+                return Err(format!("{ctx}: duplicate field `{k}`"));
+            }
+        }
+        Ok(Fields { pairs, ctx })
+    }
+
+    /// The raw value of a required field of any type.
+    pub fn get(&self, key: &str) -> Result<&'a Json, String> {
+        match self.pairs.iter().find(|(k, _)| k == key) {
+            Some((_, v)) => Ok(v),
+            None => Err(format!("{}: missing {key}", self.ctx)),
+        }
+    }
+
+    fn typed<T>(
+        &self,
+        key: &str,
+        what: &str,
+        read: impl Fn(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        read(self.get(key)?).ok_or_else(|| format!("{}.{key}: expected {what}", self.ctx))
+    }
+
+    /// A finite number; an integer reads as its float value.
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        self.typed(key, "a finite number", |v| v.as_f64().filter(|f| f.is_finite()))
+    }
+
+    /// A non-negative integer.
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.typed(key, "a non-negative integer", |v| v.as_i64().filter(|&n| n >= 0))
+            .map(|n| n as u64)
+    }
+
+    /// A boolean.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.typed(key, "a boolean", Json::as_bool)
+    }
+
+    /// A string.
+    pub fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.typed(key, "a string", Json::as_str)
+    }
+
+    /// An array.
+    pub fn arr(&self, key: &str) -> Result<&'a [Json], String> {
+        self.typed(key, "an array", Json::as_arr)
+    }
+
+    /// An object's key/value pairs, for maps keyed by data.
+    pub fn obj(&self, key: &str) -> Result<&'a [(String, Json)], String> {
+        self.typed(key, "an object", |v| match v {
+            Json::Obj(pairs) => Some(pairs.as_slice()),
+            _ => None,
+        })
+    }
+
+    /// A field that must be present but may be `null` ("not measured",
+    /// "unbounded"); any other value is read with `read`.
+    pub fn nullable<T>(
+        &self,
+        key: &str,
+        read: fn(&Self, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key)? {
+            Json::Null => Ok(None),
+            _ => read(self, key).map(Some),
+        }
+    }
+
+    /// Checks a document's layout version field against the one this
+    /// build reads.
+    pub fn version(&self, key: &str, expected: i64) -> Result<(), String> {
+        let version = self.typed(key, "an integer", Json::as_i64)?;
+        if version != expected {
+            return Err(format!(
+                "{}: unsupported {key} {version} (this build reads {expected})",
+                self.ctx
+            ));
+        }
+        Ok(())
     }
 }
 

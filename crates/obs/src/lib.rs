@@ -37,8 +37,8 @@
 //! - [`quality`] — model-quality telemetry: per-benchmark and pooled
 //!   prediction-error quantiles, signed bias, and R² accumulated in a
 //!   global [`quality::Collector`] and persisted in the manifest;
-//! - [`trace`] — an opt-in ([`trace::enable`], `repro --trace`) buffer
-//!   of discrete span events, written as Chrome `trace_event` JSON
+//! - [`trace`](mod@trace) — an opt-in ([`trace::enable`], `repro --trace`)
+//!   buffer of discrete span events, written as Chrome `trace_event` JSON
 //!   (Perfetto-loadable).
 //!
 //! # Conventions

@@ -21,7 +21,7 @@
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::json::Json;
+use crate::json::{Fields, Json};
 use crate::metrics::MetricValue;
 use crate::quality::QualityRecord;
 use crate::{metrics, quality, span};
@@ -100,9 +100,21 @@ impl ResourceTotals {
     ///
     /// # Errors
     ///
-    /// Names the first missing or mistyped field.
+    /// Names the first missing, mistyped, unknown or duplicate field.
     pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let f = Fields::of(doc, "resources")?;
+        let f = Fields::new(
+            doc,
+            &"resources",
+            &[
+                "alloc_counting",
+                "allocs",
+                "deallocs",
+                "alloc_bytes",
+                "peak_bytes",
+                "peak_rss_kb",
+                "cpu_seconds",
+            ],
+        )?;
         Ok(ResourceTotals {
             alloc_counting: f.bool("alloc_counting")?,
             allocs: f.u64("allocs")?,
@@ -266,77 +278,6 @@ fn metric_to_json(value: &MetricValue) -> Json {
     }
 }
 
-/// Required-field access to one object of a manifest document: every
-/// accessor fails, naming the object and field, when the field is
-/// missing or has the wrong type.
-pub(crate) struct Fields<'a> {
-    doc: &'a Json,
-    ctx: &'a str,
-}
-
-impl<'a> Fields<'a> {
-    /// Wraps `doc`, which must be an object; `ctx` names it in errors.
-    pub(crate) fn of(doc: &'a Json, ctx: &'a str) -> Result<Self, String> {
-        match doc {
-            Json::Obj(_) => Ok(Fields { doc, ctx }),
-            _ => Err(format!("{ctx}: expected an object")),
-        }
-    }
-
-    fn get(&self, key: &str) -> Result<&'a Json, String> {
-        self.doc.get(key).ok_or_else(|| format!("{}: missing {key}", self.ctx))
-    }
-
-    fn typed<T>(
-        &self,
-        key: &str,
-        what: &str,
-        f: impl Fn(&'a Json) -> Option<T>,
-    ) -> Result<T, String> {
-        f(self.get(key)?).ok_or_else(|| format!("{}.{key}: expected {what}", self.ctx))
-    }
-
-    pub(crate) fn f64(&self, key: &str) -> Result<f64, String> {
-        self.typed(key, "a number", Json::as_f64)
-    }
-
-    pub(crate) fn u64(&self, key: &str) -> Result<u64, String> {
-        self.typed(key, "a non-negative integer", |v| v.as_i64().filter(|&n| n >= 0))
-            .map(|n| n as u64)
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, String> {
-        self.typed(key, "a boolean", Json::as_bool)
-    }
-
-    fn str(&self, key: &str) -> Result<&'a str, String> {
-        self.typed(key, "a string", Json::as_str)
-    }
-
-    fn arr(&self, key: &str) -> Result<&'a [Json], String> {
-        self.typed(key, "an array", Json::as_arr)
-    }
-
-    fn obj(&self, key: &str) -> Result<&'a [(String, Json)], String> {
-        self.typed(key, "an object", |v| match v {
-            Json::Obj(pairs) => Some(pairs.as_slice()),
-            _ => None,
-        })
-    }
-
-    /// A field that must be present but may be `null` ("not measured").
-    pub(crate) fn nullable<T>(
-        &self,
-        key: &str,
-        read: fn(&Self, &str) -> Result<T, String>,
-    ) -> Result<Option<T>, String> {
-        match self.get(key)? {
-            Json::Null => Ok(None),
-            _ => read(self, key).map(Some),
-        }
-    }
-}
-
 /// Aggregated timing of one span path, as stored in a manifest.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpanTotal {
@@ -357,9 +298,9 @@ pub struct SpanTotal {
 }
 
 /// A manifest read back from disk. Only the layout this build writes
-/// ([`SCHEMA_VERSION`]) is accepted, and every field the writer emits
-/// is required: a missing or mistyped field is an error, never a
-/// default.
+/// ([`SCHEMA_VERSION`]) is accepted, and every fixed-schema object is
+/// read through [`Fields`]: a missing, mistyped, unknown or duplicate
+/// field, or a non-finite number, is an error, never a default.
 #[derive(Debug, Clone)]
 pub struct ParsedManifest {
     /// The document's declared layout version.
@@ -402,7 +343,8 @@ impl ParsedManifest {
     /// # Errors
     ///
     /// Fails on malformed JSON, a schema version other than
-    /// [`SCHEMA_VERSION`], or a missing or mistyped field.
+    /// [`SCHEMA_VERSION`], or a missing, mistyped, unknown or duplicate
+    /// field.
     pub fn parse(text: &str) -> Result<Self, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
         Self::from_json(&doc)
@@ -414,16 +356,23 @@ impl ParsedManifest {
     ///
     /// Same conditions as [`ParsedManifest::parse`].
     pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_i64)
-            .ok_or("missing schema_version — not a run manifest")?;
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported schema_version {version} (this build reads {SCHEMA_VERSION})"
-            ));
-        }
-        let f = Fields::of(doc, "manifest")?;
+        let f = Fields::new(
+            doc,
+            &"manifest",
+            &[
+                "schema_version",
+                "tool",
+                "created_unix_ms",
+                "command",
+                "config",
+                "artifacts",
+                "metrics",
+                "spans",
+                "quality",
+                "resources",
+            ],
+        )?;
+        f.version("schema_version", SCHEMA_VERSION)?;
         for (i, arg) in f.arr("command")?.iter().enumerate() {
             arg.as_str().ok_or_else(|| format!("command[{i}]: expected a string"))?;
         }
@@ -432,8 +381,8 @@ impl ParsedManifest {
             .iter()
             .enumerate()
             .map(|(i, a)| {
-                let ctx = format!("artifacts[{i}]");
-                let a = Fields::of(a, &ctx)?;
+                let ctx = format_args!("artifacts[{i}]");
+                let a = Fields::new(a, &ctx, &["name", "wall_seconds"])?;
                 Ok(ArtifactRecord {
                     name: a.str("name")?.to_string(),
                     wall_seconds: a.f64("wall_seconds")?,
@@ -444,8 +393,19 @@ impl ParsedManifest {
             .obj("spans")?
             .iter()
             .map(|(path, s)| {
-                let ctx = format!("spans.{path}");
-                let s = Fields::of(s, &ctx)?;
+                let ctx = format_args!("spans.{path}");
+                let s = Fields::new(
+                    s,
+                    &ctx,
+                    &[
+                        "count",
+                        "total_seconds",
+                        "max_seconds",
+                        "cpu_seconds",
+                        "allocs",
+                        "alloc_bytes",
+                    ],
+                )?;
                 let total = SpanTotal {
                     count: s.u64("count")?,
                     total_seconds: s.f64("total_seconds")?,
@@ -463,9 +423,9 @@ impl ParsedManifest {
             .map(|(key, rec)| QualityRecord::from_json(key, rec))
             .collect::<Result<_, String>>()?;
         Ok(ParsedManifest {
-            schema_version: version,
+            schema_version: SCHEMA_VERSION,
             tool: f.str("tool")?.to_string(),
-            created_unix_ms: f.typed("created_unix_ms", "an integer", Json::as_i64)?,
+            created_unix_ms: f.u64("created_unix_ms")? as i64,
             config: f.obj("config")?.to_vec(),
             artifacts,
             metrics: f.obj("metrics")?.to_vec(),
@@ -718,24 +678,37 @@ mod tests {
         m.record_artifact("fig1", 1.0);
         let text = m.to_json().to_string_pretty();
         let doc = Json::parse(&text).unwrap();
-        let edit = |section: &str, entry: Option<&str>, field: &str, value: Option<Json>| {
-            let mut doc = doc.clone();
-            let Json::Obj(top) = &mut doc else { unreachable!() };
-            let mut target = &mut top.iter_mut().find(|(k, _)| k == section).unwrap().1;
-            if let Some(entry) = entry {
+        // Applies `change` to one fixed-schema object: the top level
+        // (`section` None), a section, or an entry of a section (the
+        // first element of an array section).
+        type Pairs = Vec<(String, Json)>;
+        let edit_with =
+            |section: Option<&str>, entry: Option<&str>, change: &dyn Fn(&mut Pairs)| {
+                let mut doc = doc.clone();
+                let mut target = &mut doc;
+                if let Some(section) = section {
+                    let Json::Obj(top) = target else { unreachable!() };
+                    target = &mut top.iter_mut().find(|(k, _)| k == section).unwrap().1;
+                }
+                if let Some(entry) = entry {
+                    let Json::Obj(pairs) = target else { unreachable!() };
+                    target = &mut pairs.iter_mut().find(|(k, _)| k == entry).unwrap().1;
+                }
+                if let Json::Arr(items) = target {
+                    target = &mut items[0];
+                }
                 let Json::Obj(pairs) = target else { unreachable!() };
-                target = &mut pairs.iter_mut().find(|(k, _)| k == entry).unwrap().1;
-            }
-            if let Json::Arr(items) = target {
-                target = &mut items[0];
-            }
-            let Json::Obj(pairs) = target else { unreachable!() };
-            let slot = pairs.iter().position(|(k, _)| k == field).unwrap();
-            match value {
-                Some(v) => pairs[slot].1 = v,
-                None => drop(pairs.remove(slot)),
-            }
-            ParsedManifest::from_json(&doc)
+                change(pairs);
+                ParsedManifest::from_json(&doc)
+            };
+        let edit = |section: &str, entry: Option<&str>, field: &str, value: Option<Json>| {
+            edit_with(Some(section), entry, &|pairs| {
+                let slot = pairs.iter().position(|(k, _)| k == field).unwrap();
+                match value.clone() {
+                    Some(v) => pairs[slot].1 = v,
+                    None => drop(pairs.remove(slot)),
+                }
+            })
         };
         let garbled = || Some(Json::str("garbled"));
         for (section, entry, field) in [
@@ -756,5 +729,31 @@ mod tests {
         let m = edit("resources", None, "peak_rss_kb", Some(Json::Null)).unwrap();
         assert_eq!(m.resources.peak_rss_kb, None);
         assert!(edit("resources", None, "peak_rss_kb", None).is_err(), "present even if null");
+
+        // Every fixed-schema object also rejects an unknown key, a doubled
+        // key, and a number the parser reads as infinity.
+        let overflow = Json::parse("1e999").unwrap();
+        for (section, entry, field, float) in [
+            (None, None, "tool", None),
+            (Some("artifacts"), None, "wall_seconds", Some("wall_seconds")),
+            (Some("spans"), Some("strict_test_span"), "count", Some("total_seconds")),
+            (Some("quality"), Some("strict.test.bips"), "p50", Some("p50")),
+            (Some("resources"), None, "allocs", Some("cpu_seconds")),
+        ] {
+            let err = edit_with(section, entry, &|pairs| pairs.push(("extra".into(), Json::Null)))
+                .expect_err("unknown key rejected");
+            assert!(err.contains("unknown field `extra`"), "{section:?}: {err}");
+            let err = edit_with(section, entry, &|pairs| {
+                let twin = pairs.iter().find(|(k, _)| k == field).unwrap().clone();
+                pairs.push(twin);
+            })
+            .expect_err("duplicate key rejected");
+            assert!(err.contains(&format!("duplicate field `{field}`")), "{section:?}: {err}");
+            if let Some(float) = float {
+                let err = edit(section.unwrap(), entry, float, Some(overflow.clone()))
+                    .expect_err("non-finite number rejected");
+                assert!(err.contains(float), "{section:?}/{float}: {err}");
+            }
+        }
     }
 }

@@ -11,14 +11,11 @@
 //!
 //! Worker threads inherit the spawning thread's open span path (see
 //! [`crate::span::adopt`]), so spans opened inside jobs are attributed
-//! under the span that dispatched the batch, and three pool metrics are
+//! under the span that dispatched the batch, and two pool metrics are
 //! maintained:
 //!
 //! - `pool.jobs` (counter) — jobs executed through the pool;
-//! - `pool.workers` (gauge) — workers used by the most recent batch;
-//! - `pool.steal` (counter) — jobs a worker pulled from outside its own
-//!   round-robin stripe, i.e. redistribution caused by load imbalance
-//!   (0 when every worker stays exactly on its stripe).
+//! - `pool.workers` (gauge) — workers used by the most recent batch.
 //!
 //! # Examples
 //!
@@ -71,26 +68,19 @@ where
     let cursor = AtomicUsize::new(0);
     let mut harvested: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|worker_id| {
+            .map(|_| {
                 let f = &f;
                 let cursor = &cursor;
                 let parent_path = parent_path.as_deref();
                 scope.spawn(move || {
                     let _ctx = parent_path.map(crate::span::adopt);
                     let mut local: Vec<(usize, R)> = Vec::new();
-                    let mut stolen = 0u64;
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= jobs.len() {
                             break;
                         }
-                        if i % workers != worker_id {
-                            stolen += 1;
-                        }
                         local.push((i, f(&jobs[i])));
-                    }
-                    if stolen > 0 {
-                        crate::metrics::counter("pool.steal").add(stolen);
                     }
                     local
                 })

@@ -29,8 +29,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
-use crate::json::Json;
-use crate::manifest::Fields;
+use crate::json::{Fields, Json};
 
 /// Accuracy summary of one model on one evaluation set.
 ///
@@ -100,8 +99,11 @@ impl QualityRecord {
             ("max", Json::Float(self.max)),
             ("bias", Json::Float(self.bias)),
             ("rmse", Json::Float(self.rmse)),
-            // NaN serializes as null; from_json maps it back.
-            ("r_squared", Json::Float(self.r_squared)),
+            // "Not applicable" (NaN) is null; from_json maps it back.
+            (
+                "r_squared",
+                if self.r_squared.is_finite() { Json::Float(self.r_squared) } else { Json::Null },
+            ),
         ])
     }
 
@@ -110,10 +112,11 @@ impl QualityRecord {
     ///
     /// # Errors
     ///
-    /// Names the record and the first missing or mistyped field.
+    /// Names the record and the first missing, mistyped, unknown or
+    /// duplicate field.
     pub fn from_json(key: &str, doc: &Json) -> Result<QualityRecord, String> {
-        let ctx = format!("quality.{key}");
-        let f = Fields::of(doc, &ctx)?;
+        let ctx = format_args!("quality.{key}");
+        let f = Fields::new(doc, &ctx, &["n", "p50", "p90", "max", "bias", "rmse", "r_squared"])?;
         Ok(QualityRecord {
             key: key.to_string(),
             n: f.u64("n")?,

@@ -13,6 +13,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo build --release --workspace (tier-1)"
 # --workspace matters: a bare root build compiles only the `udse`
 # facade crate, not the repro/udse-inspect binaries the smoke below

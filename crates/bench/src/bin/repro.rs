@@ -154,66 +154,41 @@ fn print_baseline() -> String {
     )
 }
 
-/// Renders one artifact to stdout. `artifact` must be one of [`ALL`];
-/// `main` validates every name before any artifact runs.
-fn run(artifact: &str, ctx: &Context) {
-    let out = match artifact {
-        "space" => print_space(),
-        "baseline" => print_baseline(),
-        "fig1" => figures::fig1(ctx),
-        "fig2" => figures::fig2(ctx),
-        "fig3" => figures::fig3(ctx),
-        "fig4" => figures::fig4(ctx),
-        "table2" => figures::table2(ctx),
-        "fig5a" => depth_figs::fig5a(ctx),
-        "fig5b" => depth_figs::fig5b(ctx),
-        "fig6" => depth_figs::fig6(ctx),
-        "fig7" => depth_figs::fig7(ctx),
-        "table4" => hetero_figs::table4(ctx),
-        "fig8" => hetero_figs::fig8(ctx),
-        "fig9" => hetero_figs::fig9(ctx),
-        "search" => extensions::search(ctx),
-        "stalls" => extensions::stalls(ctx),
-        "assoc" => extensions::associativity(ctx),
-        "inorder" => extensions::inorder(ctx),
-        "workloads" => extensions::workloads(ctx),
-        "residuals" => extensions::residuals(ctx),
-        "significance" => extensions::significance(ctx),
-        "ablations" => format!(
+/// Renders one artifact.
+type Render = fn(&Context) -> String;
+
+/// Every artifact in `all` order, with the function that renders it.
+const ARTIFACTS: [(&str, Render); 22] = [
+    ("space", |_| print_space()),
+    ("baseline", |_| print_baseline()),
+    ("fig1", figures::fig1),
+    ("fig2", figures::fig2),
+    ("fig3", figures::fig3),
+    ("fig4", figures::fig4),
+    ("table2", figures::table2),
+    ("fig5a", depth_figs::fig5a),
+    ("fig5b", depth_figs::fig5b),
+    ("fig6", depth_figs::fig6),
+    ("fig7", depth_figs::fig7),
+    ("table4", hetero_figs::table4),
+    ("fig8", hetero_figs::fig8),
+    ("fig9", hetero_figs::fig9),
+    ("search", extensions::search),
+    ("stalls", extensions::stalls),
+    ("assoc", extensions::associativity),
+    ("inorder", extensions::inorder),
+    ("workloads", extensions::workloads),
+    ("residuals", extensions::residuals),
+    ("significance", extensions::significance),
+    ("ablations", |ctx| {
+        format!(
             "{}\n{}\n{}\n{}",
             ablations::knots(ctx),
             ablations::interactions(ctx),
             ablations::transforms(ctx),
             ablations::sample_size(ctx)
-        ),
-        other => unreachable!("artifact `{other}` passed validation"),
-    };
-    println!("{out}");
-}
-
-const ALL: [&str; 22] = [
-    "space",
-    "baseline",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "table2",
-    "fig5a",
-    "fig5b",
-    "fig6",
-    "fig7",
-    "table4",
-    "fig8",
-    "fig9",
-    "search",
-    "stalls",
-    "assoc",
-    "inorder",
-    "workloads",
-    "residuals",
-    "significance",
-    "ablations",
+        )
+    }),
 ];
 
 const USAGE: &str = "usage: repro [--quick] [--verbose] [--jobs N] [--csv <dir>] \
@@ -301,16 +276,17 @@ struct Options {
     csv: Option<PathBuf>,
     manifest: Option<PathBuf>,
     trace: Option<PathBuf>,
-    artifacts: Vec<String>,
+    artifacts: Vec<&'static (&'static str, Render)>,
 }
 
 impl Options {
     /// Parses the artifact command line. Every option must be known,
     /// every value-taking option must have its value, and every artifact
-    /// must name one of [`ALL`] (or `all`), so a typo fails here instead
-    /// of running at full paper scale or after earlier artifacts.
+    /// must name one of [`ARTIFACTS`] (or `all`), so a typo fails here
+    /// instead of running at full paper scale or after earlier artifacts.
     fn parse(args: &[String]) -> Result<Options, String> {
         let mut opts = Options::default();
+        let mut all = false;
         let mut args = args.iter();
         while let Some(arg) = args.next() {
             let mut value =
@@ -324,14 +300,15 @@ impl Options {
                 "--trace" => opts.trace = Some(value()?),
                 "--jobs" => opts.jobs = Some(parse_jobs(&value()?)?),
                 flag if flag.starts_with('-') => return Err(format!("unknown option `{flag}`")),
-                name if name == "all" || ALL.contains(&name) => {
-                    opts.artifacts.push(name.to_string())
-                }
-                name => return Err(format!("unknown artifact `{name}`")),
+                "all" => all = true,
+                name => match ARTIFACTS.iter().find(|(n, _)| *n == name) {
+                    Some(artifact) => opts.artifacts.push(artifact),
+                    None => return Err(format!("unknown artifact `{name}`")),
+                },
             }
         }
-        if opts.artifacts.iter().any(|a| a == "all") {
-            opts.artifacts = ALL.iter().map(|a| a.to_string()).collect();
+        if all {
+            opts.artifacts = ARTIFACTS.iter().collect();
         }
         Ok(opts)
     }
@@ -384,7 +361,10 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("query") {
         return query_main(&args[1..]);
     }
-    let usage = || format!("{USAGE}\nartifacts: {} all", ALL.join(" "));
+    let usage = || {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+        format!("{USAGE}\nartifacts: {} all", names.join(" "))
+    };
     let opts = match Options::parse(&args) {
         Ok(opts) => opts,
         Err(e) => {
@@ -424,12 +404,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    for artifact in &opts.artifacts {
-        let artifact = artifact.as_str();
+    for &&(artifact, render) in &opts.artifacts {
         println!("==================== {artifact} ====================");
         let started = std::time::Instant::now();
         let guard = span::enter(artifact);
-        run(artifact, &ctx);
+        println!("{}", render(&ctx));
         drop(guard);
         manifest.record_artifact(artifact, started.elapsed().as_secs_f64());
         if let Some(dir) = &opts.csv {

@@ -9,6 +9,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use udse_core::report::write_csv;
+use udse_core::space::{Axis, DesignSpace};
 use udse_core::studies::heterogeneity::{predicted_gains, simulated_gains, BenchmarkArchitectures};
 use udse_core::studies::pareto::{efficiency_optimum, FrontierStudy};
 use udse_core::studies::validation::ValidationStudy;
@@ -155,8 +156,8 @@ pub fn export(ctx: &Context, artifact: &str, dir: &Path) -> io::Result<Option<Pa
             let mut rows = Vec::new();
             for (i, &d) in study.depths.iter().enumerate() {
                 let h = &study.dcache_top_percentile[i];
-                for kb in [8u64, 16, 32, 64, 128] {
-                    rows.push(vec![d.to_string(), kb.to_string(), f(h.fraction(kb))]);
+                for &kb in DesignSpace::exploration().levels(Axis::Dl1Kb) {
+                    rows.push(vec![d.to_string(), kb.to_string(), f(h.fraction(kb.into()))]);
                 }
             }
             write_csv(&path, &["fo4", "dl1_kb", "fraction"], &rows)?;

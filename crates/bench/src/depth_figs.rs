@@ -1,6 +1,7 @@
 //! Figures 5–7: pipeline depth analysis.
 
 use udse_core::report::{fmt, format_table};
+use udse_core::space::{Axis, DesignSpace};
 use udse_core::studies::depth::DepthValidation;
 
 use crate::context::Context;
@@ -40,13 +41,13 @@ pub fn fig5a(ctx: &Context) -> String {
 /// the 95th percentile of each depth's efficiency distribution.
 pub fn fig5b(ctx: &Context) -> String {
     let study = ctx.depth_study();
-    let sizes = [8u64, 16, 32, 64, 128];
+    let sizes = DesignSpace::exploration().levels(Axis::Dl1Kb);
     let mut rows = Vec::new();
     for (i, &d) in study.depths.iter().enumerate() {
         let h = &study.dcache_top_percentile[i];
         let mut row = vec![d.to_string()];
-        for &s in &sizes {
-            row.push(fmt(h.fraction(s) * 100.0, 1));
+        for &kb in sizes {
+            row.push(fmt(h.fraction(kb.into()) * 100.0, 1));
         }
         row.push(h.total().to_string());
         rows.push(row);

@@ -154,7 +154,7 @@ pub fn table2(ctx: &Context) -> String {
             p.fo4().to_string(),
             p.decode_width().to_string(),
             p.gpr().to_string(),
-            p.resv_fp().to_string(),
+            p.to_machine_config().resv_fp.to_string(),
             p.il1_kb().to_string(),
             p.dl1_kb().to_string(),
             fmt(p.l2_kb() as f64 / 1024.0, 2),

@@ -42,7 +42,7 @@ pub fn baseline_point() -> DesignPoint {
 pub fn baseline_at_depth(fo4: u32) -> DesignPoint {
     let space = DesignSpace::exploration();
     assert!(space.depths().contains(&fo4), "depth {fo4} not in exploration space");
-    let mut v = baseline_point().cluster_vector();
+    let mut v = baseline_point().predictors();
     v[0] = fo4 as f64;
     space.nearest(&v)
 }

@@ -8,43 +8,33 @@ use udse_regress::{
 use udse_trace::Benchmark;
 
 use crate::oracle::{Metrics, Oracle};
-use crate::space::{
-    DesignPoint, DesignSpace, DL1_VALUES, IL1_VALUES, L2_VALUES, REGS_LEVELS, RESV_LEVELS,
-    WIDTH_VALUES,
-};
-
-/// Predictor column indices produced by [`DesignPoint::predictors`].
-mod var {
-    pub const DEPTH: usize = 0;
-    pub const WIDTH: usize = 1;
-    pub const GPR: usize = 2;
-    pub const RESV: usize = 3;
-    pub const IL1: usize = 4;
-    pub const DL1: usize = 5;
-    pub const L2: usize = 6;
-}
+use crate::space::{Axis, DesignPoint, DesignSpace};
 
 /// Builds the paper's §3.3 term set: restricted cubic splines with 4
 /// knots on the predictors most correlated with the response (pipeline
 /// depth, register file size) and 3 knots on the weaker ones (width,
 /// reservation stations, cache sizes), plus the §3.2 domain-knowledge
-/// interactions (depth x cache levels, width x registers, adjacent cache
-/// levels).
+/// interactions (depth x cache levels, width x registers, width x
+/// reservations, adjacent cache levels). Predictor column `v` is
+/// [`Axis::ALL`]`[v]` ([`DesignPoint::predictors`]).
 pub fn paper_terms() -> Vec<TermSpec> {
+    use Axis::{DepthFo4, Dl1Kb, Gpr, Il1Kb, L2Kb, ResvFx, Width};
+    let spline = |axis: Axis, knots| TermSpec::Spline { var: axis.slot(), knots };
+    let interaction = |a: Axis, b: Axis| TermSpec::Interaction(a.slot(), b.slot());
     vec![
-        TermSpec::Spline { var: var::DEPTH, knots: 4 },
-        TermSpec::Spline { var: var::WIDTH, knots: 3 },
-        TermSpec::Spline { var: var::GPR, knots: 4 },
-        TermSpec::Spline { var: var::RESV, knots: 3 },
-        TermSpec::Spline { var: var::IL1, knots: 3 },
-        TermSpec::Spline { var: var::DL1, knots: 3 },
-        TermSpec::Spline { var: var::L2, knots: 3 },
-        TermSpec::Interaction(var::DEPTH, var::L2),
-        TermSpec::Interaction(var::DEPTH, var::DL1),
-        TermSpec::Interaction(var::WIDTH, var::GPR),
-        TermSpec::Interaction(var::WIDTH, var::RESV),
-        TermSpec::Interaction(var::IL1, var::L2),
-        TermSpec::Interaction(var::DL1, var::L2),
+        spline(DepthFo4, 4),
+        spline(Width, 3),
+        spline(Gpr, 4),
+        spline(ResvFx, 3),
+        spline(Il1Kb, 3),
+        spline(Dl1Kb, 3),
+        spline(L2Kb, 3),
+        interaction(DepthFo4, L2Kb),
+        interaction(DepthFo4, Dl1Kb),
+        interaction(Width, Gpr),
+        interaction(Width, ResvFx),
+        interaction(Il1Kb, L2Kb),
+        interaction(Dl1Kb, L2Kb),
     ]
 }
 
@@ -157,22 +147,6 @@ impl PaperModels {
     }
 }
 
-/// The per-variable predictor levels of a design space, in
-/// [`DesignPoint::predictors`] column order and computed with the *same
-/// expressions* (integer arithmetic, then `as f64`, then `log2` for the
-/// caches), so compiled-grid lookups by exact equality always hit.
-fn space_levels(space: &DesignSpace) -> Vec<Vec<f64>> {
-    vec![
-        space.depths().iter().map(|&d| d as f64).collect(),
-        WIDTH_VALUES.iter().map(|w| w.0 as f64).collect(),
-        (0..REGS_LEVELS).map(|i| (40 + 10 * i as u32) as f64).collect(),
-        (0..RESV_LEVELS).map(|i| (10 + 2 * i as u32) as f64).collect(),
-        IL1_VALUES.iter().map(|&v| (v as f64).log2()).collect(),
-        DL1_VALUES.iter().map(|&v| (v as f64).log2()).collect(),
-        L2_VALUES.iter().map(|&v| (v as f64).log2()).collect(),
-    ]
-}
-
 /// Accumulator capacity of the stacked kernels: room for the full
 /// nine-benchmark suite (18 lanes) with headroom, small enough that the
 /// per-point accumulators stay a couple of cache lines on the stack.
@@ -240,7 +214,7 @@ impl SuiteLanes {
         let pairs = models.len();
         let lanes = 2 * pairs;
         assert!(lanes <= MAX_LANES, "at most {} model pairs per stack", MAX_LANES / 2);
-        let grid = space_levels(space);
+        let grid = space.predictor_levels();
         let mut offsets = [0usize; 8];
         for v in 0..7 {
             offsets[v + 1] = offsets[v] + grid[v].len();

@@ -87,9 +87,10 @@ impl Mask {
     }
 
     fn allows(&self, p: &DesignPoint) -> bool {
-        let idx =
-            [p.depth_idx, p.width_idx, p.regs_idx, p.resv_idx, p.il1_idx, p.dl1_idx, p.l2_idx];
-        idx.iter().zip(self.lo.iter().zip(&self.hi)).all(|(&i, (&lo, &hi))| i >= lo && i <= hi)
+        p.indices()
+            .iter()
+            .zip(self.lo.iter().zip(&self.hi))
+            .all(|(i, (lo, hi))| (lo..=hi).contains(&i))
     }
 }
 

@@ -49,9 +49,8 @@ fn point_from_parts(indices: [u8; 7], fo4: u64) -> Option<DesignPoint> {
 }
 
 fn point_to_json(p: &DesignPoint) -> Json {
-    let idx = [p.depth_idx, p.width_idx, p.regs_idx, p.resv_idx, p.il1_idx, p.dl1_idx, p.l2_idx];
     Json::obj([
-        ("idx", Json::Arr(idx.iter().map(|&i| Json::Int(i as i64)).collect())),
+        ("idx", Json::Arr(p.indices().iter().map(|&i| Json::Int(i as i64)).collect())),
         ("fo4", Json::Int(p.fo4() as i64)),
     ])
 }

@@ -50,100 +50,8 @@ pub use json::QUERY_SCHEMA_VERSION;
 use udse_trace::Benchmark;
 
 use crate::oracle::Metrics;
-use crate::space::{DesignPoint, DesignSpace, DL1_VALUES, IL1_VALUES, L2_VALUES, WIDTH_VALUES};
-
-/// One axis of the Table 1 design space, named by the physical quantity
-/// constraints are written against (cache sizes in KB, depth in FO4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Axis {
-    /// Pipeline depth in FO4 per stage.
-    DepthFo4,
-    /// Decode width in instructions per cycle.
-    Width,
-    /// General-purpose physical registers.
-    Gpr,
-    /// Fixed-point reservation stations.
-    ResvFx,
-    /// I-L1 cache size in KB.
-    Il1Kb,
-    /// D-L1 cache size in KB.
-    Dl1Kb,
-    /// L2 cache size in KB.
-    L2Kb,
-}
-
-impl Axis {
-    /// All seven axes in design-point index order
-    /// (`depth, width, regs, resv, il1, dl1, l2`).
-    pub const ALL: [Axis; 7] = [
-        Axis::DepthFo4,
-        Axis::Width,
-        Axis::Gpr,
-        Axis::ResvFx,
-        Axis::Il1Kb,
-        Axis::Dl1Kb,
-        Axis::L2Kb,
-    ];
-
-    /// The wire-format name of the axis.
-    pub fn name(self) -> &'static str {
-        match self {
-            Axis::DepthFo4 => "depth_fo4",
-            Axis::Width => "width",
-            Axis::Gpr => "gpr",
-            Axis::ResvFx => "resv_fx",
-            Axis::Il1Kb => "il1_kb",
-            Axis::Dl1Kb => "dl1_kb",
-            Axis::L2Kb => "l2_kb",
-        }
-    }
-
-    /// Looks an axis up by its wire-format name.
-    pub fn by_name(name: &str) -> Option<Axis> {
-        Axis::ALL.into_iter().find(|a| a.name() == name)
-    }
-
-    /// The axis position in the seven-element design-point index tuple.
-    pub fn slot(self) -> usize {
-        match self {
-            Axis::DepthFo4 => 0,
-            Axis::Width => 1,
-            Axis::Gpr => 2,
-            Axis::ResvFx => 3,
-            Axis::Il1Kb => 4,
-            Axis::Dl1Kb => 5,
-            Axis::L2Kb => 6,
-        }
-    }
-
-    /// The axis's physical value at one design point.
-    pub fn value(self, p: &DesignPoint) -> f64 {
-        match self {
-            Axis::DepthFo4 => p.fo4() as f64,
-            Axis::Width => p.decode_width() as f64,
-            Axis::Gpr => p.gpr() as f64,
-            Axis::ResvFx => p.resv_fx() as f64,
-            Axis::Il1Kb => p.il1_kb() as f64,
-            Axis::Dl1Kb => p.dl1_kb() as f64,
-            Axis::L2Kb => p.l2_kb() as f64,
-        }
-    }
-
-    /// The axis's physical value at grid level `level` of `space`. Every
-    /// axis's values are strictly increasing in the level index, which is
-    /// what lets value constraints push down to index bounds.
-    pub fn level_value(self, space: &DesignSpace, level: u8) -> f64 {
-        match self {
-            Axis::DepthFo4 => space.depths()[level as usize] as f64,
-            Axis::Width => WIDTH_VALUES[level as usize].0 as f64,
-            Axis::Gpr => (40 + 10 * level as u32) as f64,
-            Axis::ResvFx => (10 + 2 * level as u32) as f64,
-            Axis::Il1Kb => IL1_VALUES[level as usize] as f64,
-            Axis::Dl1Kb => DL1_VALUES[level as usize] as f64,
-            Axis::L2Kb => L2_VALUES[level as usize] as f64,
-        }
-    }
-}
+pub use crate::space::Axis;
+use crate::space::DesignPoint;
 
 /// An inclusive bound on one axis's physical value. A missing bound is
 /// unconstrained on that side.

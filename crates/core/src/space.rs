@@ -7,30 +7,138 @@
 //! of the group cardinalities (10 x 3 x 10 x 10 x 5 x 5 x 5) gives the
 //! 375,000-point sampling space; restricting depth to 12–30 FO4 gives
 //! the 262,500-point exploration space of §3.5.
+//!
+//! Each group is one [`Axis`], named by its representative quantity
+//! (decode width, GPR count, FX reservations, ...). [`Axis`]'s level
+//! table is the one place that knows each axis's values: index
+//! arithmetic, regression predictors, compiled grids and query bounds
+//! all read it. The sizes coupled to a representative (LSQ, SQ and
+//! units to width, FPR and SPR to GPR, BR and FP to FX) come from
+//! [`MachineConfigBuilder`] in [`DesignPoint::to_machine_config`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use udse_sim::MachineConfig;
+use udse_sim::{MachineConfig, MachineConfigBuilder};
 
 /// Depth values (FO4 per stage) in the full sampling space: 9::3::36.
 pub const DEPTH_VALUES: [u32; 10] = [9, 12, 15, 18, 21, 24, 27, 30, 33, 36];
 /// Depth values in the exploration space: 12::3::30 (§3.5 restricts the
 /// studied space so predictions never extrapolate in depth).
 pub const EXPLORATION_DEPTH_VALUES: [u32; 7] = [12, 15, 18, 21, 24, 27, 30];
-/// Width group: (decode width, LSQ entries, store-queue entries, units
-/// per class), varied jointly per Table 1.
-pub const WIDTH_VALUES: [(u32, u32, u32, u32); 3] =
-    [(2, 15, 14, 1), (4, 30, 28, 2), (8, 45, 42, 4)];
-/// Cardinality of the register group (GPR 40::10::130 etc.).
-pub const REGS_LEVELS: u8 = 10;
-/// Cardinality of the reservation-station group (BR 6::1::15 etc.).
-pub const RESV_LEVELS: u8 = 10;
-/// I-L1 sizes in KB: 16::2x::256.
-pub const IL1_VALUES: [u32; 5] = [16, 32, 64, 128, 256];
-/// D-L1 sizes in KB: 8::2x::128.
-pub const DL1_VALUES: [u32; 5] = [8, 16, 32, 64, 128];
-/// L2 sizes in KB: 0.25::2x::4 MB.
-pub const L2_VALUES: [u32; 5] = [256, 512, 1024, 2048, 4096];
+
+/// One axis of the Table 1 design space, named by the physical quantity
+/// constraints are written against (cache sizes in KB, depth in FO4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// Pipeline depth in FO4 per stage.
+    DepthFo4,
+    /// Decode width in instructions per cycle.
+    Width,
+    /// General-purpose physical registers.
+    Gpr,
+    /// Fixed-point reservation stations.
+    ResvFx,
+    /// I-L1 cache size in KB.
+    Il1Kb,
+    /// D-L1 cache size in KB.
+    Dl1Kb,
+    /// L2 cache size in KB.
+    L2Kb,
+}
+
+/// One row of Table 1 as the code reads it.
+struct AxisRow {
+    /// Wire-format name of the axis.
+    name: &'static str,
+    /// Regression predictor column name.
+    predictor: &'static str,
+    /// Level values, strictly increasing. Empty for depth, whose levels
+    /// each [`DesignSpace`] carries ([`DesignSpace::depths`]).
+    levels: &'static [u32],
+    /// Whether the predictor is the value's log2 (the cache sizes) rather
+    /// than the value itself.
+    log2: bool,
+}
+
+/// Table 1, one row per axis in [`Axis::ALL`] order.
+const TABLE: [AxisRow; 7] = [
+    AxisRow { name: "depth_fo4", predictor: "depth_fo4", levels: &[], log2: false },
+    AxisRow { name: "width", predictor: "width", levels: &[2, 4, 8], log2: false },
+    AxisRow {
+        name: "gpr",
+        predictor: "gpr",
+        levels: &[40, 50, 60, 70, 80, 90, 100, 110, 120, 130],
+        log2: false,
+    },
+    AxisRow {
+        name: "resv_fx",
+        predictor: "resv_fx",
+        levels: &[10, 12, 14, 16, 18, 20, 22, 24, 26, 28],
+        log2: false,
+    },
+    AxisRow { name: "il1_kb", predictor: "log2_il1", levels: &[16, 32, 64, 128, 256], log2: true },
+    AxisRow { name: "dl1_kb", predictor: "log2_dl1", levels: &[8, 16, 32, 64, 128], log2: true },
+    AxisRow {
+        name: "l2_kb",
+        predictor: "log2_l2",
+        levels: &[256, 512, 1024, 2048, 4096],
+        log2: true,
+    },
+];
+
+impl Axis {
+    /// All seven axes in design-point index order
+    /// (`depth, width, regs, resv, il1, dl1, l2`).
+    pub const ALL: [Axis; 7] = [
+        Axis::DepthFo4,
+        Axis::Width,
+        Axis::Gpr,
+        Axis::ResvFx,
+        Axis::Il1Kb,
+        Axis::Dl1Kb,
+        Axis::L2Kb,
+    ];
+
+    fn row(self) -> &'static AxisRow {
+        &TABLE[self.slot()]
+    }
+
+    /// The wire-format name of the axis.
+    pub fn name(self) -> &'static str {
+        self.row().name
+    }
+
+    /// Looks an axis up by its wire-format name.
+    pub fn by_name(name: &str) -> Option<Axis> {
+        Axis::ALL.into_iter().find(|a| a.name() == name)
+    }
+
+    /// The axis position in the seven-element design-point index tuple.
+    pub fn slot(self) -> usize {
+        self as usize
+    }
+
+    /// The axis's physical value at one design point.
+    pub fn value(self, p: &DesignPoint) -> f64 {
+        p.level(self) as f64
+    }
+
+    /// The axis's physical value at grid level `level` of `space`. Every
+    /// axis's values are strictly increasing in the level index, which is
+    /// what lets value constraints push down to index bounds.
+    pub fn level_value(self, space: &DesignSpace, level: u8) -> f64 {
+        space.levels(self)[level as usize] as f64
+    }
+
+    /// The regression predictor of a physical value on this axis.
+    fn predictor(self, value: u32) -> f64 {
+        if self.row().log2 {
+            (value as f64).log2()
+        } else {
+            value as f64
+        }
+    }
+}
 
 /// One point of the design space, stored as indices into the seven
 /// jointly-varied groups of Table 1.
@@ -52,17 +160,17 @@ pub const L2_VALUES: [u32; 5] = [256, 512, 1024, 2048, 4096];
 pub struct DesignPoint {
     /// Index into the space's depth value list.
     pub depth_idx: u8,
-    /// Index into [`WIDTH_VALUES`].
+    /// Index into the [`Axis::Width`] levels.
     pub width_idx: u8,
     /// Index 0..10 into the register group.
     pub regs_idx: u8,
     /// Index 0..10 into the reservation-station group.
     pub resv_idx: u8,
-    /// Index into [`IL1_VALUES`].
+    /// Index into the [`Axis::Il1Kb`] levels.
     pub il1_idx: u8,
-    /// Index into [`DL1_VALUES`].
+    /// Index into the [`Axis::Dl1Kb`] levels.
     pub dl1_idx: u8,
-    /// Index into [`L2_VALUES`].
+    /// Index into the [`Axis::L2Kb`] levels.
     pub l2_idx: u8,
     /// Depth list this point's `depth_idx` refers to (paper vs
     /// exploration); stored as the FO4 value directly to keep the point
@@ -71,6 +179,27 @@ pub struct DesignPoint {
 }
 
 impl DesignPoint {
+    /// The seven group indices, in [`Axis::ALL`] order.
+    pub(crate) fn indices(&self) -> [u8; 7] {
+        [
+            self.depth_idx,
+            self.width_idx,
+            self.regs_idx,
+            self.resv_idx,
+            self.il1_idx,
+            self.dl1_idx,
+            self.l2_idx,
+        ]
+    }
+
+    /// The physical value of one axis at this point.
+    fn level(&self, axis: Axis) -> u32 {
+        match axis {
+            Axis::DepthFo4 => self.fo4,
+            _ => axis.row().levels[self.indices()[axis.slot()] as usize],
+        }
+    }
+
     /// Pipeline depth in FO4 delays per stage.
     pub fn fo4(&self) -> u32 {
         self.fo4
@@ -78,127 +207,62 @@ impl DesignPoint {
 
     /// Decode bandwidth in instructions per cycle.
     pub fn decode_width(&self) -> u32 {
-        WIDTH_VALUES[self.width_idx as usize].0
-    }
-
-    /// Load/store queue entries (tied to width).
-    pub fn lsq_entries(&self) -> u32 {
-        WIDTH_VALUES[self.width_idx as usize].1
-    }
-
-    /// Store queue entries (tied to width).
-    pub fn store_queue_entries(&self) -> u32 {
-        WIDTH_VALUES[self.width_idx as usize].2
-    }
-
-    /// Functional units per class (tied to width).
-    pub fn units_per_class(&self) -> u32 {
-        WIDTH_VALUES[self.width_idx as usize].3
+        self.level(Axis::Width)
     }
 
     /// General-purpose physical registers: 40::10::130.
     pub fn gpr(&self) -> u32 {
-        40 + 10 * self.regs_idx as u32
-    }
-
-    /// Floating-point physical registers: 40::8::112.
-    pub fn fpr(&self) -> u32 {
-        40 + 8 * self.regs_idx as u32
-    }
-
-    /// Special-purpose physical registers: 42::6::96.
-    pub fn spr(&self) -> u32 {
-        42 + 6 * self.regs_idx as u32
-    }
-
-    /// Branch reservation stations: 6::1::15.
-    pub fn resv_br(&self) -> u32 {
-        6 + self.resv_idx as u32
+        self.level(Axis::Gpr)
     }
 
     /// Fixed-point reservation stations: 10::2::28.
     pub fn resv_fx(&self) -> u32 {
-        10 + 2 * self.resv_idx as u32
-    }
-
-    /// Floating-point reservation stations: 5::1::14.
-    pub fn resv_fp(&self) -> u32 {
-        5 + self.resv_idx as u32
+        self.level(Axis::ResvFx)
     }
 
     /// I-L1 cache size in KB.
     pub fn il1_kb(&self) -> u32 {
-        IL1_VALUES[self.il1_idx as usize]
+        self.level(Axis::Il1Kb)
     }
 
     /// D-L1 cache size in KB.
     pub fn dl1_kb(&self) -> u32 {
-        DL1_VALUES[self.dl1_idx as usize]
+        self.level(Axis::Dl1Kb)
     }
 
     /// L2 cache size in KB.
     pub fn l2_kb(&self) -> u32 {
-        L2_VALUES[self.l2_idx as usize]
+        self.level(Axis::L2Kb)
     }
 
-    /// Materializes the full simulator configuration for this point,
-    /// inheriting the Table 3 structural constants (associativities,
-    /// predictor, ROB).
+    /// Materializes the full simulator configuration for this point:
+    /// the builder applies Table 1's coupled sizes to each group's
+    /// representative, and the Table 3 structural constants
+    /// (associativities, predictor, ROB) are inherited.
     pub fn to_machine_config(&self) -> MachineConfig {
-        let mut cfg = MachineConfig::power4_baseline();
-        cfg.fo4_per_stage = self.fo4();
-        cfg.decode_width = self.decode_width();
-        cfg.lsq_entries = self.lsq_entries();
-        cfg.store_queue_entries = self.store_queue_entries();
-        cfg.units_per_class = self.units_per_class();
-        cfg.gpr = self.gpr();
-        cfg.fpr = self.fpr();
-        cfg.spr = self.spr();
-        cfg.resv_br = self.resv_br();
-        cfg.resv_fx = self.resv_fx();
-        cfg.resv_fp = self.resv_fp();
-        cfg.il1_kb = self.il1_kb();
-        cfg.dl1_kb = self.dl1_kb();
-        cfg.l2_kb = self.l2_kb();
-        cfg
+        MachineConfigBuilder::power4_baseline()
+            .depth_fo4(self.fo4())
+            .width(self.decode_width())
+            .registers(self.gpr())
+            .reservations(self.resv_fx())
+            .il1_kb(self.il1_kb())
+            .dl1_kb(self.dl1_kb())
+            .l2_kb(self.l2_kb())
+            .build()
+            .expect("every Table 1 point is a valid machine")
     }
 
     /// Names of the regression predictor columns, matching
     /// [`DesignPoint::predictors`].
     pub fn predictor_names() -> Vec<String> {
-        ["depth_fo4", "width", "gpr", "resv_fx", "log2_il1", "log2_dl1", "log2_l2"]
-            .into_iter()
-            .map(String::from)
-            .collect()
+        Axis::ALL.iter().map(|a| a.row().predictor.to_string()).collect()
     }
 
     /// The regression predictor vector for this point. One representative
     /// per jointly-varied group (the other members are perfectly
     /// collinear); cache sizes enter on a log2 scale.
     pub fn predictors(&self) -> Vec<f64> {
-        vec![
-            self.fo4() as f64,
-            self.decode_width() as f64,
-            self.gpr() as f64,
-            self.resv_fx() as f64,
-            (self.il1_kb() as f64).log2(),
-            (self.dl1_kb() as f64).log2(),
-            (self.l2_kb() as f64).log2(),
-        ]
-    }
-
-    /// The raw design-parameter vector used for K-means clustering in the
-    /// heterogeneity study (one representative per group, linear scale).
-    pub fn cluster_vector(&self) -> Vec<f64> {
-        vec![
-            self.fo4() as f64,
-            self.decode_width() as f64,
-            self.gpr() as f64,
-            self.resv_fx() as f64,
-            (self.il1_kb() as f64).log2(),
-            (self.dl1_kb() as f64).log2(),
-            (self.l2_kb() as f64).log2(),
-        ]
+        Axis::ALL.iter().map(|&a| a.predictor(self.level(a))).collect()
     }
 }
 
@@ -238,15 +302,17 @@ impl DesignSpace {
         self.depths
     }
 
+    /// One axis's level values in this space, strictly increasing.
+    pub fn levels(&self, axis: Axis) -> &'static [u32] {
+        match axis {
+            Axis::DepthFo4 => self.depths,
+            _ => axis.row().levels,
+        }
+    }
+
     /// Number of points in the space.
     pub fn len(&self) -> u64 {
-        self.depths.len() as u64
-            * WIDTH_VALUES.len() as u64
-            * REGS_LEVELS as u64
-            * RESV_LEVELS as u64
-            * IL1_VALUES.len() as u64
-            * DL1_VALUES.len() as u64
-            * L2_VALUES.len() as u64
+        self.dimensions().iter().map(|&d| d as u64).product()
     }
 
     /// Whether the space is empty (never, for the provided constructors).
@@ -254,22 +320,10 @@ impl DesignSpace {
         self.len() == 0
     }
 
-    /// Builds a point from raw group indices, validating each against
-    /// its group's cardinality. Returns `None` when any index is out of
-    /// range.
-    pub fn point(&self, indices: [u8; 7]) -> Option<DesignPoint> {
+    /// The point at in-range group indices.
+    fn at(&self, indices: [u8; 7]) -> DesignPoint {
         let [depth_idx, width_idx, regs_idx, resv_idx, il1_idx, dl1_idx, l2_idx] = indices;
-        if depth_idx as usize >= self.depths.len()
-            || width_idx as usize >= WIDTH_VALUES.len()
-            || regs_idx >= REGS_LEVELS
-            || resv_idx >= RESV_LEVELS
-            || il1_idx as usize >= IL1_VALUES.len()
-            || dl1_idx as usize >= DL1_VALUES.len()
-            || l2_idx as usize >= L2_VALUES.len()
-        {
-            return None;
-        }
-        Some(DesignPoint {
+        DesignPoint {
             depth_idx,
             width_idx,
             regs_idx,
@@ -278,25 +332,25 @@ impl DesignSpace {
             dl1_idx,
             l2_idx,
             fo4: self.depths[depth_idx as usize],
-        })
+        }
+    }
+
+    /// Builds a point from raw group indices, validating each against
+    /// its group's cardinality. Returns `None` when any index is out of
+    /// range.
+    pub fn point(&self, indices: [u8; 7]) -> Option<DesignPoint> {
+        let in_range = indices.iter().zip(self.dimensions()).all(|(&i, d)| i < d);
+        in_range.then(|| self.at(indices))
     }
 
     /// The raw group indices of a point, in [`DesignSpace::point`] order.
     pub fn indices(&self, p: &DesignPoint) -> [u8; 7] {
-        [p.depth_idx, p.width_idx, p.regs_idx, p.resv_idx, p.il1_idx, p.dl1_idx, p.l2_idx]
+        p.indices()
     }
 
     /// Per-dimension cardinalities, in [`DesignSpace::point`] order.
     pub fn dimensions(&self) -> [u8; 7] {
-        [
-            self.depths.len() as u8,
-            WIDTH_VALUES.len() as u8,
-            REGS_LEVELS,
-            RESV_LEVELS,
-            IL1_VALUES.len() as u8,
-            DL1_VALUES.len() as u8,
-            L2_VALUES.len() as u8,
-        ]
+        Axis::ALL.map(|a| self.levels(a).len() as u8)
     }
 
     /// Decodes a flat index into a design point.
@@ -307,30 +361,13 @@ impl DesignSpace {
         if index >= self.len() {
             return None;
         }
+        let mut indices = [0u8; 7];
         let mut rest = index;
-        let take = |rest: &mut u64, n: u64| {
-            let v = *rest % n;
-            *rest /= n;
-            v as u8
-        };
-        // Decode in reverse of the row-major order.
-        let l2_idx = take(&mut rest, L2_VALUES.len() as u64);
-        let dl1_idx = take(&mut rest, DL1_VALUES.len() as u64);
-        let il1_idx = take(&mut rest, IL1_VALUES.len() as u64);
-        let resv_idx = take(&mut rest, RESV_LEVELS as u64);
-        let regs_idx = take(&mut rest, REGS_LEVELS as u64);
-        let width_idx = take(&mut rest, WIDTH_VALUES.len() as u64);
-        let depth_idx = take(&mut rest, self.depths.len() as u64);
-        Some(DesignPoint {
-            depth_idx,
-            width_idx,
-            regs_idx,
-            resv_idx,
-            il1_idx,
-            dl1_idx,
-            l2_idx,
-            fo4: self.depths[depth_idx as usize],
-        })
+        for (i, d) in indices.iter_mut().zip(self.dimensions()).rev() {
+            *i = (rest % d as u64) as u8;
+            rest /= d as u64;
+        }
+        Some(self.at(indices))
     }
 
     /// Encodes a design point back to its flat index.
@@ -338,15 +375,10 @@ impl DesignSpace {
     /// Returns `None` when the point's depth is not part of this space
     /// (e.g. a 9 FO4 sample encoded against the exploration space).
     pub fn encode(&self, p: &DesignPoint) -> Option<u64> {
-        let depth_idx = self.depths.iter().position(|&d| d == p.fo4)? as u64;
-        let mut idx = depth_idx;
-        idx = idx * WIDTH_VALUES.len() as u64 + p.width_idx as u64;
-        idx = idx * REGS_LEVELS as u64 + p.regs_idx as u64;
-        idx = idx * RESV_LEVELS as u64 + p.resv_idx as u64;
-        idx = idx * IL1_VALUES.len() as u64 + p.il1_idx as u64;
-        idx = idx * DL1_VALUES.len() as u64 + p.dl1_idx as u64;
-        idx = idx * L2_VALUES.len() as u64 + p.l2_idx as u64;
-        Some(idx)
+        let mut indices = p.indices();
+        indices[0] = self.depths.iter().position(|&d| d == p.fo4)? as u8;
+        let dims = self.dimensions();
+        Some(indices.iter().zip(dims).fold(0, |acc, (&i, d)| acc * d as u64 + i as u64))
     }
 
     /// Iterates over every point of the space in index order.
@@ -363,38 +395,35 @@ impl DesignSpace {
         (0..n).map(|_| self.decode(rng.gen_range(0..len)).expect("index in range")).collect()
     }
 
-    /// Returns the point of this space nearest to an arbitrary parameter
-    /// vector in [`DesignPoint::cluster_vector`] coordinates — used to
-    /// snap K-means centroids back onto valid designs.
+    /// The predictor value of every level, per axis in
+    /// [`DesignPoint::predictors`] column order: the grid a compiled
+    /// model is lowered onto. Both read [`Axis`]'s one level table
+    /// through one transform, so a grid point's predictors are exactly
+    /// its grid values.
+    pub(crate) fn predictor_levels(&self) -> Vec<Vec<f64>> {
+        Axis::ALL
+            .iter()
+            .map(|&a| self.levels(a).iter().map(|&v| a.predictor(v)).collect())
+            .collect()
+    }
+
+    /// Returns the point of this space nearest to an arbitrary vector in
+    /// [`DesignPoint::predictors`] coordinates, axis by axis (the first
+    /// level wins a tie) — used to snap K-means centroids back onto
+    /// valid designs.
     pub fn nearest(&self, vector: &[f64]) -> DesignPoint {
-        assert_eq!(vector.len(), 7, "cluster vectors have 7 dimensions");
-        let snap = |target: f64, values: &mut dyn Iterator<Item = f64>| -> u8 {
-            let mut best = (0u8, f64::INFINITY);
-            for (i, v) in values.enumerate() {
-                let d = (v - target).abs();
-                if d < best.1 {
-                    best = (i as u8, d);
+        assert_eq!(vector.len(), 7, "predictor vectors have 7 dimensions");
+        let mut indices = [0u8; 7];
+        for ((i, &target), a) in indices.iter_mut().zip(vector).zip(Axis::ALL) {
+            let mut best = f64::INFINITY;
+            for (level, &v) in self.levels(a).iter().enumerate() {
+                let d = (a.predictor(v) - target).abs();
+                if d < best {
+                    (*i, best) = (level as u8, d);
                 }
             }
-            best.0
-        };
-        let depth_idx = snap(vector[0], &mut self.depths.iter().map(|&d| d as f64));
-        let width_idx = snap(vector[1], &mut WIDTH_VALUES.iter().map(|w| w.0 as f64));
-        let regs_idx = snap(vector[2], &mut (0..REGS_LEVELS).map(|i| 40.0 + 10.0 * i as f64));
-        let resv_idx = snap(vector[3], &mut (0..RESV_LEVELS).map(|i| 10.0 + 2.0 * i as f64));
-        let il1_idx = snap(vector[4], &mut IL1_VALUES.iter().map(|&v| (v as f64).log2()));
-        let dl1_idx = snap(vector[5], &mut DL1_VALUES.iter().map(|&v| (v as f64).log2()));
-        let l2_idx = snap(vector[6], &mut L2_VALUES.iter().map(|&v| (v as f64).log2()));
-        DesignPoint {
-            depth_idx,
-            width_idx,
-            regs_idx,
-            resv_idx,
-            il1_idx,
-            dl1_idx,
-            l2_idx,
-            fo4: self.depths[depth_idx as usize],
         }
+        self.at(indices)
     }
 }
 
@@ -435,16 +464,17 @@ mod tests {
         let last = space.decode(space.len() - 1).unwrap();
         assert_eq!(first.gpr(), 40);
         assert_eq!(last.gpr(), 130);
-        assert_eq!(first.fpr(), 40);
-        assert_eq!(last.fpr(), 112);
-        assert_eq!(first.spr(), 42);
-        assert_eq!(last.spr(), 96);
-        assert_eq!(first.resv_br(), 6);
-        assert_eq!(last.resv_br(), 15);
+        let (first_cfg, last_cfg) = (first.to_machine_config(), last.to_machine_config());
+        assert_eq!(first_cfg.fpr, 40);
+        assert_eq!(last_cfg.fpr, 112);
+        assert_eq!(first_cfg.spr, 42);
+        assert_eq!(last_cfg.spr, 96);
+        assert_eq!(first_cfg.resv_br, 6);
+        assert_eq!(last_cfg.resv_br, 15);
         assert_eq!(first.resv_fx(), 10);
         assert_eq!(last.resv_fx(), 28);
-        assert_eq!(first.resv_fp(), 5);
-        assert_eq!(last.resv_fp(), 14);
+        assert_eq!(first_cfg.resv_fp, 5);
+        assert_eq!(last_cfg.resv_fp, 14);
         assert_eq!(first.il1_kb(), 16);
         assert_eq!(last.il1_kb(), 256);
         assert_eq!(first.dl1_kb(), 8);
@@ -457,8 +487,7 @@ mod tests {
 
     #[test]
     fn every_point_yields_valid_machine_config() {
-        // Spot-check a random sample (the full space is large).
-        for p in DesignSpace::paper().sample_uar(500, 3) {
+        for p in DesignSpace::paper().iter() {
             p.to_machine_config().validate().unwrap();
         }
     }
@@ -497,9 +526,9 @@ mod tests {
         let space = DesignSpace::exploration();
         let p = space.decode(1234).unwrap();
         // Exact vector snaps to itself.
-        assert_eq!(space.nearest(&p.cluster_vector()), p);
+        assert_eq!(space.nearest(&p.predictors()), p);
         // A perturbed vector still snaps to a valid point.
-        let mut v = p.cluster_vector();
+        let mut v = p.predictors();
         v[0] += 1.4; // depth off-grid
         v[6] += 0.4; // l2 off-grid
         let q = space.nearest(&v);

@@ -70,7 +70,10 @@ pub struct CompromiseCluster {
 }
 
 /// Clusters the benchmark architectures into `k` compromise cores
-/// (paper §6.1; Table 4 is `k = 4`).
+/// (paper §6.1; Table 4 is `k = 4`). Each architecture enters K-means as
+/// its [`DesignPoint::predictors`] vector (caches on a log2 scale),
+/// min-max normalized; each centroid is scaled back and snapped to the
+/// nearest exploration-space design ([`DesignSpace::nearest`]).
 ///
 /// # Panics
 ///
@@ -83,7 +86,7 @@ pub fn compromise_clusters(
 ) -> Vec<CompromiseCluster> {
     assert!(k >= 1 && k <= optima.optima.len(), "k must be in 1..=9");
     let space = DesignSpace::exploration();
-    let vectors: Vec<Vec<f64>> = optima.optima.iter().map(|(_, p)| p.cluster_vector()).collect();
+    let vectors: Vec<Vec<f64>> = optima.optima.iter().map(|(_, p)| p.predictors()).collect();
     let scaler = MinMaxScaler::fit(&vectors);
     let normalized = scaler.transform_all(&vectors);
     let clustering = KMeans::new(k).with_restarts(16).run(&normalized, seed);

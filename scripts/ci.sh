@@ -41,6 +41,18 @@ if ! grep -qF '"ph": "X"' target/trace-smoke/trace.json; then
     exit 1
 fi
 
+# Golden smoke: the quick run's stdout is a pure function of the fixed
+# seed, identical for every --jobs value, so a fresh `repro --quick all`
+# must match the committed file byte for byte. Any moved table or figure
+# number fails here; when a move is intended, regenerate the file with
+#   ./target/release/repro --quick all > tests/golden/repro_quick_all.txt
+# and say why in the commit.
+echo "==> golden smoke: repro --quick all vs tests/golden/repro_quick_all.txt"
+rm -rf target/golden-smoke
+mkdir -p target/golden-smoke
+./target/release/repro --quick all > target/golden-smoke/all.out
+diff tests/golden/repro_quick_all.txt target/golden-smoke/all.out
+
 # Worker-count smoke: the studies that simulate configs outside the
 # design space (and the residual/ablation samples) each make one
 # simulation-oracle batch, so `--jobs 2` runs them on the pool. Their
